@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race bench bench-suite bench-churn bench-fleet drift-smoke
+.PHONY: all check vet build test race determinism bench bench-suite bench-churn bench-fleet drift-smoke
 
 all: check
 
@@ -23,11 +23,17 @@ test:
 # stress + property tests; run them with the race detector and without
 # result caching. The experiments and sched packages cover the parallel
 # experiment grids, the autotune worker pool, and the profiling cache's
-# singleflight. onlineprof covers concurrent event ingestion during
-# admit/exit churn.
+# singleflight. onlineprof and runtime cover concurrent event ingestion
+# during admit/exit churn and on the Real engine's dispatchers.
 race:
 	$(GO) test -race -count=1 ./internal/pipeline/... ./internal/queue/... ./internal/metrics/... ./internal/runtime/... ./internal/obs/... ./internal/schedcache/... ./internal/fleet/... ./internal/onlineprof/...
 	$(GO) test -race -count=1 -run 'Parallel|Concurrent|ForEach' ./internal/experiments/... ./internal/sched/...
+
+# determinism runs every test that claims a run-to-run identical result
+# 20 times, so a nondeterministic replay fails here rather than on a
+# later, unlucky run.
+determinism:
+	$(GO) test -count=20 -run 'Determin|Drift|Identical' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/...
 
 bench:
 	$(GO) test -bench=. -benchmem .

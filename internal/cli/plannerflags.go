@@ -127,6 +127,6 @@ func OnlineProfSummary(s obs.OnlineProfStats, ok bool) string {
 	if !ok {
 		return ""
 	}
-	return fmt.Sprintf("online profiling: %d observations over %d cells, %d drifts (%d cells latched), %d invalidations, %d drift re-plans",
-		s.Observations, s.Cells, s.DriftsTriggered, s.LatchedCells, s.Invalidations, s.DriftReplans)
+	return fmt.Sprintf("online profiling: %d observations over %d cells, %d drifts (%d cells latched), %d drift re-plans",
+		s.Observations, s.Cells, s.DriftsTriggered, s.LatchedCells, s.DriftReplans)
 }

@@ -6,6 +6,7 @@ import (
 
 	"bettertogether/internal/fleet"
 	"bettertogether/internal/obs/sessiontrace"
+	"bettertogether/internal/onlineprof"
 )
 
 // TestFleetReplayDefaults runs the canonical 3-node experiment once and
@@ -88,5 +89,36 @@ func TestFleetReplaySLOWiring(t *testing.T) {
 	}
 	if strings.Contains(plain.Render(), "slo ") {
 		t.Fatal("deadline-free report carries SLO rows")
+	}
+}
+
+// TestFleetReplayOnlineProfDeterministic pins that the feedback loop is
+// part of the deterministic replay: two identical replays with online
+// profiling fold the same observations, latch the same drifts, and
+// re-plan the same number of times.
+func TestFleetReplayOnlineProfDeterministic(t *testing.T) {
+	cfg := FleetReplayConfig{
+		Nodes: []fleet.NodeSpec{{Device: "pixel7a", Count: 2}, {Device: "jetson", Count: 2}},
+		Gen: fleet.GenConfig{
+			Pattern: fleet.PatternPoisson, Arrivals: 12, RatePerSec: 0.5,
+			Apps: []string{"octree", "vision"}, MeanDwell: 20, Tasks: 12, Seed: 3,
+		},
+		OnlineProf: &onlineprof.Config{DriftThreshold: 0.05},
+		Seed:       3,
+	}
+	first, err := FleetReplay(cfg)
+	if err != nil {
+		t.Fatalf("FleetReplay: %v", err)
+	}
+	second, err := FleetReplay(cfg)
+	if err != nil {
+		t.Fatalf("FleetReplay: %v", err)
+	}
+	if !first.OnlineProfEnabled || first.OnlineProf.Observations == 0 {
+		t.Fatalf("online profiling observed nothing: %+v", first.OnlineProf)
+	}
+	if first.OnlineProf != second.OnlineProf {
+		t.Fatalf("online-profiling stats differ between identical replays:\n%+v\n%+v",
+			first.OnlineProf, second.OnlineProf)
 	}
 }

@@ -364,7 +364,6 @@ func (f *Fleet) OnlineProfStats() (obs.OnlineProfStats, bool) {
 		out.Cells += s.Cells
 		out.LatchedCells += s.LatchedCells
 		out.DriftsTriggered += s.DriftsTriggered
-		out.Invalidations += s.Invalidations
 		out.DriftReplans += s.DriftReplans
 	}
 	return out, any

@@ -17,7 +17,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -109,8 +108,8 @@ type Event struct {
 	// Stage is the stage name (StageDone, PanicRecovered).
 	Stage string
 	// PU is the executing PU class of a StageDone — the estimator-facing
-	// tap that lets a subscriber attribute a service time to a
-	// (stage, PU) pair without re-deriving the schedule.
+	// tap that lets a sink attribute a service time to a (stage, PU)
+	// pair without re-deriving the schedule.
 	PU string
 	// Chunk is the chunk index (StageDone, PanicRecovered) or edge index
 	// (QueueStall); -1 when not applicable.
@@ -125,13 +124,6 @@ type Event struct {
 	Dur time.Duration
 	// Detail is free-form context: a schedule, an error, a panic value.
 	Detail string
-	// Dropped is the number of events this subscriber lost to a full
-	// buffer immediately before this one (0 = lossless so far). It is
-	// stamped per subscriber at delivery, never stored in the ring:
-	// ring readers always see 0. Loss-sensitive consumers (the online
-	// profiler's estimator) use it to invalidate state built from the
-	// now-gapped stream instead of silently skewing their averages.
-	Dropped uint64
 }
 
 // NewEvent returns an Event of the given kind with the index fields
@@ -175,20 +167,16 @@ func WithSession(s Sink, session string) Sink {
 const DefaultStreamCapacity = 1024
 
 // Stream is a bounded in-memory event stream: a fixed-capacity ring that
-// always holds the most recent events, plus optional subscriber fan-out.
-// Emit is a single short mutex-protected critical section with no
-// allocation; subscribers that cannot keep up lose events (counted, never
-// blocking the emitter). All methods are safe for concurrent use and are
-// no-ops on a nil *Stream, so call sites can hold an optional stream
-// without guarding.
+// always holds the most recent events. Emit is a single short
+// mutex-protected critical section with no allocation. Consumers that
+// need every event are Sinks of their own, fed synchronously by the
+// emitter; the ring serves history. All methods are safe for concurrent
+// use and are no-ops on a nil *Stream, so call sites can hold an
+// optional stream without guarding.
 type Stream struct {
-	mu      sync.Mutex
-	ring    []Event
-	total   uint64 // events ever emitted == last assigned Seq
-	subs    map[int]*Subscription
-	nextSub int
-
-	dropped atomic.Uint64 // fan-out drops across all subscribers
+	mu    sync.Mutex
+	ring  []Event
+	total uint64 // events ever emitted == last assigned Seq
 }
 
 // NewStream builds a stream holding the most recent capacity events
@@ -197,15 +185,11 @@ func NewStream(capacity int) *Stream {
 	if capacity <= 0 {
 		capacity = DefaultStreamCapacity
 	}
-	return &Stream{ring: make([]Event, capacity), subs: map[int]*Subscription{}}
+	return &Stream{ring: make([]Event, capacity)}
 }
 
-// Emit implements Sink: it assigns the event's Seq and Wall, stores it in
-// the ring (overwriting the oldest), and offers it to every subscriber
-// without blocking — a full subscriber buffer counts a drop instead.
-// The first event delivered after a drop window carries the window's
-// size in Event.Dropped, so subscribers learn about their losses
-// in-stream rather than by polling a counter.
+// Emit implements Sink: it assigns the event's Seq and Wall and stores it
+// in the ring, overwriting the oldest.
 func (s *Stream) Emit(e Event) {
 	if s == nil {
 		return
@@ -216,17 +200,6 @@ func (s *Stream) Emit(e Event) {
 	e.Seq = s.total
 	e.Wall = now
 	s.ring[int((s.total-1)%uint64(len(s.ring)))] = e
-	for _, sub := range s.subs {
-		e.Dropped = sub.pending
-		select {
-		case sub.ch <- e:
-			sub.pending = 0
-		default:
-			sub.pending++
-			sub.drops.Add(1)
-			s.dropped.Add(1)
-		}
-	}
 	s.mu.Unlock()
 }
 
@@ -246,15 +219,6 @@ func (s *Stream) Capacity() int {
 		return 0
 	}
 	return len(s.ring)
-}
-
-// Dropped returns the total fan-out drops across all subscribers since
-// the stream was created.
-func (s *Stream) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped.Load()
 }
 
 // Recent returns up to n of the most recent events, oldest first. n <= 0
@@ -277,59 +241,6 @@ func (s *Stream) Recent(n int) []Event {
 		out = append(out, s.ring[int(i%uint64(len(s.ring)))])
 	}
 	return out
-}
-
-// Subscription is one subscriber's view of a stream. Receive from C;
-// call Close when done. Events the subscriber was too slow to buffer are
-// counted in Drops, not delivered late.
-type Subscription struct {
-	// C delivers events in emission order.
-	C <-chan Event
-
-	id     int
-	stream *Stream
-	ch     chan Event
-	// pending counts events dropped since the last successful delivery;
-	// it is stamped onto the next delivered event's Dropped field.
-	// Guarded by the stream's mutex.
-	pending uint64
-	drops   atomic.Uint64
-	closed  atomic.Bool
-}
-
-// Drops returns how many events this subscriber lost to a full buffer.
-func (sub *Subscription) Drops() uint64 { return sub.drops.Load() }
-
-// Close detaches the subscription and closes its channel. Idempotent.
-func (sub *Subscription) Close() {
-	if !sub.closed.CompareAndSwap(false, true) {
-		return
-	}
-	s := sub.stream
-	s.mu.Lock()
-	delete(s.subs, sub.id)
-	s.mu.Unlock()
-	close(sub.ch)
-}
-
-// Subscribe attaches a subscriber with the given channel buffer (ring
-// capacity when <= 0). Subscription starts at the next emitted event;
-// use Recent for history.
-func (s *Stream) Subscribe(buffer int) *Subscription {
-	if s == nil {
-		return nil
-	}
-	if buffer <= 0 {
-		buffer = len(s.ring)
-	}
-	sub := &Subscription{stream: s, ch: make(chan Event, buffer)}
-	sub.C = sub.ch
-	s.mu.Lock()
-	sub.id = s.nextSub
-	s.nextSub++
-	s.subs[sub.id] = sub
-	s.mu.Unlock()
-	return sub
 }
 
 var _ Sink = (*Stream)(nil)

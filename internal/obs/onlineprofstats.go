@@ -13,10 +13,8 @@ type OnlineProfStats struct {
 	Observations uint64 `json:"observations"`
 	Cells        int    `json:"cells"`
 	LatchedCells int    `json:"latchedCells"`
-	// DriftsTriggered counts drift detections; Invalidations counts
-	// estimate resets forced by subscriber event loss.
+	// DriftsTriggered counts drift detections.
 	DriftsTriggered uint64 `json:"driftsTriggered"`
-	Invalidations   uint64 `json:"invalidations"`
 	// DriftReplans counts runtime re-plans the detections actually
 	// caused (a detection during shutdown may not replan).
 	DriftReplans int `json:"driftReplans"`
@@ -40,9 +38,6 @@ func PromOnlineProf(w io.Writer, s OnlineProfStats) error {
 	pw.family("bt_onlineprof_drifts_total", "counter",
 		"Drift detections: observed service times diverged from the model.")
 	pw.sample("bt_onlineprof_drifts_total", nil, float64(s.DriftsTriggered))
-	pw.family("bt_onlineprof_invalidations_total", "counter",
-		"Estimate windows invalidated after subscriber event loss.")
-	pw.sample("bt_onlineprof_invalidations_total", nil, float64(s.Invalidations))
 	pw.family("bt_onlineprof_replans_total", "counter",
 		"Runtime re-plans triggered by drift detections.")
 	pw.sample("bt_onlineprof_replans_total", nil, float64(s.DriftReplans))

@@ -12,7 +12,7 @@ func TestServerMetricsIncludeOnlineProf(t *testing.T) {
 	cfg.OnlineProf = func() OnlineProfStats {
 		return OnlineProfStats{
 			Observations: 120, Cells: 7, LatchedCells: 1,
-			DriftsTriggered: 2, Invalidations: 1, DriftReplans: 2,
+			DriftsTriggered: 2, DriftReplans: 2,
 		}
 	}
 	code, body := get(t, NewHandler(cfg), "/metrics")
@@ -39,7 +39,7 @@ func TestPromOnlineProfExposition(t *testing.T) {
 	var b strings.Builder
 	err := PromOnlineProf(&b, OnlineProfStats{
 		Observations: 9, Cells: 3, LatchedCells: 2,
-		DriftsTriggered: 1, Invalidations: 4, DriftReplans: 1,
+		DriftsTriggered: 1, DriftReplans: 1,
 	})
 	if err != nil {
 		t.Fatalf("PromOnlineProf: %v", err)
@@ -52,7 +52,6 @@ func TestPromOnlineProfExposition(t *testing.T) {
 		"bt_onlineprof_cells 3",
 		"bt_onlineprof_latched_cells 2",
 		"bt_onlineprof_drifts_total 1",
-		"bt_onlineprof_invalidations_total 4",
 		"bt_onlineprof_replans_total 1",
 	} {
 		if !strings.Contains(out, want) {

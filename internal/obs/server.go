@@ -205,8 +205,6 @@ func (cfg ServerConfig) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if cfg.Stream != nil {
 		pw.family("bt_events_emitted_total", "counter", "Events emitted into the observability stream.")
 		pw.sample("bt_events_emitted_total", nil, float64(cfg.Stream.Total()))
-		pw.family("bt_events_dropped_total", "counter", "Events dropped by slow stream subscribers.")
-		pw.sample("bt_events_dropped_total", nil, float64(cfg.Stream.Dropped()))
 	}
 	if cfg.Cache != nil {
 		_ = PromCache(w, cfg.Cache())
@@ -289,7 +287,6 @@ type eventWire struct {
 // eventsDoc is the /events response body.
 type eventsDoc struct {
 	Total    uint64      `json:"total"`
-	Dropped  uint64      `json:"dropped"`
 	Capacity int         `json:"capacity"`
 	Events   []eventWire `json:"events"`
 }
@@ -356,7 +353,6 @@ func (cfg ServerConfig) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	doc := eventsDoc{
 		Total:    cfg.Stream.Total(),
-		Dropped:  cfg.Stream.Dropped(),
 		Capacity: cfg.Stream.Capacity(),
 		Events:   []eventWire{},
 	}

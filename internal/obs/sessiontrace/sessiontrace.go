@@ -5,10 +5,9 @@
 // re-plans, and migration to completion.
 //
 // The tracer is fed by direct, synchronous hooks at the recording
-// sites rather than by an obs.Stream subscription: subscriptions may
-// drop events under backpressure, and a causal record with holes is
-// worse than none. Every hook is safe on a nil *Tracer, so call sites
-// need no guards.
+// sites rather than by reading back the obs.Stream, whose ring keeps
+// only recent events: a causal record with holes is worse than none.
+// Every hook is safe on a nil *Tracer, so call sites need no guards.
 //
 // Determinism: spans carry only logical times (virtual seconds,
 // advanced by AdvanceTo from the replay's DES closures and by wave

@@ -1,13 +1,14 @@
 // Package onlineprof closes the loop between execution and planning:
-// it watches the observability event stream for per-stage service
-// times, maintains EWMA estimates per (stage, PU class, quantized
-// interference Env), and detects when reality has drifted from the
-// model estimates the current schedule was solved against. A confirmed
-// drift latches a learned observed/modeled ratio and hands the runtime
-// a replan trigger, so schedules converge toward what the device
-// actually does — the feedback variant of the paper's offline
-// interference-aware profiling (Sec. 3.2), which by construction can
-// only see the contention patterns it was calibrated with.
+// it is an obs.Sink that reads per-stage service times out of the
+// runtime's events as they are emitted, maintains EWMA estimates per
+// (stage, PU class, quantized interference Env), and detects when
+// reality has drifted from the model estimates the current schedule was
+// solved against. A confirmed drift latches a learned observed/modeled
+// ratio and hands the runtime a replan trigger, so schedules converge
+// toward what the device actually does — the feedback variant of the
+// paper's offline interference-aware profiling (Sec. 3.2), which by
+// construction can only see the contention patterns it was calibrated
+// with.
 //
 // Drift detection is deliberately conservative: a cell must accumulate
 // a minimum number of samples before it can vote, the smoothed
@@ -123,8 +124,8 @@ type sessionModel struct {
 }
 
 // Estimator maintains the EWMA cells and per-session drift state. All
-// methods are safe for concurrent use; ObserveEvent is the hot path and
-// takes one mutex acquisition per event.
+// methods are safe for concurrent use; Emit is the hot path and takes
+// one mutex acquisition per event.
 type Estimator struct {
 	cfg Config
 
@@ -133,9 +134,8 @@ type Estimator struct {
 	sessions map[string]*sessionModel
 	learned  map[string]float64 // cellID -> observed/modeled ratio, latched cells only
 
-	observations  uint64
-	drifts        uint64
-	invalidations uint64
+	observations uint64
+	drifts       uint64
 }
 
 // NewEstimator builds an estimator with cfg's zero fields defaulted.
@@ -191,15 +191,11 @@ func (e *Estimator) RemoveSession(session string) {
 	delete(e.sessions, session)
 }
 
-// ObserveEvent folds one event into the estimator. StageDone events
-// carrying an executing PU class update the matching EWMA cell and the
-// emitting session's drift tracking; any event that reports subscriber
-// loss (Dropped > 0) first invalidates the estimate windows, since an
-// unknown number of observations went missing.
-func (e *Estimator) ObserveEvent(ev obs.Event) {
-	if ev.Dropped > 0 {
-		e.Invalidate()
-	}
+// Emit implements obs.Sink: it folds one event into the estimator
+// before returning. StageDone events carrying an executing PU class
+// update the matching EWMA cell and the emitting session's drift
+// tracking; every other event is ignored.
+func (e *Estimator) Emit(ev obs.Event) {
 	if ev.Kind != obs.KindStageDone || ev.PU == "" || ev.Stage == "" || ev.Dur <= 0 {
 		return
 	}
@@ -289,26 +285,6 @@ func (e *Estimator) TakeDrift(session string) (Drift, bool) {
 	return d, true
 }
 
-// Invalidate resets every cell's sample count and every session's
-// strike counters: after an event-loss window the stream is no longer a
-// faithful sample of execution, so the minimum-sample floor must be
-// re-earned before drift can latch again. Smoothed values survive as
-// priors; latched drifts and learned ratios are confirmed state and
-// also survive.
-func (e *Estimator) Invalidate() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, c := range e.cells {
-		c.n = 0
-	}
-	for _, sm := range e.sessions {
-		for id := range sm.strikes {
-			sm.strikes[id] = 0
-		}
-	}
-	e.invalidations++
-}
-
 // LearnedAdjust renders the latched corrections as a profiler.Adjust
 // plus a canonical digest for schedule-cache keying. Cells that never
 // latched contribute nothing (ratio 1), so an estimator with no
@@ -359,7 +335,7 @@ func (e *Estimator) LearnedRatio(stage string, pu core.PUClass) (float64, bool) 
 }
 
 // Estimate reports the current smoothed observation for (stage, PU,
-// envSig) and its sample count since the last invalidation.
+// envSig) and its sample count.
 func (e *Estimator) Estimate(stage string, pu core.PUClass, envSig string) (seconds float64, samples int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -381,6 +357,5 @@ func (e *Estimator) Stats() obs.OnlineProfStats {
 		Cells:           len(e.cells),
 		LatchedCells:    len(e.learned),
 		DriftsTriggered: e.drifts,
-		Invalidations:   e.invalidations,
 	}
 }

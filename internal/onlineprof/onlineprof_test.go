@@ -1,7 +1,9 @@
 package onlineprof
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ func stageDone(session, stage string, pu core.PUClass, seconds float64) obs.Even
 // feed pushes n identical observations.
 func feed(e *Estimator, n int, ev obs.Event) {
 	for i := 0; i < n; i++ {
-		e.ObserveEvent(ev)
+		e.Emit(ev)
 	}
 }
 
@@ -41,7 +43,7 @@ func TestDriftLatchesAfterFloorAndHysteresis(t *testing.T) {
 	if _, ok := e.TakeDrift("s"); ok {
 		t.Fatal("drift latched before hysteresis")
 	}
-	e.ObserveEvent(ev) // strike 2 → latch
+	e.Emit(ev) // strike 2 → latch
 	d, ok := e.TakeDrift("s")
 	if !ok {
 		t.Fatal("drift did not latch")
@@ -82,7 +84,7 @@ func TestAccurateModelNeverLatches(t *testing.T) {
 		if i%2 == 0 {
 			sec = 0.011
 		}
-		e.ObserveEvent(stageDone("s", "conv", core.ClassGPU, sec))
+		e.Emit(stageDone("s", "conv", core.ClassGPU, sec))
 	}
 	if _, ok := e.TakeDrift("s"); ok {
 		t.Fatal("accurate model latched a drift")
@@ -103,9 +105,9 @@ func TestHysteresisResetsOnRecovery(t *testing.T) {
 	good := stageDone("s", "conv", core.ClassGPU, 0.010)
 	// Two strikes, recovery, two strikes, recovery: never latches.
 	feed(e, 2, slow)
-	e.ObserveEvent(good)
+	e.Emit(good)
 	feed(e, 2, slow)
-	e.ObserveEvent(good)
+	e.Emit(good)
 	if _, ok := e.TakeDrift("s"); ok {
 		t.Fatal("non-consecutive strikes latched")
 	}
@@ -118,10 +120,10 @@ func TestHysteresisResetsOnRecovery(t *testing.T) {
 func TestObservationsIgnoreUnknownSessionsAndNonTaps(t *testing.T) {
 	e := NewEstimator(testConfig())
 	e.SetSessionModel("known", 1, "", []ModelCell{{Stage: "conv", PU: core.ClassGPU, Seconds: 0.01}})
-	e.ObserveEvent(stageDone("ghost", "conv", core.ClassGPU, 0.02))
-	e.ObserveEvent(obs.Event{Kind: obs.KindStageDone, Session: "known", Stage: "conv", Dur: time.Millisecond}) // no PU
-	e.ObserveEvent(obs.Event{Kind: obs.KindWaveEnd, Session: "known"})
-	e.ObserveEvent(stageDone("known", "", core.ClassGPU, 0.02)) // no stage
+	e.Emit(stageDone("ghost", "conv", core.ClassGPU, 0.02))
+	e.Emit(obs.Event{Kind: obs.KindStageDone, Session: "known", Stage: "conv", Dur: time.Millisecond}) // no PU
+	e.Emit(obs.Event{Kind: obs.KindWaveEnd, Session: "known"})
+	e.Emit(stageDone("known", "", core.ClassGPU, 0.02)) // no stage
 	if s := e.Stats(); s.Observations != 0 || s.Cells != 0 {
 		t.Fatalf("non-taps counted: %+v", s)
 	}
@@ -132,9 +134,9 @@ func TestCellsPoolByEnvSignature(t *testing.T) {
 	e.SetSessionModel("a", 1, "gpu=8", []ModelCell{{Stage: "conv", PU: core.ClassGPU, Seconds: 0.01}})
 	e.SetSessionModel("b", 1, "gpu=8", []ModelCell{{Stage: "conv", PU: core.ClassGPU, Seconds: 0.01}})
 	e.SetSessionModel("c", 1, "big=4", []ModelCell{{Stage: "conv", PU: core.ClassGPU, Seconds: 0.01}})
-	e.ObserveEvent(stageDone("a", "conv", core.ClassGPU, 0.01))
-	e.ObserveEvent(stageDone("b", "conv", core.ClassGPU, 0.01))
-	e.ObserveEvent(stageDone("c", "conv", core.ClassGPU, 0.01))
+	e.Emit(stageDone("a", "conv", core.ClassGPU, 0.01))
+	e.Emit(stageDone("b", "conv", core.ClassGPU, 0.01))
+	e.Emit(stageDone("c", "conv", core.ClassGPU, 0.01))
 	if got := e.Stats().Cells; got != 2 {
 		t.Fatalf("cells = %d, want 2 (a and b pool on the shared signature)", got)
 	}
@@ -145,42 +147,6 @@ func TestCellsPoolByEnvSignature(t *testing.T) {
 	e.RemoveSession("a")
 	if sec, n := e.Estimate("conv", core.ClassGPU, "gpu=8"); n != 2 || sec <= 0 {
 		t.Fatalf("RemoveSession dropped the pooled cell: %v/%d", sec, n)
-	}
-}
-
-func TestInvalidateResetsFloorsButKeepsLearned(t *testing.T) {
-	e := NewEstimator(testConfig())
-	e.SetSessionModel("s", 1, "", []ModelCell{{Stage: "conv", PU: core.ClassGPU, Seconds: 0.010}})
-	slow := stageDone("s", "conv", core.ClassGPU, 0.020)
-	feed(e, 4, slow) // latched
-	if _, ok := e.TakeDrift("s"); !ok {
-		t.Fatal("setup: no latch")
-	}
-	if r, ok := e.LearnedRatio("conv", core.ClassGPU); !ok || r < 1.9 {
-		t.Fatalf("learned ratio %v/%v", r, ok)
-	}
-
-	// A loss window: dropped-stamped event invalidates sample floors.
-	e.SetSessionModel("s", 2, "", []ModelCell{{Stage: "conv", PU: core.ClassGPU, Seconds: 0.010}})
-	lossy := slow
-	lossy.Dropped = 7
-	e.ObserveEvent(lossy)
-	if got := e.Stats().Invalidations; got != 1 {
-		t.Fatalf("Invalidations = %d, want 1", got)
-	}
-	// The learned correction survives; the EWMA survives as a prior but
-	// the floor must be re-earned: the post-loss event plus two more is
-	// exactly the floor, giving the first strike only.
-	if _, ok := e.LearnedRatio("conv", core.ClassGPU); !ok {
-		t.Fatal("Invalidate dropped the learned ratio")
-	}
-	feed(e, 1, slow)
-	if _, ok := e.TakeDrift("s"); ok {
-		t.Fatal("drift latched before the floor was re-earned")
-	}
-	feed(e, 2, slow) // floor re-earned + hysteresis
-	if _, ok := e.TakeDrift("s"); !ok {
-		t.Fatal("drift never re-latched after recovery")
 	}
 }
 
@@ -226,5 +192,47 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	}
 	if e2 := NewEstimator(Config{Alpha: 1.5}); e2.cfg.Alpha != DefaultAlpha {
 		t.Fatalf("out-of-range alpha kept: %v", e2.cfg.Alpha)
+	}
+}
+
+// TestConcurrentIngestionDuringChurn exercises the estimator under the
+// race detector the way the runtime drives it: several emitting
+// goroutines call Emit directly while sessions churn (register/remove)
+// and readers snapshot stats, drift, and adjustments. Ingestion is
+// inline, so once the emitters return every observation is counted.
+func TestConcurrentIngestionDuringChurn(t *testing.T) {
+	e := NewEstimator(Config{MinSamples: 2, Hysteresis: 2})
+	const emitters, perEmitter = 4, 100
+
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			session := fmt.Sprintf("s%d", g)
+			for i := 0; i < perEmitter; i++ {
+				e.SetSessionModel(session, int64(i), "gpu=8", []ModelCell{
+					{Stage: "conv", PU: core.ClassGPU, Seconds: 0.010},
+				})
+				e.Emit(stageDone(session, "conv", core.ClassGPU, 0.021))
+				if i%10 == 9 {
+					e.TakeDrift(session)
+					e.RemoveSession(session)
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			e.Stats()
+			e.LearnedAdjust()
+			e.Estimate("conv", core.ClassGPU, "gpu=8")
+		}
+	}()
+	wg.Wait()
+	if got := e.Stats().Observations; got != emitters*perEmitter {
+		t.Fatalf("estimator counted %d observations, want %d", got, emitters*perEmitter)
 	}
 }

@@ -182,8 +182,6 @@ func TestExecuteEmitsPanicRecovered(t *testing.T) {
 // produces — and checks nothing races or is lost from the totals.
 func TestExecuteEventsUnderConcurrency(t *testing.T) {
 	stream := obs.NewStream(obs.DefaultStreamCapacity)
-	sub := stream.Subscribe(0) // count-only subscriber, everything drops
-	defer sub.Close()
 	var wg sync.WaitGroup
 	const runs = 4
 	for i := 0; i < runs; i++ {
@@ -201,10 +199,22 @@ func TestExecuteEventsUnderConcurrency(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// Each run: 1 run-start + 18 stage-done + 1 run-end = 20, plus any
-	// stalls. Total must be at least the guaranteed floor.
-	if total := stream.Total(); total < runs*20 {
-		t.Fatalf("stream total %d, want >= %d", total, runs*20)
+	// Each run: 1 run-start + 18 stage-done + 1 run-end, plus any
+	// stalls. The ring is far larger than that, so it must hold every
+	// emission the total counts, and the fixed kinds must be exact.
+	total := stream.Total()
+	if held := len(stream.Recent(0)); uint64(held) != total {
+		t.Fatalf("ring holds %d events, stream total %d", held, total)
+	}
+	byKind := eventsByKind(stream)
+	if n := len(byKind[obs.KindStageDone]); n != runs*18 {
+		t.Fatalf("stage-done %d, want %d", n, runs*18)
+	}
+	if s, e := len(byKind[obs.KindRunStart]), len(byKind[obs.KindRunEnd]); s != runs || e != runs {
+		t.Fatalf("run brackets %d/%d, want %d/%d", s, e, runs, runs)
+	}
+	if want := uint64(runs*20 + len(byKind[obs.KindQueueStall])); total != want {
+		t.Fatalf("stream total %d, want %d", total, want)
 	}
 	for _, e := range stream.Recent(0) {
 		if e.Session == "" {

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"bettertogether/internal/core"
 	"bettertogether/internal/obs"
@@ -12,24 +11,8 @@ import (
 	"bettertogether/internal/soc"
 )
 
-// Online-profiling plumbing sizes.
-const (
-	// onlineProfRing sizes the internal tee stream created when
-	// Config.Events is not itself a subscribable *obs.Stream.
-	onlineProfRing = 1024
-	// onlineProfBuffer is the estimator subscription's channel capacity
-	// — sized to hold several full waves of StageDone events so the
-	// deterministic experiments ingest losslessly.
-	onlineProfBuffer = 8192
-	// driftSyncTimeout bounds the wave-boundary watermark barrier. In
-	// simulation every emission happens-before the boundary, so the
-	// barrier resolves in microseconds; the timeout only guards a
-	// wedged Real-engine sink.
-	driftSyncTimeout = 2 * time.Second
-)
-
-// teeSink fans one event out to two sinks, letting the online profiler
-// tap a caller-owned sink that cannot be subscribed to.
+// teeSink fans one event out to two sinks, letting the online profiler's
+// estimator ingest everything the caller's sink receives.
 type teeSink struct{ primary, tap obs.Sink }
 
 func (t teeSink) Emit(e obs.Event) {
@@ -131,18 +114,16 @@ func (rt *Runtime) registerModel(s *Session) {
 	)
 }
 
-// applyDrift is the session wave-boundary feedback hook: synchronize
-// the estimator to everything emitted so far (deterministic in sim —
-// emission happens-before the boundary), consume a latched drift if one
-// fired for this session, and re-solve with the learned corrections
-// overlaid. A changed schedule re-plans the other residents too, since
-// the session's standing interference contribution moved. Pinned
-// sessions never replan, from drift or otherwise.
+// applyDrift is the session wave-boundary feedback hook: consume a
+// latched drift if one fired for this session (the estimator has
+// already ingested every event emitted so far), and re-solve with the
+// learned corrections overlaid. A changed schedule re-plans the other
+// residents too, since the session's standing interference contribution
+// moved. Pinned sessions never replan, from drift or otherwise.
 func (rt *Runtime) applyDrift(s *Session) {
-	if rt.observer == nil || s.opts.Schedule != nil {
+	if rt.estimator == nil || s.opts.Schedule != nil {
 		return
 	}
-	rt.observer.Sync(rt.stream.Total(), driftSyncTimeout)
 	d, ok := rt.estimator.TakeDrift(s.opts.Name)
 	if !ok {
 		return

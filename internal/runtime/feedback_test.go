@@ -3,11 +3,13 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bettertogether/internal/core"
 	"bettertogether/internal/obs"
 	"bettertogether/internal/onlineprof"
+	"bettertogether/internal/pipeline"
 )
 
 // feedbackConfig is the low-floor estimator tuning the integration
@@ -97,7 +99,7 @@ func TestInjectedErrorTriggersDriftReplan(t *testing.T) {
 		t.Error("drift latched but no learned ratio was recorded")
 	}
 	// A KindDriftReplan event must have landed on the caller's stream
-	// (the estimator taps the same stream it serves).
+	// (the estimator is teed in behind it).
 	seen := false
 	for _, e := range stream.Recent(stream.Capacity()) {
 		if e.Kind == obs.KindDriftReplan {
@@ -183,5 +185,82 @@ func TestFeedbackUnderChurn(t *testing.T) {
 	}
 	if s.Observations == 0 {
 		t.Error("no observations ingested under churn")
+	}
+}
+
+// stageDoneCounter is a caller-owned sink that counts StageDone events.
+type stageDoneCounter struct{ n atomic.Uint64 }
+
+func (c *stageDoneCounter) Emit(e obs.Event) {
+	if e.Kind == obs.KindStageDone {
+		c.n.Add(1)
+	}
+}
+
+// TestEstimatorCountsEveryStageDone pins inline ingestion: the estimator
+// sits behind the caller's sink, so once Session.Wait returns it has
+// folded exactly the StageDone events the caller's sink saw — on every
+// run, not eventually.
+func TestEstimatorCountsEveryStageDone(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		counter := &stageDoneCounter{}
+		rt, err := New(mustDevice(t, "pixel7a"),
+			WithEvents(counter),
+			WithOnlineProfiling(feedbackConfig),
+			WithModelAdjust("half", func(_ string, _ core.PUClass, sec float64) float64 {
+				return sec * 0.5
+			}),
+		)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s, err := rt.Admit(mustApp(t, "octree"), AdmitOptions{Tasks: 20, WaveTasks: 5})
+		if err != nil {
+			t.Fatalf("Admit: %v", err)
+		}
+		if res := s.Wait(); res.Err != nil {
+			t.Fatalf("session: %v", res.Err)
+		}
+		st, _ := rt.OnlineProfStats()
+		rt.Close()
+		if want := counter.n.Load(); st.Observations != want || want == 0 {
+			t.Fatalf("run %d: estimator counted %d observations, sink saw %d stage-done events",
+				run, st.Observations, want)
+		}
+	}
+}
+
+// TestFeedbackOnRealEngine runs the feedback loop on the Real engine,
+// where the estimator ingests on the engine's dispatcher goroutines, with
+// two sessions executing concurrently. Under -race this is the data-race
+// check for inline ingestion.
+func TestFeedbackOnRealEngine(t *testing.T) {
+	counter := &stageDoneCounter{}
+	rt, err := New(mustDevice(t, "pixel7a"),
+		WithEngine(pipeline.RealEngine{}),
+		WithEvents(counter),
+		WithHeadroom(8, 8),
+		WithOnlineProfiling(feedbackConfig),
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Close()
+	sessions := make([]*Session, 2)
+	for i, name := range []string{"octree", "vision"} {
+		s, err := rt.Admit(mustApp(t, name), AdmitOptions{Tasks: 8, WaveTasks: 4})
+		if err != nil {
+			t.Fatalf("Admit %s: %v", name, err)
+		}
+		sessions[i] = s
+	}
+	for _, s := range sessions {
+		if res := s.Wait(); res.Err != nil {
+			t.Fatalf("session %s: %v", res.Name, res.Err)
+		}
+	}
+	st, _ := rt.OnlineProfStats()
+	if want := counter.n.Load(); st.Observations != want || want == 0 {
+		t.Fatalf("estimator counted %d observations, sink saw %d stage-done events", st.Observations, want)
 	}
 }

@@ -93,9 +93,8 @@ func WithSeed(seed int64) Option {
 }
 
 // WithEvents attaches the observability sink. Pass an *obs.Stream to
-// feed the introspection server — and, with WithOnlineProfiling, to let
-// the online profiler subscribe directly instead of tapping through an
-// internal tee.
+// feed the introspection server. With WithOnlineProfiling, the sink sees
+// exactly the events the online profiler ingests.
 func WithEvents(sink obs.Sink) Option {
 	return func(cfg *Config) error {
 		if sink == nil {
@@ -133,10 +132,10 @@ func WithReplanDelta(d float64) Option {
 }
 
 // WithOnlineProfiling enables feedback-driven replanning: an online
-// estimator subscribes to the event stream, learns per-(stage, PU,
-// quantized Env) service times, and replans a session when its model
-// estimates have demonstrably drifted from observation. Zero Config
-// fields select the onlineprof defaults.
+// estimator, fed inline by every event the runtime emits, learns
+// per-(stage, PU, quantized Env) service times, and replans a session
+// when its model estimates have demonstrably drifted from observation.
+// Zero Config fields select the onlineprof defaults.
 func WithOnlineProfiling(c onlineprof.Config) Option {
 	return func(cfg *Config) error {
 		cc := c

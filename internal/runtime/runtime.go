@@ -107,12 +107,12 @@ type Config struct {
 	// next wave; only the solve is elided. 0 re-plans on every pass.
 	ReplanDelta float64
 	// OnlineProf, when non-nil, enables feedback-driven replanning: an
-	// online estimator ingests the event stream, learns per-(stage, PU,
-	// quantized Env) service times, and a session whose model estimates
-	// have drifted past the configured threshold is re-planned with the
-	// learned corrections overlaid on its profiled tables. When Events
-	// is an *obs.Stream the estimator subscribes to it directly;
-	// otherwise an internal stream is teed in.
+	// online estimator learns per-(stage, PU, quantized Env) service
+	// times from every event the runtime emits, and a session whose model
+	// estimates have drifted past the configured threshold is re-planned
+	// with the learned corrections overlaid on its profiled tables. The
+	// estimator is teed in behind Events (or stands alone when Events is
+	// nil) and ingests each event synchronously on the emitting goroutine.
 	OnlineProf *onlineprof.Config
 	// ModelAdjust, when non-nil, rescales every profiled latency before
 	// planning — the error-injection hook drift-convergence experiments
@@ -136,10 +136,8 @@ type Runtime struct {
 	dev *soc.Device
 	eng pipeline.Engine
 
-	// Online-profiling feedback loop (nil/zero unless Config.OnlineProf).
+	// Online-profiling feedback loop (nil unless Config.OnlineProf).
 	estimator *onlineprof.Estimator
-	observer  *onlineprof.Observer
-	stream    *obs.Stream
 
 	mu           sync.Mutex
 	nextID       int
@@ -202,19 +200,13 @@ func NewFromConfig(cfg Config) (*Runtime, error) {
 			}
 		}
 		rt.estimator = onlineprof.NewEstimator(opCfg)
-		stream, ok := cfg.Events.(*obs.Stream)
-		if !ok || stream == nil {
-			// No subscribable stream: tee one in so the estimator can
-			// ingest without the caller's sink seeing anything new.
-			stream = obs.NewStream(onlineProfRing)
-			if cfg.Events != nil {
-				cfg.Events = teeSink{cfg.Events, stream}
-			} else {
-				cfg.Events = stream
-			}
+		// Feed the estimator inline: every event is counted before Emit
+		// returns, so its state follows program order.
+		if cfg.Events != nil {
+			cfg.Events = teeSink{cfg.Events, rt.estimator}
+		} else {
+			cfg.Events = rt.estimator
 		}
-		rt.stream = stream
-		rt.observer = onlineprof.NewObserver(rt.estimator, stream, onlineProfBuffer)
 	}
 	rt.cfg = cfg
 	rt.eng = cfg.Engine
@@ -545,7 +537,6 @@ func (rt *Runtime) Close() {
 	for _, s := range residents {
 		<-s.Done()
 	}
-	rt.observer.Close()
 }
 
 // Report renders the per-session summary table and, when sessions
