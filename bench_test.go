@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"bettertogether/internal/experiments"
+	"bettertogether/pkg/btapps"
 )
 
 func BenchmarkIntroClaim(b *testing.B) {
@@ -246,5 +247,21 @@ func BenchmarkExtVision(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(res.Geomean, "vision-geomean")
 		}
+	}
+}
+
+// BenchmarkAppBuild times resolving each evaluation application by name
+// — for AlexNet that is generating, pruning and compressing its weights —
+// the cost a fleet replay pays once per distinct app.
+func BenchmarkAppBuild(b *testing.B) {
+	for _, name := range btapps.Names {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := btapps.ByName(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

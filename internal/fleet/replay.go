@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"bettertogether/internal/core"
 	"bettertogether/internal/des"
 	"bettertogether/internal/metrics"
 	"bettertogether/internal/runtime"
@@ -188,6 +189,10 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 		Records:  make([]PlacementRecord, len(t.Arrivals)),
 	}
 	startMigrations := f.migrationCount()
+	// Each distinct app name is resolved once per replay and the
+	// application shared by all its arrivals: applications are
+	// immutable, and sessions only draw fresh tasks from them.
+	apps := map[string]*core.Application{}
 
 	eng := des.New()
 	var failed error
@@ -220,7 +225,7 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 				return
 			}
 			f.cfg.Trace.AdvanceTo(a.At)
-			fail(f.replayArrival(&res, i, a, deadline))
+			fail(f.replayArrival(&res, apps, i, a, deadline))
 		})
 		eng.AtPrio(a.At+a.Dwell, prioDepart, func() {
 			if failed != nil {
@@ -314,10 +319,10 @@ func summarizeSLO(records []PlacementRecord) *SLOSummary {
 	return sum
 }
 
-// replayArrival handles one arrival event: resolve the application,
-// place it held (carrying its resolved SLO deadline), and record the
-// outcome.
-func (f *Fleet) replayArrival(res *ReplayResult, i int, a Arrival, deadline float64) error {
+// replayArrival handles one arrival event: resolve the application
+// (through the replay's apps memo), place it held (carrying its
+// resolved SLO deadline), and record the outcome.
+func (f *Fleet) replayArrival(res *ReplayResult, apps map[string]*core.Application, i int, a Arrival, deadline float64) error {
 	rec := &res.Records[i]
 	rec.Seq = i
 	rec.At = a.At
@@ -329,9 +334,13 @@ func (f *Fleet) replayArrival(res *ReplayResult, i int, a Arrival, deadline floa
 	if deadline > 0 {
 		rec.Deadline = deadline
 	}
-	app, err := btapps.ByName(a.App)
-	if err != nil {
-		return fmt.Errorf("fleet: replay: arrival %d: %w", i, err)
+	app := apps[a.App]
+	if app == nil {
+		var err error
+		if app, err = btapps.ByName(a.App); err != nil {
+			return fmt.Errorf("fleet: replay: arrival %d: %w", i, err)
+		}
+		apps[a.App] = app
 	}
 	p, err := f.Place(app, runtime.AdmitOptions{
 		Name:     rec.Session,

@@ -366,6 +366,38 @@ func TestConcurrentAdmitStopRace(t *testing.T) {
 	_ = rt.Report(40)
 }
 
+// TestSharedAppConcurrentSessions runs one AlexNet-sparse application
+// instance in two sessions at once on the Real engine, the sharing a
+// fleet replay relies on when it resolves each app once. Under -race it
+// checks that sessions only draw their own tasks from the shared
+// application and its immutable model.
+func TestSharedAppConcurrentSessions(t *testing.T) {
+	app := btapps.AlexNetSparseBatch(1)
+	rt, err := New(mustDevice(t, "pixel7a"),
+		WithEngine(pipeline.RealEngine{}),
+		WithHeadroom(8, 8),
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Close()
+	sessions := make([]*Session, 2)
+	for i := range sessions {
+		s, err := rt.Admit(app, AdmitOptions{Name: fmt.Sprintf("s%d", i), Tasks: 4, WaveTasks: 2})
+		if err != nil {
+			t.Fatalf("Admit %d: %v", i, err)
+		}
+		sessions[i] = s
+	}
+	for _, s := range sessions {
+		if res := s.Wait(); res.Err != nil {
+			t.Fatalf("session %s: %v", res.Name, res.Err)
+		} else if res.Tasks != 4 {
+			t.Fatalf("session %s ran %d tasks, want 4", res.Name, res.Tasks)
+		}
+	}
+}
+
 // TestDepartureReplansSurvivors: when a short session exits, the
 // survivor is re-planned back against the emptier device before Wait on
 // the departed session returns.

@@ -10,6 +10,8 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -80,7 +82,15 @@ func FromDense(dense []float32, rows, cols int) *CSR {
 	if len(dense) != rows*cols {
 		panic(fmt.Sprintf("sparse: dense size %d != %d*%d", len(dense), rows, cols))
 	}
+	nnz := 0
+	for _, v := range dense {
+		if v != 0 {
+			nnz++
+		}
+	}
 	m := NewCSR(rows, cols)
+	m.Col = make([]int32, 0, nnz)
+	m.Val = make([]float32, 0, nnz)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if v := dense[i*cols+j]; v != 0 {
@@ -180,6 +190,11 @@ func (m *CSR) Imbalance() float64 {
 // `sparsity` of each row's weights zeroed (per-row magnitude pruning —
 // the "structured" pruning shape Condensa applies to conv layers, which
 // keeps rows non-empty and bounds imbalance). sparsity must be in [0, 1).
+//
+// Each row drops its floor(sparsity·cols) smallest weights in the order
+// (|w|, column): equal magnitudes — ±x pairs, ±0 — lose the lower
+// column first. NaN ranks above ±Inf, so a NaN weight is never pruned
+// while its row holds at least that many non-NaN weights.
 func Prune(dense []float32, rows, cols int, sparsity float64) []float32 {
 	if sparsity < 0 || sparsity >= 1 {
 		panic(fmt.Sprintf("sparse: sparsity %v out of [0,1)", sparsity))
@@ -190,23 +205,71 @@ func Prune(dense []float32, rows, cols int, sparsity float64) []float32 {
 	if drop == 0 {
 		return out
 	}
-	idx := make([]int, cols)
+	keys := make([]uint64, cols)
 	for i := 0; i < rows; i++ {
 		row := out[i*cols : (i+1)*cols]
-		for j := range idx {
-			idx[j] = j
+		for j, w := range row {
+			keys[j] = pruneKey(w, j)
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			va := math.Abs(float64(row[idx[a]]))
-			vb := math.Abs(float64(row[idx[b]]))
-			if va != vb {
-				return va < vb
-			}
-			return idx[a] < idx[b]
-		})
-		for _, j := range idx[:drop] {
-			row[j] = 0
+		selectSmallest(keys, drop)
+		for _, k := range keys[:drop] {
+			row[uint32(k)] = 0
 		}
 	}
 	return out
+}
+
+// pruneKey packs weight w at column j into one integer that orders by
+// (|w|, j): the bits of a non-negative float32 order like its value, and
+// NaN's exponent places it above +Inf. Keys within a row are distinct.
+func pruneKey(w float32, j int) uint64 {
+	return uint64(math.Float32bits(w)&^(1<<31))<<32 | uint64(j)
+}
+
+// selectSmallest reorders distinct keys so keys[:k] hold the k smallest,
+// in no particular order. It is quickselect with a median-of-three
+// pivot; after 2·log2(n) partition rounds it sorts the remaining range
+// instead, bounding the worst case at O(n log n).
+func selectSmallest(keys []uint64, k int) {
+	// Invariant: keys[:lo] < keys[lo:hi] < keys[hi:], and lo <= k <= hi.
+	lo, hi := 0, len(keys)
+	for rounds := 2 * bits.Len(uint(len(keys))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.Sort(keys[lo:hi])
+			return
+		}
+		p := lo + partition(keys[lo:hi])
+		switch {
+		case p < k:
+			lo = p + 1
+		case p > k:
+			hi = p
+		default:
+			return
+		}
+	}
+}
+
+// partition places a median-of-three pivot at its sorted position in a,
+// with smaller keys before it and larger after, and returns the position.
+func partition(a []uint64) int {
+	n, m := len(a)-1, len(a)/2
+	if a[m] < a[0] {
+		a[0], a[m] = a[m], a[0]
+	}
+	if a[n] < a[0] {
+		a[0], a[n] = a[n], a[0]
+	}
+	if a[m] < a[n] {
+		a[m], a[n] = a[n], a[m]
+	}
+	pivot, i := a[n], 0
+	for j := 0; j < n; j++ {
+		if a[j] < pivot {
+			a[i], a[j] = a[j], a[i]
+			i++
+		}
+	}
+	a[i], a[n] = a[n], a[i]
+	return i
 }
