@@ -58,7 +58,8 @@ bench-suite:
 # on), requires the cache to deliver at least a 5x admission speedup,
 # writes the fresh samples to .bench/BENCH_6.json, and — when a baseline
 # BENCH_6.json is committed at the repo root — gates against it with a
-# 10% regression tolerance.
+# 10% regression tolerance. It then reports (without a gate) the sampled
+# span hot path and one autotuning-sized simulated run.
 CHURN_MIN_SPEEDUP ?= 5
 CHURN_GATE := $(wildcard BENCH_6.json)
 bench-churn:
@@ -68,6 +69,7 @@ bench-churn:
 	  -bench-json .bench/BENCH_6.json \
 	  $(if $(CHURN_GATE),-bench-gate $(CHURN_GATE) -gate-tolerance 10,)
 	$(GO) test -run - -bench BenchmarkSpanHotPath -benchmem ./internal/obs/sessiontrace/
+	$(GO) test -run - -bench BenchmarkSimEngineRun -benchmem ./internal/pipeline/
 
 # bench-fleet runs the fleet placement-throughput scaling sweep (banded
 # headroom index vs exhaustive ranking over 10/100/1000-node fleets) and

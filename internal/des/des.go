@@ -5,52 +5,49 @@
 // keeping experiments exactly reproducible.
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// event is a scheduled callback. prio orders events sharing a timestamp
-// (lower runs first); seq breaks remaining ties in schedule order, which
-// makes runs deterministic regardless of map iteration or goroutine
-// scheduling.
+// Handler receives events scheduled with ScheduleHandler. The tag is the
+// value given at scheduling time; a caller that re-schedules an entity's
+// next event passes a version there and ignores events whose tag is
+// stale, instead of capturing the version in a fresh closure per event.
+type Handler interface {
+	Handle(tag int64)
+}
+
+// event is one scheduled callback, stored by value in the heap. prio
+// orders events sharing a timestamp (lower runs first); seq breaks
+// remaining ties in schedule order, which makes runs deterministic
+// regardless of map iteration or goroutine scheduling. Exactly one of fn
+// and h is set.
 type event struct {
 	time float64
 	prio int
 	seq  int64
 	fn   func()
+	h    Handler
+	tag  int64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a runs before b.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded event loop over virtual time. It is not
 // safe for concurrent use; simulated concurrency is expressed by
-// scheduling events, not goroutines.
+// scheduling events, not goroutines. Scheduling and stepping allocate
+// nothing once the event heap has grown to the run's peak size.
 type Engine struct {
 	now    float64
 	seq    int64
-	events eventHeap
+	events []event // binary min-heap under event.before
 }
 
 // New returns an engine at time zero.
@@ -83,11 +80,62 @@ func (e *Engine) At(t float64, fn func()) { e.AtPrio(t, 0, fn) }
 // departures before control-plane sweeps before arrivals — without
 // epsilon time offsets that would leak into reported timestamps.
 func (e *Engine) AtPrio(t float64, prio int, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, e.now))
+	e.push(event{time: t, prio: prio, fn: fn})
+}
+
+// ScheduleHandler calls h.Handle(tag) after the given virtual delay, at
+// priority 0, ordered with Schedule's events by schedule order. It is
+// Schedule without a closure: the event carries the handler and tag by
+// value, so a steady-state caller allocates nothing per event.
+func (e *Engine) ScheduleHandler(delay float64, h Handler, tag int64) {
+	if delay < 0 {
+		panic(fmt.Sprintf("des: negative delay %v", delay))
+	}
+	e.push(event{time: e.now + delay, h: h, tag: tag})
+}
+
+// push stamps ev with the next sequence number and sifts it up the heap.
+func (e *Engine) push(ev event) {
+	if ev.time < e.now {
+		panic(fmt.Sprintf("des: scheduling at %v before now %v", ev.time, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, &event{time: t, prio: prio, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	e.events = append(e.events, ev)
+	h := e.events
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].before(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].before(&h[j]) {
+			j = j2
+		}
+		if !h[j].before(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	ev := h[n]
+	h[n] = event{} // drop the callback references
+	e.events = h[:n]
+	return ev
 }
 
 // Step executes the single earliest event and reports whether one
@@ -96,9 +144,13 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.now = ev.time
-	ev.fn()
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		ev.h.Handle(ev.tag)
+	}
 	return true
 }
 

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -237,4 +239,95 @@ func TestAtPrioInPastPanics(t *testing.T) {
 		e.AtPrio(3, -1, func() {})
 	})
 	e.Run()
+}
+
+// versioned is a Handler in the simulator's style: it re-schedules its
+// completion by bumping a version and ignores events whose tag is stale.
+type versioned struct {
+	name    string
+	version int64
+	log     *[]string
+}
+
+func (v *versioned) Handle(tag int64) {
+	state := "stale"
+	if tag == v.version {
+		state = "live"
+	}
+	*v.log = append(*v.log, fmt.Sprintf("%s/%d/%s", v.name, tag, state))
+}
+
+// TestSameTimeTiesUnderRescheduling pins the (time, prio, seq) order for
+// handler and closure events sharing a timestamp and priority: schedule
+// order decides, so a re-scheduled entity's stale event still fires (and
+// is ignored by tag) in its original slot, and its fresh event runs after
+// everything scheduled before the re-schedule — including events added
+// from inside a same-instant event.
+func TestSameTimeTiesUnderRescheduling(t *testing.T) {
+	e := New()
+	var log []string
+	a := &versioned{name: "a", log: &log}
+	b := &versioned{name: "b", log: &log}
+	e.Schedule(1, func() {
+		log = append(log, "t1")
+		a.version++
+		e.ScheduleHandler(1, a, a.version) // a/2 at t=2, after b/1 and x
+		e.Schedule(1, func() { log = append(log, "y") })
+	})
+	a.version++
+	e.ScheduleHandler(2, a, a.version) // a/1 at t=2, superseded at t=1
+	b.version++
+	e.ScheduleHandler(2, b, b.version)
+	e.At(2, func() {
+		log = append(log, "x")
+		b.version++
+		e.ScheduleHandler(0, b, b.version) // b/2 at t=2, after y
+	})
+	e.Run()
+	want := []string{"t1", "a/1/stale", "b/1/live", "x", "a/2/live", "y", "b/2/live"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order = %v, want %v", log, want)
+	}
+	if e.Now() != 2 {
+		t.Errorf("now = %v", e.Now())
+	}
+}
+
+// countHandler counts its events.
+type countHandler struct{ n int }
+
+func (h *countHandler) Handle(int64) { h.n++ }
+
+// TestScheduleHandlerSteadyStateAllocs pins that once the heap has grown
+// to its working size, scheduling and stepping a handler event allocates
+// nothing.
+func TestScheduleHandlerSteadyStateAllocs(t *testing.T) {
+	e := New()
+	h := &countHandler{}
+	for i := 0; i < 16; i++ {
+		e.ScheduleHandler(float64(i), h, int64(i))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.ScheduleHandler(3, h, 1)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("allocs per scheduled+stepped event = %v, want 0", allocs)
+	}
+	if h.n < 1000 {
+		t.Errorf("handled %d events", h.n)
+	}
+}
+
+func BenchmarkEngineHandlerThroughput(b *testing.B) {
+	e := New()
+	h := &countHandler{}
+	for i := 0; i < 8; i++ {
+		e.ScheduleHandler(float64(i), h, 0)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		e.ScheduleHandler(8, h, 0)
+		e.Step()
+	}
 }

@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"bettertogether/internal/core"
 	"bettertogether/internal/des"
+	"bettertogether/internal/metrics"
 	"bettertogether/internal/obs"
 	"bettertogether/internal/soc"
 	"bettertogether/internal/trace"
@@ -15,11 +19,16 @@ import (
 
 // simChunk is one pipeline station in the discrete-event execution.
 type simChunk struct {
-	idx    int
-	pu     core.PUClass
-	stages []int        // stage indices of the chunk
-	queue  []simPending // waiting tasks, FIFO
-	busy   bool
+	run   *simState
+	idx   int
+	pu    core.PUClass
+	puIdx int // index of pu in Device.PUs
+	start int // first stage index of the chunk
+	// terms[i] is stage start+i's cost on pu with the clock- and
+	// environment-independent parts of the model evaluated once per run.
+	terms []soc.Terms
+	queue []simPending // waiting tasks, FIFO
+	busy  bool
 
 	// Current execution state.
 	task     int
@@ -36,18 +45,28 @@ type simChunk struct {
 	lastUpdate float64
 	// stageStart is when the current stage was dispatched (for tracing).
 	stageStart float64
-	// version invalidates stale completion events after re-scheduling.
+	// version invalidates stale completion events after re-scheduling:
+	// it is the tag each completion event carries back to Handle.
 	version int64
 
 	busySince float64
 	busyTotal float64
-	// mult is the current governed clock multiplier (for energy
-	// integration); energyJ accumulates the chunk's busy energy.
+	// mult is the current governed clock multiplier and watts the busy
+	// power it implies; energyJ accumulates the chunk's busy energy.
 	mult    float64
+	watts   float64
 	energyJ float64
 	// load is the memory intensity of the running stage, published to
 	// other chunks' environments.
 	load soc.Load
+}
+
+// Handle implements des.Handler: a completion event finishes the stage
+// unless a later reprice superseded it.
+func (c *simChunk) Handle(version int64) {
+	if version == c.version {
+		c.run.finishStage(c)
+	}
 }
 
 // simPending is one queued task in the discrete-event execution: its
@@ -72,6 +91,41 @@ func Simulate(p *Plan, opts Options) Result {
 	return SimEngine{}.Run(context.Background(), p, opts)
 }
 
+// simRNGs recycles the per-run noise generators: reseeding one yields
+// exactly the stream a fresh rand.New(rand.NewSource(seed)) would,
+// without allocating its 4.9 KB state per run.
+var simRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// simClass is one PU class that can appear in a chunk's environment:
+// a device class (k indexes Device.PUs) or a BaseEnv class the device
+// does not have (k = -1, busy for the whole run).
+type simClass struct {
+	class core.PUClass
+	k     int
+}
+
+// simState is one discrete-event run. Everything in it is local to the
+// run; the Plan is only read, so concurrent runs may share one.
+type simState struct {
+	p    *Plan
+	opts Options
+	m    *metrics.Pipeline
+	eng  *des.Engine
+	rng  *rand.Rand
+
+	chunks []simChunk
+	// base is Options.BaseEnv laid out by PU index, folded in once; env
+	// is the scratch environment envFor rewrites for every reprice.
+	base, env soc.DenseEnv
+	// classes is every class that can be busy, in sorted order, so
+	// envFor emits env.Busy already sorted.
+	classes []simClass
+
+	total, issued int
+	completions   []float64
+	measureStart  float64
+}
+
 // simRun is the Sim engine's executor: the discrete-event loop over an
 // already validated plan and resolved options. Stage progress integrates
 // over the *actual* interference environment: each chunk's execution
@@ -82,203 +136,238 @@ func Simulate(p *Plan, opts Options) Result {
 // guards against. Options.BaseEnv additionally overlays resident
 // co-runners from outside the plan onto every chunk's environment.
 //
+// The per-event path allocates nothing: environments are rewritten in
+// place (envFor), stage costs are pre-evaluated into soc.Terms, and
+// completion events carry the chunk's version tag instead of a closure.
+//
 // ctx is unused here: the driver checks it at entry, and a started
 // simulation always completes (virtual time is instant in wall time and
 // the event timeline must stay deterministic).
 func simRun(_ context.Context, p *Plan, opts Options) runOutcome {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	eng := des.New()
-	m := opts.Metrics
-	nChunks := len(p.Chunks)
-
-	chunks := make([]*simChunk, len(p.Chunks))
-	for i, c := range p.Chunks {
-		sc := &simChunk{idx: i, pu: c.PU}
-		for s := c.Start; s < c.End; s++ {
-			sc.stages = append(sc.stages, s)
-		}
-		chunks[i] = sc
+	rng := simRNGs.Get().(*rand.Rand)
+	defer simRNGs.Put(rng)
+	rng.Seed(opts.Seed)
+	s := newSimState(p, opts, rng)
+	prime := min(opts.Buffers, s.total)
+	c0 := &s.chunks[0]
+	for ; s.issued < prime; s.issued++ {
+		c0.queue = append(c0.queue, simPending{s.issued, 0})
 	}
+	if s.m != nil {
+		s.m.QueueDepth(len(s.chunks)-1, len(c0.queue))
+	}
+	s.tryStart(c0)
+	s.eng.Run()
+	return s.outcome()
+}
 
+// newSimState lays out one run: chunks with their stage terms and
+// queues sized for every task that can be in flight, the BaseEnv overlay
+// and the sorted class list.
+func newSimState(p *Plan, opts Options, rng *rand.Rand) *simState {
+	dev := p.Device
 	total := opts.Warmup + opts.Tasks
-	issued := 0
-	var completions []float64
-	var measureStart float64
-
-	env := func(me int) soc.Env {
-		e := soc.Env{}
-		for class, load := range opts.BaseEnv {
-			e[class] = load
-		}
-		for _, c := range chunks {
-			if c.idx != me && c.busy {
-				// Contiguity gives each class at most one chunk, so with
-				// no BaseEnv this sets the entry exactly; with one, loads
-				// on a shared class combine with saturation.
-				e.Add(c.pu, c.load)
-			}
-		}
-		return e
+	s := &simState{
+		p: p, opts: opts, m: opts.Metrics, eng: des.New(), rng: rng,
+		chunks:      make([]simChunk, len(p.Chunks)),
+		base:        dev.Dense(opts.BaseEnv),
+		total:       total,
+		completions: make([]float64, 0, opts.Tasks),
 	}
-
-	var tryStart func(c *simChunk)
-	var finishStage func(c *simChunk)
-
-	// integrate advances c's progress — and its energy — to the current
-	// time.
-	integrate := func(c *simChunk) {
-		now := eng.Now()
-		dt := now - c.lastUpdate
-		c.remaining -= dt * c.rate
-		if c.remaining < 0 {
-			c.remaining = 0
-		}
-		c.energyJ += dt * p.Device.Power(c.pu, c.mult, true)
-		c.lastUpdate = now
+	n := len(dev.PUs)
+	s.env = soc.DenseEnv{Present: make([]bool, n), Load: make([]float64, n), Busy: make([]core.PUClass, 0, n+len(opts.BaseEnv))}
+	for k := range dev.PUs {
+		s.classes = append(s.classes, simClass{dev.PUs[k].Class, k})
 	}
-
-	// schedule recomputes c's rate under the current environment and
-	// (re)schedules its completion event.
-	schedule := func(c *simChunk) {
-		stage := p.App.Stages[c.stages[c.stagePos]]
-		e := env(c.idx)
-		c.mult = p.Device.Governor.Multiplier(c.pu, e.BusyClasses())
-		dur := p.Device.Estimate(stage.Cost, c.pu, e) * c.noise
-		if dur <= 0 {
-			dur = 1e-12
+	for class := range opts.BaseEnv {
+		if dev.PU(class) == nil {
+			s.classes = append(s.classes, simClass{class, -1})
 		}
-		c.rate = 1 / dur
-		c.version++
-		v := c.version
-		eng.Schedule(c.remaining*dur, func() {
-			if c.version == v {
-				finishStage(c)
-			}
+	}
+	slices.SortFunc(s.classes, func(a, b simClass) int { return cmp.Compare(a.class, b.class) })
+
+	inFlight := min(opts.Buffers, total)
+	terms := make([]soc.Terms, len(p.App.Stages))
+	for i, c := range p.Chunks {
+		for st := c.Start; st < c.End; st++ {
+			terms[st] = dev.Terms(p.App.Stages[st].Cost, c.PU)
+		}
+		s.chunks[i] = simChunk{
+			run: s, idx: i, pu: c.PU, puIdx: terms[c.Start].PU, start: c.Start,
+			terms: terms[c.Start:c.End],
+			queue: make([]simPending, 0, inFlight),
+		}
+	}
+	return s
+}
+
+// envFor rewrites the scratch environment to what chunk me sees: the
+// BaseEnv overlay plus every other busy chunk's load (Env.Add's rule),
+// and the sorted busy-class list the governor reads.
+func (s *simState) envFor(me int) *soc.DenseEnv {
+	e := &s.env
+	copy(e.Present, s.base.Present)
+	copy(e.Load, s.base.Load)
+	for i := range s.chunks {
+		if c := &s.chunks[i]; i != me && c.busy {
+			// Contiguity gives each class at most one chunk, so with no
+			// BaseEnv this sets the entry exactly; with one, loads on a
+			// shared class combine with saturation.
+			e.Add(c.puIdx, c.load)
+		}
+	}
+	e.Busy = e.Busy[:0]
+	for _, sc := range s.classes {
+		if sc.k < 0 || e.Present[sc.k] {
+			e.Busy = append(e.Busy, sc.class)
+		}
+	}
+	return e
+}
+
+// integrate advances c's progress — and its energy — to the current
+// time.
+func (s *simState) integrate(c *simChunk) {
+	now := s.eng.Now()
+	dt := now - c.lastUpdate
+	c.remaining -= dt * c.rate
+	if c.remaining < 0 {
+		c.remaining = 0
+	}
+	c.energyJ += dt * c.watts
+	c.lastUpdate = now
+}
+
+// schedule recomputes c's rate under the current environment and
+// (re)schedules its completion event.
+func (s *simState) schedule(c *simChunk) {
+	est, mult := s.p.Device.EstimateIn(&c.terms[c.stagePos], s.envFor(c.idx))
+	c.mult = mult
+	c.watts = s.p.Device.Power(c.pu, mult, true)
+	dur := est * c.noise
+	if dur <= 0 {
+		dur = 1e-12
+	}
+	c.rate = 1 / dur
+	c.version++
+	s.eng.ScheduleHandler(c.remaining*dur, c, c.version)
+}
+
+// reprice updates every other busy chunk after an environment change.
+func (s *simState) reprice(except int) {
+	for i := range s.chunks {
+		if c := &s.chunks[i]; i != except && c.busy {
+			s.integrate(c)
+			s.schedule(c)
+		}
+	}
+}
+
+func (s *simState) startStage(c *simChunk) {
+	c.load = soc.Load{MemIntensity: c.terms[c.stagePos].Intensity}
+	c.noise = 1.0
+	if sigma := s.p.Device.NoiseSigma; sigma > 0 {
+		c.noise = math.Exp(sigma * s.rng.NormFloat64())
+	}
+	c.remaining = 1
+	c.lastUpdate = s.eng.Now()
+	c.stageStart = s.eng.Now()
+	s.schedule(c)
+}
+
+func (s *simState) finishStage(c *simChunk) {
+	s.integrate(c)
+	now := s.eng.Now()
+	si := c.start + c.stagePos
+	if s.m != nil {
+		s.m.StageDone(si, simSeconds(now-c.stageStart))
+	}
+	if s.opts.Events != nil {
+		// Purely observational: reads the event clock, touches no RNG,
+		// so the virtual timeline is unchanged (pinned by test).
+		e := obs.NewEvent(obs.KindStageDone)
+		e.Chunk, e.Task = c.idx, c.task
+		e.Stage = s.p.App.Stages[si].Name
+		e.PU = string(c.pu)
+		e.Dur = simSeconds(now - c.stageStart)
+		s.opts.Events.Emit(e)
+	}
+	if s.opts.Trace != nil {
+		s.opts.Trace.Add(trace.Span{
+			Chunk: c.idx, PU: c.pu,
+			Stage: s.p.App.Stages[si].Name, StageIndex: si,
+			Task: c.task, Start: c.stageStart, End: now,
 		})
 	}
-
-	// reprice updates every other busy chunk after an environment change.
-	reprice := func(except int) {
-		for _, c := range chunks {
-			if c.idx != except && c.busy {
-				integrate(c)
-				schedule(c)
+	c.stagePos++
+	if c.stagePos < len(c.terms) {
+		s.startStage(c)
+		s.reprice(c.idx)
+		return
+	}
+	c.busy = false
+	c.busyTotal += now - c.busySince
+	task := c.task
+	last := len(s.chunks) - 1
+	if c.idx == last {
+		if task == s.opts.Warmup-1 {
+			s.measureStart = now
+		}
+		if task >= s.opts.Warmup {
+			s.completions = append(s.completions, now)
+		}
+		if s.issued < s.total {
+			c0 := &s.chunks[0]
+			c0.queue = append(c0.queue, simPending{s.issued, now})
+			if s.m != nil {
+				s.m.QueueDepth(last, len(c0.queue))
 			}
+			s.issued++
+			s.tryStart(c0)
 		}
+	} else {
+		next := &s.chunks[c.idx+1]
+		next.queue = append(next.queue, simPending{task, now})
+		if s.m != nil {
+			s.m.QueueDepth(c.idx, len(next.queue))
+		}
+		s.tryStart(next)
 	}
+	s.tryStart(c)
+	s.reprice(-1)
+}
 
-	startStage := func(c *simChunk) {
-		stage := p.App.Stages[c.stages[c.stagePos]]
-		c.load = soc.Load{MemIntensity: p.Device.Intensity(stage.Cost, c.pu)}
-		c.noise = 1.0
-		if p.Device.NoiseSigma > 0 {
-			c.noise = math.Exp(p.Device.NoiseSigma * rng.NormFloat64())
-		}
-		c.remaining = 1
-		c.lastUpdate = eng.Now()
-		c.stageStart = eng.Now()
-		schedule(c)
+func (s *simState) tryStart(c *simChunk) {
+	if c.busy || len(c.queue) == 0 {
+		return
 	}
+	head := c.queue[0]
+	// Shift rather than reslice so the queue keeps its backing array:
+	// it never holds more than the in-flight tasks.
+	c.queue = c.queue[:copy(c.queue, c.queue[1:])]
+	if s.m != nil {
+		n := len(s.chunks)
+		s.m.QueueWait(((c.idx-1)%n+n)%n, simSeconds(s.eng.Now()-head.at))
+	}
+	c.task = head.seq
+	c.busy = true
+	c.stagePos = 0
+	c.busySince = s.eng.Now()
+	s.startStage(c)
+	s.reprice(c.idx)
+}
 
-	finishStage = func(c *simChunk) {
-		integrate(c)
-		if m != nil {
-			m.StageDone(c.stages[c.stagePos], simSeconds(eng.Now()-c.stageStart))
-		}
-		if opts.Events != nil {
-			// Purely observational: reads the event clock, touches no RNG,
-			// so the virtual timeline is unchanged (pinned by test).
-			e := obs.NewEvent(obs.KindStageDone)
-			si := c.stages[c.stagePos]
-			e.Chunk, e.Task = c.idx, c.task
-			e.Stage = p.App.Stages[si].Name
-			e.PU = string(c.pu)
-			e.Dur = simSeconds(eng.Now() - c.stageStart)
-			opts.Events.Emit(e)
-		}
-		if opts.Trace != nil {
-			si := c.stages[c.stagePos]
-			opts.Trace.Add(trace.Span{
-				Chunk: c.idx, PU: c.pu,
-				Stage: p.App.Stages[si].Name, StageIndex: si,
-				Task: c.task, Start: c.stageStart, End: eng.Now(),
-			})
-		}
-		c.stagePos++
-		if c.stagePos < len(c.stages) {
-			startStage(c)
-			reprice(c.idx)
-			return
-		}
-		c.busy = false
-		c.busyTotal += eng.Now() - c.busySince
-		task := c.task
-		if c.idx == len(chunks)-1 {
-			if task == opts.Warmup-1 {
-				measureStart = eng.Now()
-			}
-			if task >= opts.Warmup {
-				completions = append(completions, eng.Now())
-			}
-			if issued < total {
-				chunks[0].queue = append(chunks[0].queue, simPending{issued, eng.Now()})
-				if m != nil {
-					m.QueueDepth(nChunks-1, len(chunks[0].queue))
-				}
-				issued++
-				tryStart(chunks[0])
-			}
-		} else {
-			next := chunks[c.idx+1]
-			next.queue = append(next.queue, simPending{task, eng.Now()})
-			if m != nil {
-				m.QueueDepth(c.idx, len(next.queue))
-			}
-			tryStart(next)
-		}
-		tryStart(c)
-		reprice(-1)
-	}
-
-	tryStart = func(c *simChunk) {
-		if c.busy || len(c.queue) == 0 {
-			return
-		}
-		head := c.queue[0]
-		c.queue = c.queue[1:]
-		if m != nil {
-			m.QueueWait(((c.idx-1)%nChunks+nChunks)%nChunks, simSeconds(eng.Now()-head.at))
-		}
-		c.task = head.seq
-		c.busy = true
-		c.stagePos = 0
-		c.busySince = eng.Now()
-		startStage(c)
-		reprice(c.idx)
-	}
-
-	prime := opts.Buffers
-	if prime > total {
-		prime = total
-	}
-	for i := 0; i < prime; i++ {
-		chunks[0].queue = append(chunks[0].queue, simPending{issued, 0})
-		issued++
-	}
-	if m != nil {
-		m.QueueDepth(nChunks-1, len(chunks[0].queue))
-	}
-	tryStart(chunks[0])
-	eng.Run()
-
-	if opts.Warmup == 0 && len(completions) > 0 {
-		measureStart = 0
+// outcome derives the run's result from the finished event timeline.
+func (s *simState) outcome() runOutcome {
+	p, m, chunks := s.p, s.m, s.chunks
+	if s.opts.Warmup == 0 && len(s.completions) > 0 {
+		s.measureStart = 0
 	}
 	busy := make([]float64, len(chunks))
-	makespan := eng.Now()
+	makespan := s.eng.Now()
 	if makespan > 0 {
-		for i, c := range chunks {
-			busy[i] = c.busyTotal / makespan
+		for i := range chunks {
+			busy[i] = chunks[i].busyTotal / makespan
 		}
 	}
 	if m != nil {
@@ -290,32 +379,32 @@ func simRun(_ context.Context, p *Plan, opts Options) runOutcome {
 		for i, class := range order {
 			index[class] = i
 		}
-		for _, c := range chunks {
-			pool := m.Pool(index[c.pu])
-			pool.AddBusy(simSeconds(c.busyTotal * float64(pool.Width)))
+		for i := range chunks {
+			pool := m.Pool(index[chunks[i].pu])
+			pool.AddBusy(simSeconds(chunks[i].busyTotal * float64(pool.Width)))
 		}
 		m.SetElapsed(simSeconds(makespan))
 	}
-	out := runOutcome{completions: completions, measureStart: measureStart, chunkBusy: busy}
+	out := runOutcome{completions: s.completions, measureStart: s.measureStart, chunkBusy: busy}
 
 	// Energy: busy energy accumulated per chunk, plus idle power for
 	// every PU's remaining time, plus the uncore floor. PU classes not
 	// used by the schedule idle for the entire run.
 	if makespan > 0 {
 		energy := p.Device.UncoreWatts * makespan
-		busySec := map[core.PUClass]float64{}
-		for _, c := range chunks {
-			energy += c.energyJ
-			busySec[c.pu] += c.busyTotal
+		busySec := make([]float64, len(p.Device.PUs))
+		for i := range chunks {
+			energy += chunks[i].energyJ
+			busySec[chunks[i].puIdx] += chunks[i].busyTotal
 		}
-		for _, class := range p.Device.Classes() {
-			idle := makespan - busySec[class]
+		for k := range p.Device.PUs {
+			idle := makespan - busySec[k]
 			if idle > 0 {
-				energy += p.Device.Power(class, 1, false) * idle
+				energy += p.Device.Power(p.Device.PUs[k].Class, 1, false) * idle
 			}
 		}
 		out.energyJ = energy
-		out.energyPerTaskJ = energy / float64(total)
+		out.energyPerTaskJ = energy / float64(s.total)
 		out.avgWatts = energy / makespan
 	}
 	return out

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"bettertogether/internal/core"
 )
@@ -28,7 +28,7 @@ func (e Env) BusyClasses() []core.PUClass {
 	for c := range e {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -63,12 +63,21 @@ type Device struct {
 
 // PU returns the class's model, or nil if the device lacks it.
 func (d *Device) PU(class core.PUClass) *PU {
-	for i := range d.PUs {
-		if d.PUs[i].Class == class {
-			return &d.PUs[i]
-		}
+	if k := d.puIndex(class); k >= 0 {
+		return &d.PUs[k]
 	}
 	return nil
+}
+
+// puIndex returns the class's index in PUs, or -1 if the device lacks
+// it.
+func (d *Device) puIndex(class core.PUClass) int {
+	for i := range d.PUs {
+		if d.PUs[i].Class == class {
+			return i
+		}
+	}
+	return -1
 }
 
 // Classes returns all PU classes in catalog order.
@@ -133,39 +142,77 @@ func (d *Device) Validate() error {
 // fraction of its standalone runtime that is memory-bound. Callers use it
 // to build Env entries for co-running kernels.
 func (d *Device) Intensity(cost core.CostSpec, class core.PUClass) float64 {
-	pu := d.PU(class)
-	if pu == nil {
+	return d.Terms(cost, class).Intensity
+}
+
+// Terms is one kernel's cost on one PU class with every part of the
+// interference model that depends on neither the clock nor the
+// environment already evaluated. Build one with Device.Terms; it is a
+// plain value, safe to share read-only.
+type Terms struct {
+	cost core.CostSpec
+	// PU indexes the class in Device.PUs.
+	PU int
+	// Intensity is the kernel's memory intensity on the class
+	// (Device.Intensity): the load it publishes to co-runners.
+	Intensity float64
+	// eff and occ are the parallel part's efficiency and occupancy
+	// (PU.parallelFactors).
+	eff, occ float64
+}
+
+// Terms evaluates the clock- and environment-independent parts of cost
+// on class. It panics if the device lacks the class.
+func (d *Device) Terms(cost core.CostSpec, class core.PUClass) Terms {
+	k := d.puIndex(class)
+	if k < 0 {
 		panic(fmt.Sprintf("soc: device %q has no PU class %q", d.Name, class))
 	}
-	tc := pu.computeSeconds(cost, 1)
+	pu := &d.PUs[k]
+	t := Terms{cost: cost, PU: k}
+	t.eff, t.occ = pu.parallelFactors(cost)
+	tc := pu.computeSeconds(cost, t.eff, t.occ, 1)
 	tm := pu.memSecondsAlone(cost)
-	if tm <= 0 {
-		return 0
+	switch {
+	case tm <= 0:
+		t.Intensity = 0
+	case tc <= 0:
+		t.Intensity = 1
+	default:
+		t.Intensity = tm / tc
+		if t.Intensity > 1 {
+			t.Intensity = 1
+		}
 	}
-	if tc <= 0 {
-		return 1
-	}
-	r := tm / tc
-	if r > 1 {
-		return 1
-	}
-	return r
+	return t
 }
 
 // Estimate returns the modeled execution time in seconds of one kernel
 // invocation with the given cost on the given PU class, under the given
 // interference environment. This is the simulator's ground truth; the
 // framework only ever sees it through Sample (with noise) or through the
-// pipeline's virtual clock.
+// pipeline's virtual clock. It is EstimateIn over freshly built Terms
+// and DenseEnv.
 func (d *Device) Estimate(cost core.CostSpec, class core.PUClass, env Env) float64 {
-	pu := d.PU(class)
-	if pu == nil {
-		panic(fmt.Sprintf("soc: device %q has no PU class %q", d.Name, class))
-	}
-	busy := env.BusyClasses()
-	mult := d.Governor.Multiplier(class, busy)
+	t := d.Terms(cost, class)
+	de := d.Dense(env)
+	sec, _ := d.EstimateIn(&t, &de)
+	return sec
+}
 
-	tCompute := pu.computeSeconds(cost, mult)
+// EstimateIn is the interference model: the modeled execution time in
+// seconds of the kernel t describes under env, and the governed clock
+// multiplier it runs at (the Governor's answer for t's class given
+// env.Busy). Every estimate — Device.Estimate, Sample, the pipeline
+// simulator's per-event repricing — goes through here. It allocates
+// nothing, so a caller that re-evaluates many estimates keeps one
+// DenseEnv and one Terms per kernel and updates them in place.
+func (d *Device) EstimateIn(t *Terms, env *DenseEnv) (sec, mult float64) {
+	pu := &d.PUs[t.PU]
+	cost := &t.cost
+	mult = d.Governor.Multiplier(pu.Class, env.Busy)
+
+	tCompute := pu.computeSeconds(*cost, t.eff, t.occ, mult)
 
 	// Shared-DRAM contention: bandwidth is split in proportion to demand
 	// when the controller is oversubscribed. My demand is my peak draw
@@ -173,15 +220,13 @@ func (d *Device) Estimate(cost core.CostSpec, class core.PUClass, env Env) float
 	// declared loads.
 	tMem := 0.0
 	if cost.Bytes > 0 {
-		myIntensity := d.Intensity(cost, class)
-		myDemand := pu.MemBWGBs * myIntensity
+		myDemand := pu.MemBWGBs * t.Intensity
 		total := myDemand
-		// Accumulate in device PU order, not env map order: ranging over
-		// the map sums in randomized order, which perturbs the total by an
-		// ULP between runs and breaks bit-exact reproducibility.
-		for i := range d.PUs {
-			if load, ok := env[d.PUs[i].Class]; ok {
-				total += d.PUs[i].MemBWGBs * load.MemIntensity
+		// Accumulate in device PU order: a fixed summation order keeps
+		// the total bit-exact between runs.
+		for k := range d.PUs {
+			if env.Present[k] {
+				total += d.PUs[k].MemBWGBs * env.Load[k]
 			}
 		}
 		avail := pu.MemBWGBs
@@ -198,18 +243,18 @@ func (d *Device) Estimate(cost core.CostSpec, class core.PUClass, env Env) float
 	if dispatches < 1 {
 		dispatches = 1
 	}
-	t := pu.LaunchOverheadSec*dispatches + math.Max(tCompute, tMem)
+	sec = pu.LaunchOverheadSec*dispatches + math.Max(tCompute, tMem)
 
 	// Shared-LLC pollution: irregular working sets co-located with other
 	// activity miss more (Jetson only).
-	if d.SharedLLC && len(busy) > 0 && cost.Irregularity > 0 {
-		frac := float64(len(busy)) / float64(len(d.PUs)-1)
+	if d.SharedLLC && len(env.Busy) > 0 && cost.Irregularity > 0 {
+		frac := float64(len(env.Busy)) / float64(len(d.PUs)-1)
 		if frac > 1 {
 			frac = 1
 		}
-		t *= 1 + cost.Irregularity*d.LLCPenalty*frac
+		sec *= 1 + cost.Irregularity*d.LLCPenalty*frac
 	}
-	return t
+	return sec, mult
 }
 
 // Sample returns Estimate perturbed by the device's multiplicative

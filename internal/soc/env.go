@@ -46,6 +46,42 @@ func (e Env) Add(class core.PUClass, l Load) {
 	e[class] = cur
 }
 
+// DenseEnv is an interference environment laid out by device PU index:
+// the form Device.EstimateIn reads. Device.Dense builds one from an Env;
+// the pipeline simulator keeps one per run and rewrites it in place on
+// every reprice, so the hot path builds no map and sorts nothing.
+type DenseEnv struct {
+	// Present[k] marks Device.PUs[k] as busy on behalf of someone else.
+	Present []bool
+	// Load[k] is PUs[k]'s memory intensity, kept raw as given (Add
+	// clamps); zero when Present[k] is false.
+	Load []float64
+	// Busy lists every busy class in sorted order, including classes the
+	// device does not have — exactly Env.BusyClasses of the same
+	// environment, and what Governor.Multiplier receives.
+	Busy []core.PUClass
+}
+
+// Add folds another load into PU k's entry with Env.Add's rule: both
+// sides clamped, the sum saturating at 1. It does not touch Busy.
+func (e *DenseEnv) Add(k int, l Load) {
+	e.Load[k] = clampIntensity(clampIntensity(e.Load[k]) + clampIntensity(l.MemIntensity))
+	e.Present[k] = true
+}
+
+// Dense lays env out by the device's PU index. Classes the device does
+// not have appear only in Busy.
+func (d *Device) Dense(env Env) DenseEnv {
+	n := len(d.PUs)
+	de := DenseEnv{Present: make([]bool, n), Load: make([]float64, n), Busy: env.BusyClasses()}
+	for k := range d.PUs {
+		if l, ok := env[d.PUs[k].Class]; ok {
+			de.Present[k], de.Load[k] = true, l.MemIntensity
+		}
+	}
+	return de
+}
+
 // Overlay returns a new Env combining e with other via Add. Either side
 // may be nil; the receiver is never mutated.
 func (e Env) Overlay(other Env) Env {

@@ -15,6 +15,10 @@ import "bettertogether/internal/core"
 type Governor interface {
 	// Multiplier returns the clock multiplier for target when the given
 	// other classes are busy. 1.0 means nominal clock; >1 is a boost.
+	// busyOthers is sorted and valid only for the duration of the call:
+	// the pipeline simulator reuses its backing array for the next
+	// estimate, so an implementation that keeps the classes must copy
+	// them.
 	Multiplier(target core.PUClass, busyOthers []core.PUClass) float64
 }
 

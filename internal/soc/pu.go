@@ -104,17 +104,15 @@ func (p *PU) scalarRate(mult float64) float64 {
 	return p.BaseGHz * 1e9 * sf * mult
 }
 
-// computeSeconds returns the pure compute time of cost on this PU at the
-// given clock multiplier, ignoring memory contention: an Amdahl
-// decomposition into a single-thread serial part and a parallel part at
-// efficiency degraded exponentially by irregularity (CPU and GPU) and by
-// divergence and occupancy (GPU only).
-func (p *PU) computeSeconds(cost core.CostSpec, mult float64) float64 {
-	if cost.FLOPs == 0 {
-		return 0
-	}
-	eff := math.Exp(-cost.Irregularity * p.IrregPenalty)
-	occ := 1.0
+// parallelFactors returns the clock-independent efficiency and
+// occupancy of cost's parallel part on this PU: throughput degraded
+// exponentially by irregularity (CPU and GPU) and by divergence (GPU
+// only), and the fraction of GPU lanes the kernel's work items keep
+// resident. These are the model's only transcendental terms, so Terms
+// evaluates them once per (kernel, PU) rather than once per estimate.
+func (p *PU) parallelFactors(cost core.CostSpec) (eff, occ float64) {
+	eff = math.Exp(-cost.Irregularity * p.IrregPenalty)
+	occ = 1.0
 	if p.Kind == core.KindGPU {
 		eff *= math.Exp(-cost.Divergence * p.DivergencePenalty)
 		need := float64(p.TotalLanes()) * p.OccupancyItemsPerLane
@@ -124,6 +122,17 @@ func (p *PU) computeSeconds(cost core.CostSpec, mult float64) float64 {
 				occ = 0.01
 			}
 		}
+	}
+	return eff, occ
+}
+
+// computeSeconds returns the pure compute time of cost on this PU at the
+// given clock multiplier, ignoring memory contention: an Amdahl
+// decomposition into a single-thread serial part and a parallel part at
+// the efficiency and occupancy parallelFactors computed.
+func (p *PU) computeSeconds(cost core.CostSpec, eff, occ, mult float64) float64 {
+	if cost.FLOPs == 0 {
+		return 0
 	}
 	serial := (1 - cost.ParallelFraction) * cost.FLOPs / p.scalarRate(mult)
 	parallel := cost.ParallelFraction * cost.FLOPs /
