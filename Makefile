@@ -33,7 +33,7 @@ race:
 # 20 times, so a nondeterministic replay fails here rather than on a
 # later, unlucky run.
 determinism:
-	$(GO) test -count=20 -run 'Determin|Drift|Identical' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/...
+	$(GO) test -count=20 -run 'Determin|Drift|Identical' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/... ./internal/sched/... ./internal/profiler/...
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -13,7 +13,12 @@ package bettertogether
 import (
 	"testing"
 
+	"bettertogether/internal/core"
 	"bettertogether/internal/experiments"
+	"bettertogether/internal/pipeline"
+	"bettertogether/internal/profiler"
+	"bettertogether/internal/sched"
+	"bettertogether/internal/soc"
 	"bettertogether/pkg/btapps"
 )
 
@@ -263,5 +268,60 @@ func BenchmarkAppBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkProfileBoth times one BT-Profiler call in both modes: the
+// paper's protocol (30 repetitions, device to itself) and the runtime's
+// admission re-plan (8 repetitions under a resident's interference).
+func BenchmarkProfileBoth(b *testing.B) {
+	dense, err := btapps.ByName("alexnet-dense")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := btapps.ByName("octree")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		app  *core.Application
+		dev  *soc.Device
+		cfg  profiler.Config
+	}{
+		{"paper", dense, soc.NewPixel7a(), profiler.Config{Reps: 30, Seed: 1}},
+		{"runtime", tree, soc.NewJetson(), profiler.Config{Reps: 8, Seed: 1, BaseEnv: soc.Env{"gpu": {MemIntensity: 0.3}}}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				profiler.ProfileBoth(c.app, c.dev, c.cfg)
+			}
+		})
+	}
+}
+
+// BenchmarkAutotune times optimization level three in the runtime's
+// admission shape: K=8 candidates, each simulated for 12 tasks after 2
+// warmup.
+func BenchmarkAutotune(b *testing.B) {
+	app, err := btapps.ByName("octree")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := soc.NewPixel7a()
+	opt := sched.New(app, dev, profiler.ProfileBoth(app, dev, profiler.Config{Reps: 8, Seed: 1}))
+	opt.K = 8
+	cands := opt.Candidates(sched.BetterTogether)
+	if len(cands) != 8 {
+		b.Fatalf("%d candidates, want 8", len(cands))
+	}
+	opts := pipeline.Options{Tasks: 12, Warmup: 2, Seed: 1}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := opt.Autotune(cands, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,9 +8,12 @@
 //	                         # table3, fig4, fig5, fig6, table4, fig7
 //	btbench -parallel        # fan experiment grids over GOMAXPROCS
 //	                         # workers; output is identical to serial
+//	btbench -exp fig5 -cpuprofile cpu.out -memprofile mem.out
+//	                         # profile a run with go tool pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,6 +38,7 @@ func main() {
 	churnRounds := flag.Int("churn-rounds", 0, "admit/drain rounds per churn mode (0 selects the default)")
 	churnMinSpeedup := flag.Float64("churn-min-speedup", 0, "fail unless the churn cache speedup reaches this factor (0 disables)")
 	planner := cli.AddPlannerFlags(flag.CommandLine)
+	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Same shared validation path as btrun and btfleet. The planner
@@ -77,12 +81,14 @@ func main() {
 		gatePath:   *benchGate,
 		tolerance:  *gateTol,
 	}
+	stopProf, err := prof.Start()
+	cli.FatalIf("btbench", err)
 	start := time.Now()
 	for _, id := range ids {
 		t0 := time.Now()
 		mark(obs.KindRunStart, strings.TrimSpace(id), 0)
 		if err := run(s, strings.TrimSpace(id), churn, planner); err != nil {
-			cli.Fatalf("btbench", "%s: %v", id, err)
+			cli.Fatalf("btbench", "%s: %v", id, errors.Join(err, stopProf()))
 		}
 		mark(obs.KindRunEnd, strings.TrimSpace(id), time.Since(t0))
 		if *timing {
@@ -93,6 +99,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btbench: total %.1f ms (parallel=%v)\n",
 			time.Since(start).Seconds()*1e3, *parallel)
 	}
+	cli.FatalIf("btbench", stopProf())
 }
 
 // churnOpts carries the churn experiment's flags into run. The churn

@@ -12,6 +12,7 @@
 //	btfleet -drain-node jetson/0 -drain-at 20     # cordon a node mid-replay, migrate its held sessions
 //	btfleet -index-bands -1                       # exhaustive placement ranking (no banded index)
 //	btfleet -json                                 # machine-readable replay result
+//	btfleet -cpuprofile c.out -memprofile m.out   # profile the replay (go tool pprof)
 //
 // The replay is deterministic: one trace, one seed, one byte-identical
 // report on every run. -max-rejections turns the rejection count into an
@@ -20,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -54,6 +56,7 @@ func main() {
 	drainAt := flag.Float64("drain-at", -1, "logical time of the -drain-node drain, virtual seconds")
 	planner := cli.AddPlannerFlags(flag.CommandLine)
 	tracing := cli.AddTraceFlags(flag.CommandLine)
+	prof := cli.AddProfileFlags(flag.CommandLine)
 	jsonOut := flag.Bool("json", false, "print the replay result as JSON instead of tables")
 	listen := flag.String("listen", "", "serve observability HTTP after the replay (/metrics carries the bt_fleet_* families)")
 	hold := flag.Duration("hold", 0, "with -listen: keep the server up this long after the replay finishes (for scrapers and CI probes)")
@@ -129,8 +132,10 @@ func main() {
 		cfg.Events = stream
 	}
 
-	out, err := experiments.FleetReplay(cfg)
+	stopProf, err := prof.Start()
 	cli.FatalIf("btfleet", err)
+	out, err := experiments.FleetReplay(cfg)
+	cli.FatalIf("btfleet", errors.Join(err, stopProf()))
 
 	if out.OnlineProfEnabled {
 		fmt.Fprintf(os.Stderr, "btfleet: %s\n", cli.OnlineProfSummary(out.OnlineProf, true))

@@ -1,11 +1,8 @@
 package pipeline
 
 import (
-	"cmp"
 	"context"
-	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 
@@ -96,30 +93,23 @@ func Simulate(p *Plan, opts Options) Result {
 // without allocating its 4.9 KB state per run.
 var simRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// simClass is one PU class that can appear in a chunk's environment:
-// a device class (k indexes Device.PUs) or a BaseEnv class the device
-// does not have (k = -1, busy for the whole run).
-type simClass struct {
-	class core.PUClass
-	k     int
-}
-
 // simState is one discrete-event run. Everything in it is local to the
-// run; the Plan is only read, so concurrent runs may share one.
+// run; the Plan and the noise sequence are only read, so concurrent runs
+// may share them.
 type simState struct {
 	p    *Plan
 	opts Options
 	m    *metrics.Pipeline
 	eng  *des.Engine
-	rng  *rand.Rand
+	// noise is the run's stage-noise sequence (drawNoise), read in
+	// order; drawn counts the multipliers read so far.
+	noise []float64
+	drawn int
 
 	chunks []simChunk
-	// base is Options.BaseEnv laid out by PU index, folded in once; env
-	// is the scratch environment envFor rewrites for every reprice.
-	base, env soc.DenseEnv
-	// classes is every class that can be busy, in sorted order, so
-	// envFor emits env.Busy already sorted.
-	classes []simClass
+	// env is Options.BaseEnv laid out once, rewritten in place for
+	// every reprice by envFor.
+	env *soc.EnvOverlay
 
 	total, issued int
 	completions   []float64
@@ -137,18 +127,73 @@ type simState struct {
 // co-runners from outside the plan onto every chunk's environment.
 //
 // The per-event path allocates nothing: environments are rewritten in
-// place (envFor), stage costs are pre-evaluated into soc.Terms, and
-// completion events carry the chunk's version tag instead of a closure.
+// place (envFor), stage costs are pre-evaluated into soc.Terms, stage
+// noise is drawn up front (drawNoise), and completion events carry the
+// chunk's version tag instead of a closure.
 //
 // ctx is unused here: the driver checks it at entry, and a started
 // simulation always completes (virtual time is instant in wall time and
 // the event timeline must stay deterministic).
 func simRun(_ context.Context, p *Plan, opts Options) runOutcome {
-	rng := simRNGs.Get().(*rand.Rand)
-	defer simRNGs.Put(rng)
-	rng.Seed(opts.Seed)
-	s := newSimState(p, opts, rng)
-	prime := min(opts.Buffers, s.total)
+	return newSimState(p, opts, drawNoise(p, opts)).run()
+}
+
+// drawNoise returns the stage-noise sequence of a run of p under
+// resolved opts: one Device.Noise multiplier per stage start, in event
+// order, (Warmup+Tasks)×len(Stages) of them, drawn from opts.Seed. Every
+// task starts every stage once and the draws do not depend on which PU
+// runs a stage, so the sequence is the same for every schedule of the
+// application on the device. On a noiseless device every multiplier is
+// exactly 1 and no generator is seeded.
+func drawNoise(p *Plan, opts Options) []float64 {
+	mult := make([]float64, (opts.Warmup+opts.Tasks)*len(p.App.Stages))
+	var rng *rand.Rand
+	if p.Device.NoiseSigma > 0 {
+		rng = simRNGs.Get().(*rand.Rand)
+		defer simRNGs.Put(rng)
+		rng.Seed(opts.Seed)
+	}
+	for i := range mult {
+		mult[i] = p.Device.Noise(rng)
+	}
+	return mult
+}
+
+// SimNoise is the stage-noise sequence that Sim engine runs of one
+// application on one device draw under one set of options, whatever
+// their schedule. The autotuner draws it once per call and runs every
+// candidate on it instead of reseeding and redrawing it per candidate.
+// It is read-only after NewSimNoise, so concurrent runs may share one.
+type SimNoise struct {
+	app  *core.Application
+	dev  *soc.Device
+	opts Options
+	mult []float64
+}
+
+// NewSimNoise draws the sequence of runs of p's application on p's
+// device under opts.
+func NewSimNoise(p *Plan, opts Options) *SimNoise {
+	return &SimNoise{app: p.App, dev: p.Device, opts: opts, mult: drawNoise(p, opts.withDefaults(p))}
+}
+
+// Run executes p on the simulator under the options the sequence was
+// drawn for, reading stage noise from it; the result is bit-identical
+// to SimEngine{}.Run(ctx, p, opts). p must be a plan of the same
+// application and device; Run panics otherwise.
+func (n *SimNoise) Run(ctx context.Context, p *Plan) Result {
+	if p.App != n.app || p.Device != n.dev {
+		panic("pipeline: SimNoise.Run on a plan of another application or device")
+	}
+	return drive(ctx, p, n.opts, func(_ context.Context, p *Plan, opts Options) runOutcome {
+		return newSimState(p, opts, n.mult).run()
+	})
+}
+
+// run primes the first chunk's queue, runs the event loop to the end
+// and derives the outcome.
+func (s *simState) run() runOutcome {
+	prime := min(s.opts.Buffers, s.total)
 	c0 := &s.chunks[0]
 	for ; s.issued < prime; s.issued++ {
 		c0.queue = append(c0.queue, simPending{s.issued, 0})
@@ -162,29 +207,18 @@ func simRun(_ context.Context, p *Plan, opts Options) runOutcome {
 }
 
 // newSimState lays out one run: chunks with their stage terms and
-// queues sized for every task that can be in flight, the BaseEnv overlay
-// and the sorted class list.
-func newSimState(p *Plan, opts Options, rng *rand.Rand) *simState {
+// queues sized for every task that can be in flight, and the BaseEnv
+// overlay. noise is the run's drawNoise sequence.
+func newSimState(p *Plan, opts Options, noise []float64) *simState {
 	dev := p.Device
 	total := opts.Warmup + opts.Tasks
 	s := &simState{
-		p: p, opts: opts, m: opts.Metrics, eng: des.New(), rng: rng,
+		p: p, opts: opts, m: opts.Metrics, eng: des.New(), noise: noise,
 		chunks:      make([]simChunk, len(p.Chunks)),
-		base:        dev.Dense(opts.BaseEnv),
+		env:         dev.NewEnvOverlay(opts.BaseEnv),
 		total:       total,
 		completions: make([]float64, 0, opts.Tasks),
 	}
-	n := len(dev.PUs)
-	s.env = soc.DenseEnv{Present: make([]bool, n), Load: make([]float64, n), Busy: make([]core.PUClass, 0, n+len(opts.BaseEnv))}
-	for k := range dev.PUs {
-		s.classes = append(s.classes, simClass{dev.PUs[k].Class, k})
-	}
-	for class := range opts.BaseEnv {
-		if dev.PU(class) == nil {
-			s.classes = append(s.classes, simClass{class, -1})
-		}
-	}
-	slices.SortFunc(s.classes, func(a, b simClass) int { return cmp.Compare(a.class, b.class) })
 
 	inFlight := min(opts.Buffers, total)
 	terms := make([]soc.Terms, len(p.App.Stages))
@@ -205,9 +239,7 @@ func newSimState(p *Plan, opts Options, rng *rand.Rand) *simState {
 // BaseEnv overlay plus every other busy chunk's load (Env.Add's rule),
 // and the sorted busy-class list the governor reads.
 func (s *simState) envFor(me int) *soc.DenseEnv {
-	e := &s.env
-	copy(e.Present, s.base.Present)
-	copy(e.Load, s.base.Load)
+	e := s.env.Reset()
 	for i := range s.chunks {
 		if c := &s.chunks[i]; i != me && c.busy {
 			// Contiguity gives each class at most one chunk, so with no
@@ -216,13 +248,7 @@ func (s *simState) envFor(me int) *soc.DenseEnv {
 			e.Add(c.puIdx, c.load)
 		}
 	}
-	e.Busy = e.Busy[:0]
-	for _, sc := range s.classes {
-		if sc.k < 0 || e.Present[sc.k] {
-			e.Busy = append(e.Busy, sc.class)
-		}
-	}
-	return e
+	return s.env.Seal()
 }
 
 // integrate advances c's progress — and its energy — to the current
@@ -265,10 +291,8 @@ func (s *simState) reprice(except int) {
 
 func (s *simState) startStage(c *simChunk) {
 	c.load = soc.Load{MemIntensity: c.terms[c.stagePos].Intensity}
-	c.noise = 1.0
-	if sigma := s.p.Device.NoiseSigma; sigma > 0 {
-		c.noise = math.Exp(sigma * s.rng.NormFloat64())
-	}
+	c.noise = s.noise[s.drawn]
+	s.drawn++
 	c.remaining = 1
 	c.lastUpdate = s.eng.Now()
 	c.stageStart = s.eng.Now()

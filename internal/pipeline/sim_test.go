@@ -133,7 +133,7 @@ func TestSimDenseEnvMatchesMapReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{BaseEnv: randomBaseEnv(rng, &dev)}.withDefaults(p)
-		s := newSimState(p, opts, rand.New(rand.NewSource(1)))
+		s := newSimState(p, opts, nil)
 		for i := range s.chunks {
 			c := &s.chunks[i]
 			c.busy = rng.Intn(3) != 0
@@ -199,15 +199,6 @@ func TestSimEngineConcurrentSharedPlan(t *testing.T) {
 	run := func(seed int64) Result {
 		return SimEngine{}.Run(context.Background(), p, Options{Tasks: 30, Warmup: 5, Seed: seed, BaseEnv: base})
 	}
-	same := func(a, b Result) bool {
-		if math.Float64bits(a.PerTask) != math.Float64bits(b.PerTask) ||
-			math.Float64bits(a.Elapsed) != math.Float64bits(b.Elapsed) ||
-			math.Float64bits(a.EnergyJ) != math.Float64bits(b.EnergyJ) {
-			return false
-		}
-		eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-		return slices.EqualFunc(a.Completions, b.Completions, eq) && slices.EqualFunc(a.ChunkBusy, b.ChunkBusy, eq)
-	}
 	want := make([]Result, seeds)
 	for i := range want {
 		want[i] = run(int64(i))
@@ -219,7 +210,7 @@ func TestSimEngineConcurrentSharedPlan(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				if !same(run(seed), want[seed]) {
+				if !sameResultBits(run(seed), want[seed]) {
 					errs <- seed
 					return
 				}
@@ -231,6 +222,69 @@ func TestSimEngineConcurrentSharedPlan(t *testing.T) {
 	for seed := range errs {
 		t.Errorf("seed %d: concurrent run differs from the serial run", seed)
 	}
+}
+
+// sameResultBits reports whether two runs' modeled results are equal bit
+// for bit.
+func sameResultBits(a, b Result) bool {
+	if math.Float64bits(a.PerTask) != math.Float64bits(b.PerTask) ||
+		math.Float64bits(a.Elapsed) != math.Float64bits(b.Elapsed) ||
+		math.Float64bits(a.EnergyJ) != math.Float64bits(b.EnergyJ) ||
+		math.Float64bits(a.EnergyPerTaskJ) != math.Float64bits(b.EnergyPerTaskJ) {
+		return false
+	}
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return slices.EqualFunc(a.Completions, b.Completions, eq) && slices.EqualFunc(a.ChunkBusy, b.ChunkBusy, eq)
+}
+
+// TestSimNoiseMatchesSimEngine checks that runs reading one shared noise
+// sequence equal SimEngine's own runs bit for bit: for plans with
+// different chunk counts, with set and with defaulted options, and on
+// devices whose NoiseSigma is positive, zero or NaN. A plan of another
+// device must not read the sequence.
+func TestSimNoiseMatchesSimEngine(t *testing.T) {
+	p := simBenchPlan(t)
+	base := soc.Env{"gpu": {MemIntensity: 0.2}, "npu": {MemIntensity: 0.4}}
+	for _, sigma := range []float64{p.Device.NoiseSigma, 0, math.NaN()} {
+		dev := *p.Device
+		dev.NoiseSigma = sigma
+		var plans []*Plan
+		for _, assign := range [][]core.PUClass{
+			p.Schedule.Assign,
+			{"gpu", "gpu", "gpu", "gpu", "big", "big", "big", "medium", "medium"},
+		} {
+			plan, err := NewPlan(p.App, &dev, core.Schedule{Assign: assign})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, plan)
+		}
+		for _, opts := range []Options{
+			{Tasks: 12, Warmup: 2, Seed: 9, BaseEnv: base},
+			{Seed: 4, Warmup: -1},
+		} {
+			noise := NewSimNoise(plans[0], opts)
+			for _, plan := range plans {
+				want := SimEngine{}.Run(context.Background(), plan, opts)
+				got := noise.Run(context.Background(), plan)
+				if got.Err != nil || !sameResultBits(got, want) {
+					t.Errorf("sigma %v, %s, tasks %d: shared-noise run (%v, err %v) differs from SimEngine (%v)",
+						sigma, plan.Schedule, opts.Tasks, got.PerTask, got.Err, want.PerTask)
+				}
+			}
+		}
+	}
+
+	other, err := NewPlan(p.App, soc.NewJetson(), core.Schedule{Assign: slices.Repeat([]core.PUClass{"gpu"}, len(p.App.Stages))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a plan of another device read the sequence")
+		}
+	}()
+	NewSimNoise(p, Options{Seed: 1}).Run(context.Background(), other)
 }
 
 // BenchmarkSimEngineRun times one autotuning-sized simulated run (30

@@ -6,8 +6,9 @@
 // (30 in the paper) and the mean populates the profiling table.
 //
 // The profiler never looks inside kernels or the SoC model's parameters:
-// it only draws latency samples, exactly as the paper's hardware-timer
-// instrumentation does.
+// it only takes the model's estimate and the device's measurement noise,
+// one noisy latency per repetition, standing in for the paper's
+// hardware-timer instrumentation.
 package profiler
 
 import (
@@ -85,24 +86,42 @@ func (c Config) withDefaults() Config {
 
 // Profile builds the stage × PU table for one application on one device
 // in the given mode.
+//
+// The model is deterministic given (stage, PU, environment) — the
+// governor is a pure function of the busy set — so each cell's estimate
+// is evaluated once and only the measurement noise is drawn per
+// repetition: Reps Device.Noise multipliers around that one estimate,
+// in the same order and with the same values as Reps Device.Sample
+// calls would produce. Each cell's environment is BaseEnv with, in heavy
+// mode, every other class running the measured stage (Device.HeavyEnv
+// overlaid with Env.Overlay's clamp-then-saturate rule), rebuilt in
+// place rather than as a map per cell.
 func Profile(app *core.Application, dev *soc.Device, mode core.ProfileMode, cfg Config) *core.ProfileTable {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	table := core.NewProfileTable(app.Name, dev.Name, mode, app.StageNames(), dev.Classes())
+	classes := dev.Classes()
+	table := core.NewProfileTable(app.Name, dev.Name, mode, app.StageNames(), classes)
 	samples := make([]float64, cfg.Reps)
+	terms := make([]soc.Terms, len(classes))
+	envs := dev.NewEnvOverlay(cfg.BaseEnv)
 	for i, stage := range app.Stages {
-		for _, pu := range dev.Classes() {
-			var env soc.Env
+		for k, pu := range classes {
+			terms[k] = dev.Terms(stage.Cost, pu)
+		}
+		for j, pu := range classes {
+			env := envs.Reset()
 			if mode == core.InterferenceHeavy {
 				// All other PUs run the same computation as the
 				// measuring PU (Sec. 3.2).
-				env = dev.HeavyEnv(stage.Cost, pu)
+				for k := range terms {
+					if k != j {
+						env.Add(k, soc.Load{MemIntensity: terms[k].Intensity})
+					}
+				}
 			}
-			if len(cfg.BaseEnv) > 0 {
-				env = cfg.BaseEnv.Overlay(env)
-			}
-			for r := 0; r < cfg.Reps; r++ {
-				samples[r] = dev.Sample(stage.Cost, pu, env, rng)
+			est, _ := dev.EstimateIn(&terms[j], envs.Seal())
+			for r := range samples {
+				samples[r] = est * dev.Noise(rng)
 			}
 			mean := stats.Mean(samples)
 			if cfg.Adjust != nil {

@@ -74,6 +74,35 @@ func abs(x float64) float64 {
 	return x
 }
 
+// countingGovernor counts Multiplier calls through to another governor.
+type countingGovernor struct {
+	inner soc.Governor
+	calls int
+}
+
+func (g *countingGovernor) Multiplier(target core.PUClass, busyOthers []core.PUClass) float64 {
+	g.calls++
+	return g.inner.Multiplier(target, busyOthers)
+}
+
+// TestProfileOneMultiplierPerCell pins that the profiler evaluates each
+// (stage, class, mode) estimate once and draws only the noise per
+// repetition: the governor is asked once per cell whatever Reps is.
+func TestProfileOneMultiplierPerCell(t *testing.T) {
+	app := octree.NewApplication(4096, octree.UniformGen{})
+	for _, reps := range []int{1, 8, 30} {
+		for _, base := range []soc.Env{nil, {core.ClassGPU: {MemIntensity: 0.4}, "npu": {MemIntensity: 0.2}}} {
+			dev := *soc.NewPixel7a()
+			gov := &countingGovernor{inner: dev.Governor}
+			dev.Governor = gov
+			ProfileBoth(app, &dev, Config{Reps: reps, Seed: 1, BaseEnv: base})
+			if want := 2 * len(app.Stages) * len(dev.PUs); gov.calls != want {
+				t.Errorf("reps %d, base %v: %d Multiplier calls, want %d", reps, base, gov.calls, want)
+			}
+		}
+	}
+}
+
 func TestHeavyDiffersFromIsolated(t *testing.T) {
 	app := octree.NewApplication(4096, octree.UniformGen{})
 	dev := soc.NewPixel7a()

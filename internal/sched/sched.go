@@ -32,10 +32,6 @@ import (
 	"bettertogether/internal/solver"
 )
 
-// simEngine is the measurement engine of the autotuning level: candidate
-// schedules are always evaluated on the deterministic simulator.
-var simEngine pipeline.SimEngine
-
 // Strategy selects the optimization recipe.
 type Strategy int
 
@@ -317,7 +313,11 @@ func (o *Optimizer) score(latency, energy float64) float64 {
 // pool of up to Workers goroutines: each run is seed-deterministic and
 // independent, results land by candidate index, and the winner is
 // selected by an in-order scan afterwards, so the outcome is identical
-// at any worker count.
+// at any worker count. Every candidate runs the same app on the same
+// device under the same seed, so all of them draw the same stage-noise
+// sequence: it is drawn once per call (pipeline.SimNoise) and shared
+// read-only by the pool, and each measurement is bit-identical to an
+// independent SimEngine run of that candidate.
 func (o *Optimizer) Autotune(cands []Candidate, opts pipeline.Options) (AutotuneResult, error) {
 	res := AutotuneResult{
 		Measured:  make([]float64, len(cands)),
@@ -334,8 +334,12 @@ func (o *Optimizer) Autotune(cands []Candidate, opts pipeline.Options) (Autotune
 		}
 		plans[i] = plan
 	}
+	if len(plans) == 0 {
+		return res, nil
+	}
+	noise := pipeline.NewSimNoise(plans[0], opts)
 	measure := func(i int) {
-		r := simEngine.Run(context.Background(), plans[i], opts)
+		r := noise.Run(context.Background(), plans[i])
 		res.Measured[i] = r.PerTask
 		res.Energy[i] = r.EnergyPerTaskJ
 	}
@@ -392,5 +396,5 @@ func MeasureUniform(app *core.Application, dev *soc.Device, pu core.PUClass, opt
 	if err != nil {
 		return 0, err
 	}
-	return simEngine.Run(context.Background(), plan, opts).PerTask, nil
+	return pipeline.SimEngine{}.Run(context.Background(), plan, opts).PerTask, nil
 }

@@ -257,16 +257,25 @@ func (d *Device) EstimateIn(t *Terms, env *DenseEnv) (sec, mult float64) {
 	return sec, mult
 }
 
-// Sample returns Estimate perturbed by the device's multiplicative
-// lognormal measurement noise. It is what the profiler and the
-// discrete-event "measurements" observe, standing in for the paper's
-// hardware timers.
+// Sample returns one noisy measurement: Estimate times one Noise draw,
+// standing in for a reading of the paper's hardware timers. Callers that
+// measure the same kernel under the same environment many times (the
+// profiler's repetitions) evaluate the estimate once with EstimateIn and
+// multiply it by a fresh Noise draw per repetition, which is the same
+// value bit for bit.
 func (d *Device) Sample(cost core.CostSpec, class core.PUClass, env Env, rng *rand.Rand) float64 {
-	t := d.Estimate(cost, class, env)
+	return d.Estimate(cost, class, env) * d.Noise(rng)
+}
+
+// Noise draws the device's multiplicative lognormal measurement noise,
+// exp(NoiseSigma·N(0,1)): one NormFloat64 from rng per call. A device
+// without noise (NoiseSigma <= 0) or a nil rng returns exactly 1 and
+// draws nothing.
+func (d *Device) Noise(rng *rand.Rand) float64 {
 	if d.NoiseSigma > 0 && rng != nil {
-		t *= math.Exp(d.NoiseSigma * rng.NormFloat64())
+		return math.Exp(d.NoiseSigma * rng.NormFloat64())
 	}
-	return t
+	return 1
 }
 
 // HeavyEnv builds the interference-heavy profiling environment of

@@ -1,8 +1,10 @@
 package soc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"bettertogether/internal/core"
@@ -80,6 +82,68 @@ func (d *Device) Dense(env Env) DenseEnv {
 		}
 	}
 	return de
+}
+
+// EnvOverlay rebuilds one DenseEnv in place on top of a fixed base
+// environment — the BaseEnv overlay that the profiler and the pipeline
+// simulator apply to every estimate. Reset copies the base into the
+// scratch environment, the caller folds its own loads in with
+// DenseEnv.Add, and Seal lists the busy classes in sorted order,
+// including base classes the device does not have. The result equals
+// Device.Dense of base.Overlay(loads) without building a map or sorting
+// per estimate. The returned DenseEnv is valid until the next Reset.
+type EnvOverlay struct {
+	base, env DenseEnv
+	// classes is every class that can be busy, sorted: the device's
+	// classes (k indexes Device.PUs) and the base's classes the device
+	// lacks (k = -1, always busy).
+	classes []overlayClass
+}
+
+type overlayClass struct {
+	class core.PUClass
+	k     int
+}
+
+// NewEnvOverlay lays base out for repeated in-place rebuilding.
+func (d *Device) NewEnvOverlay(base Env) *EnvOverlay {
+	n := len(d.PUs)
+	o := &EnvOverlay{
+		base:    d.Dense(base),
+		env:     DenseEnv{Present: make([]bool, n), Load: make([]float64, n), Busy: make([]core.PUClass, 0, n+len(base))},
+		classes: make([]overlayClass, 0, n+len(base)),
+	}
+	for k := range d.PUs {
+		o.classes = append(o.classes, overlayClass{d.PUs[k].Class, k})
+	}
+	for class := range base {
+		if d.puIndex(class) < 0 {
+			o.classes = append(o.classes, overlayClass{class, -1})
+		}
+	}
+	slices.SortFunc(o.classes, func(a, b overlayClass) int { return cmp.Compare(a.class, b.class) })
+	return o
+}
+
+// Reset rewrites the scratch environment to the base alone and returns
+// it for the caller's Add calls.
+func (o *EnvOverlay) Reset() *DenseEnv {
+	copy(o.env.Present, o.base.Present)
+	copy(o.env.Load, o.base.Load)
+	return &o.env
+}
+
+// Seal fills the scratch environment's Busy list from its present
+// classes and the base's foreign ones, and returns it.
+func (o *EnvOverlay) Seal() *DenseEnv {
+	e := &o.env
+	e.Busy = e.Busy[:0]
+	for _, c := range o.classes {
+		if c.k < 0 || e.Present[c.k] {
+			e.Busy = append(e.Busy, c.class)
+		}
+	}
+	return e
 }
 
 // Overlay returns a new Env combining e with other via Add. Either side

@@ -2,6 +2,8 @@ package soc
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bettertogether/internal/core"
@@ -175,5 +177,52 @@ func TestEnvSignature(t *testing.T) {
 	hot := Env{core.ClassGPU: {MemIntensity: 7}}
 	if s := hot.Signature(0.05); s != "gpu=20" {
 		t.Errorf("saturating signature = %q, want gpu=20", s)
+	}
+}
+
+// TestEnvOverlayMatchesDenseOverlay checks the in-place overlay against
+// Dense over Env.Overlay's map, over random bases (own, foreign and
+// poisoned intensities) and random added loads, reusing one overlay per
+// base so every Reset must clear the previous environment.
+func TestEnvOverlayMatchesDenseOverlay(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	intensity := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return -rng.Float64()
+		case 2:
+			return 1 + rng.Float64()
+		}
+		return rng.Float64()
+	}
+	for _, d := range Catalog() {
+		classes := append(d.Classes(), "npu", "dsp")
+		for trial := 0; trial < 50; trial++ {
+			base := Env{}
+			for _, c := range classes {
+				if rng.Intn(3) == 0 {
+					base[c] = Load{MemIntensity: intensity()}
+				}
+			}
+			o := d.NewEnvOverlay(base)
+			for rep := 0; rep < 4; rep++ {
+				extra := Env{}
+				e := o.Reset()
+				for k := range d.PUs {
+					if rng.Intn(2) == 0 {
+						l := Load{MemIntensity: intensity()}
+						extra[d.PUs[k].Class] = l
+						e.Add(k, l)
+					}
+				}
+				got, want := o.Seal(), d.Dense(base.Overlay(extra))
+				if !slices.Equal(got.Busy, want.Busy) || !slices.Equal(got.Present, want.Present) ||
+					!slices.EqualFunc(got.Load, want.Load, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Fatalf("%s trial %d: overlay %+v, want %+v (base %v, extra %v)", d.Name, trial, *got, want, base, extra)
+				}
+			}
+		}
 	}
 }

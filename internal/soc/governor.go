@@ -19,6 +19,13 @@ type Governor interface {
 	// the pipeline simulator reuses its backing array for the next
 	// estimate, so an implementation that keeps the classes must copy
 	// them.
+	//
+	// Multiplier must be a pure function of (target, busyOthers): no
+	// state carried between calls, no clock, no randomness. The model
+	// relies on it to evaluate each estimate once and reuse it — the
+	// profiler calls it once per (stage, class, mode) whatever the
+	// repetition count, and the simulator once per reprice — so an
+	// impure governor would see fewer calls than measurements.
 	Multiplier(target core.PUClass, busyOthers []core.PUClass) float64
 }
 
