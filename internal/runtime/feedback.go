@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 
-	"bettertogether/internal/core"
 	"bettertogether/internal/obs"
 	"bettertogether/internal/onlineprof"
 	"bettertogether/internal/pipeline"
@@ -134,7 +133,7 @@ func (rt *Runtime) applyDrift(s *Session) {
 		return
 	}
 	env := rt.envLocked(s)
-	plan, err := rt.planLocked(s.app, env, s.opts, []core.Schedule{s.Schedule()})
+	plan, err := rt.planLocked(s.app, env, s.opts)
 	if err != nil {
 		return
 	}

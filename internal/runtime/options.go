@@ -15,7 +15,7 @@ import (
 
 // Option configures a Runtime under construction. Options validate
 // eagerly — a nonsensical value fails New with an error naming the
-// option, instead of the Config zero-value path's silent defaulting.
+// option.
 type Option func(*Config) error
 
 // New builds a runtime for dev from functional options. This is the
@@ -38,7 +38,7 @@ func New(dev *soc.Device, opts ...Option) (*Runtime, error) {
 			return nil, err
 		}
 	}
-	return NewFromConfig(cfg)
+	return newRuntime(cfg)
 }
 
 // WithEngine selects the execution engine sessions run on (the

@@ -16,7 +16,7 @@ func identityAdjust(_ string, _ core.PUClass, sec float64) float64 { return sec 
 
 // TestOptionValidation exercises every option's fail-fast path: a bad
 // value must fail New with an error naming the option, not silently
-// fall back to a default the way the Config zero-value path does.
+// fall back to a default.
 func TestOptionValidation(t *testing.T) {
 	dev := mustDevice(t, "pixel7a")
 	cases := []struct {
@@ -85,41 +85,16 @@ func TestNewAppliesOptions(t *testing.T) {
 	if rt.Device() != dev {
 		t.Error("Device() is not the constructor argument")
 	}
-}
 
-// TestNewDefaultsMatchNewFromConfig pins the shim equivalence: an
-// unconfigured New(dev) and the deprecated NewFromConfig zero-value
-// path produce runtimes that plan identically.
-func TestNewDefaultsMatchNewFromConfig(t *testing.T) {
-	app := mustApp(t, "octree")
-	admit := func(rt *Runtime) core.Schedule {
-		t.Helper()
-		defer rt.Close()
-		s, err := rt.Admit(app, AdmitOptions{Tasks: 2, Seed: 3})
-		if err != nil {
-			t.Fatalf("Admit: %v", err)
-		}
-		if res := s.Wait(); res.Err != nil {
-			t.Fatalf("session: %v", res.Err)
-		}
-		return s.Schedule()
-	}
-
-	a, err := New(mustDevice(t, "pixel7a"))
+	plain, err := New(dev)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	b, err := NewFromConfig(Config{Device: mustDevice(t, "pixel7a")})
-	if err != nil {
-		t.Fatalf("NewFromConfig: %v", err)
-	}
-	if sa, sb := admit(a), admit(b); sa.String() != sb.String() {
-		t.Errorf("option path planned %s, config path planned %s", sa, sb)
-	}
-	if a.OnlineProfiler() != nil {
+	defer plain.Close()
+	if plain.OnlineProfiler() != nil {
 		t.Error("unconfigured New must not enable online profiling")
 	}
-	if _, ok := a.OnlineProfStats(); ok {
+	if _, ok := plain.OnlineProfStats(); ok {
 		t.Error("OnlineProfStats reports enabled on an unconfigured runtime")
 	}
 }

@@ -66,7 +66,8 @@ const (
 	DefaultReplanK = 8
 )
 
-// Config configures a Runtime.
+// Config is the configuration New's options assemble; New fills the
+// defaults of the fields left at zero.
 type Config struct {
 	// Device is the SoC every session shares. Required.
 	Device *soc.Device
@@ -95,10 +96,9 @@ type Config struct {
 	// quantized Env, planning knobs) tuple. Planning then runs against
 	// the cache's bucket-quantized environment, so a hit returns a
 	// schedule byte-identical to the cold solve it replaces (pinned by
-	// the equivalence suite); a miss warm-starts the solver from the
-	// session's previous schedule and stores the result. One cache may
-	// be shared across runtimes. Nil plans cold on every pass (the
-	// pre-cache behavior, bit-exact).
+	// the equivalence suite); a miss plans cold and stores the result.
+	// One cache may be shared across runtimes. Nil plans cold on every
+	// pass (the pre-cache behavior, bit-exact).
 	Cache *schedcache.Cache
 	// ReplanDelta, when positive, skips re-planning a resident whose
 	// projected environment moved less than this (L∞ over per-class
@@ -156,13 +156,9 @@ type Runtime struct {
 	sloLatency  *metrics.Histogram
 }
 
-// NewFromConfig validates a Config and builds an empty runtime.
-//
-// Deprecated: use New with functional options — it separates required
-// state (the device) from tunables and validates each option at the
-// call site instead of silently defaulting zero values. NewFromConfig
-// remains for callers that assemble configuration dynamically.
-func NewFromConfig(cfg Config) (*Runtime, error) {
+// newRuntime validates a Config assembled by New's options, fills its
+// defaults and builds an empty runtime.
+func newRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("runtime: config has no device")
 	}
@@ -253,7 +249,7 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 	opts = opts.withDefaults(app, rt.nextID)
 
 	env := rt.envLocked(nil)
-	plan, err := rt.planLocked(app, env, opts, nil)
+	plan, err := rt.planLocked(app, env, opts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: planning %q: %w", app.Name, err)
 	}
@@ -353,10 +349,9 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 // With a schedule cache configured, the solve runs against the
 // bucket-quantized environment (the bucket's canonical representative),
 // so a later lookup under any environment in the same bucket returns a
-// schedule byte-identical to this cold solve. On a miss, warm seeds the
-// optimizer's incumbent set — provably result-neutral, it only
-// accelerates the prune — and the chosen schedule is stored.
-func (rt *Runtime) planLocked(app *core.Application, env soc.Env, opts AdmitOptions, warm []core.Schedule) (*pipeline.Plan, error) {
+// schedule byte-identical to this cold solve. On a miss, the chosen
+// schedule is stored.
+func (rt *Runtime) planLocked(app *core.Application, env soc.Env, opts AdmitOptions) (*pipeline.Plan, error) {
 	if opts.Schedule != nil {
 		return pipeline.NewPlan(app, rt.dev, *opts.Schedule)
 	}
@@ -383,7 +378,6 @@ func (rt *Runtime) planLocked(app *core.Application, env soc.Env, opts AdmitOpti
 	})
 	opt := sched.New(app, rt.dev, tables)
 	opt.K = rt.cfg.K
-	opt.WarmStart = warm
 	_, _, best, err := opt.Optimize(sched.BetterTogether, pipeline.Options{
 		Tasks:   rt.cfg.AutotuneTasks,
 		Warmup:  2,
@@ -408,9 +402,7 @@ func (rt *Runtime) planLocked(app *core.Application, env soc.Env, opts AdmitOpti
 // test with a cache enabled). When the projected environment delta stays
 // below Config.ReplanDelta, the solve is skipped entirely and only the
 // environment lands. A session whose re-planning fails keeps its old
-// plan (the old schedule is still valid, only the environment shifted);
-// otherwise the solve is warm-started from the session's current
-// schedule so the cache-miss path prunes aggressively.
+// plan (the old schedule is still valid, only the environment shifted).
 func (rt *Runtime) replanLocked(except *Session) {
 	for _, id := range rt.residentIDs() {
 		s := rt.resident[id]
@@ -429,7 +421,7 @@ func (rt *Runtime) replanLocked(except *Session) {
 			rt.registerModel(s)
 			continue
 		}
-		plan, err := rt.planLocked(s.app, env, s.opts, []core.Schedule{s.Schedule()})
+		plan, err := rt.planLocked(s.app, env, s.opts)
 		if err != nil {
 			s.setEnv(env)
 			rt.registerModel(s)

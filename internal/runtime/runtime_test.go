@@ -33,21 +33,23 @@ func mustDevice(t *testing.T, name string) *soc.Device {
 	return dev
 }
 
+// mustRuntime builds a runtime through New with one option that installs
+// the whole of cfg.
 func mustRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
-	rt, err := NewFromConfig(cfg)
+	rt, err := New(cfg.Device, func(c *Config) error { *c = cfg; return nil })
 	if err != nil {
-		t.Fatalf("NewFromConfig: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	return rt
 }
 
 func TestNewRejectsMissingDevice(t *testing.T) {
-	if _, err := NewFromConfig(Config{}); err == nil {
-		t.Fatal("NewFromConfig accepted a config without a device")
-	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("New accepted a nil device")
+	}
+	if _, err := New(mustDevice(t, "pixel7a"), func(c *Config) error { c.Device = nil; return nil }); err == nil {
+		t.Fatal("New accepted options that clear the device")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"bettertogether/internal/pipeline"
 	"bettertogether/internal/profiler"
 	"bettertogether/internal/soc"
+	"bettertogether/internal/trace"
 )
 
 // stageDoneCounter is a concurrency-safe sink counting StageDone events.
@@ -27,8 +28,9 @@ func (s *stageDoneCounter) Emit(e obs.Event) {
 // noise sequence against its oracle: every candidate's Measured and
 // Energy are bit-equal to an independent SimEngine run of that
 // candidate, and BestIndex is the in-order minimum over those runs — at
-// 1 and 4 workers, with observability sinks attached, under a BaseEnv,
-// with defaulted task counts, and on a device without noise.
+// 1 and 4 workers, with an events sink, a metrics collector or a
+// timeline attached, under a BaseEnv, with defaulted task counts, and on
+// a device without noise.
 func TestAutotuneConcurrentMatchesIndependentRuns(t *testing.T) {
 	app := octree.NewApplication(8192, octree.UniformGen{})
 	quiet := soc.NewJetson()
@@ -41,6 +43,7 @@ func TestAutotuneConcurrentMatchesIndependentRuns(t *testing.T) {
 		opts    pipeline.Options
 		events  bool
 		metrics bool
+		trace   bool
 	}
 	base := pipeline.Options{Tasks: 12, Warmup: 2, Seed: 17}
 	with := func(f func(*pipeline.Options)) pipeline.Options {
@@ -52,9 +55,11 @@ func TestAutotuneConcurrentMatchesIndependentRuns(t *testing.T) {
 		{name: "serial", dev: soc.NewPixel7a(), workers: 1, opts: base},
 		{name: "pool", dev: soc.NewPixel7a(), workers: 4, opts: base},
 		{name: "pool-events", dev: soc.NewPixel7a(), workers: 4, opts: base, events: true},
-		// One metrics collector is shared by every candidate run, so it
-		// is only attached serially.
 		{name: "serial-metrics-events", dev: soc.NewOnePlus11(), workers: 1, opts: base, events: true, metrics: true},
+		// One metrics collector or timeline is shared by every candidate
+		// run; Autotune must not write it from several workers.
+		{name: "pool-metrics", dev: soc.NewPixel7a(), workers: 4, opts: base, metrics: true},
+		{name: "pool-trace", dev: soc.NewPixel7a(), workers: 4, opts: base, trace: true},
 		{name: "pool-baseenv-edp", dev: soc.NewJetson(), workers: 4, obj: ObjectiveEDP,
 			opts: with(func(o *pipeline.Options) { o.BaseEnv = soc.Env{"gpu": {MemIntensity: 0.3}, "npu": {MemIntensity: 0.5}} })},
 		{name: "pool-defaults", dev: soc.NewPixel7a(), workers: 4,
@@ -82,6 +87,11 @@ func TestAutotuneConcurrentMatchesIndependentRuns(t *testing.T) {
 				// one pool per class.
 				m = metrics.New(len(app.Stages), len(app.Stages), len(c.dev.PUs))
 				opts.Metrics = m
+			}
+			var tl *trace.Timeline
+			if c.trace {
+				tl = &trace.Timeline{}
+				opts.Trace = tl
 			}
 			got, err := o.Autotune(cands, opts)
 			if err != nil {
@@ -120,6 +130,9 @@ func TestAutotuneConcurrentMatchesIndependentRuns(t *testing.T) {
 			stageRuns := int64(len(cands) * (tasks + warmup) * len(app.Stages))
 			if sink != nil && sink.n.Load() != stageRuns {
 				t.Errorf("sink saw %d StageDone events, want %d", sink.n.Load(), stageRuns)
+			}
+			if tl != nil && int64(len(tl.Spans)) != stageRuns {
+				t.Errorf("trace holds %d spans, want %d", len(tl.Spans), stageRuns)
 			}
 			if m != nil {
 				var n int64

@@ -6,9 +6,10 @@
 //     and derive a utilization filter from it, keeping only schedules
 //     whose chunks are balanced enough that the interference-heavy
 //     profiling conditions actually hold at runtime.
-//  2. Latency: enumerate K diverse candidates under the filter, ranked by
-//     predicted bottleneck latency (T_max), using blocking clauses to
-//     guarantee distinct assignments.
+//  2. Latency: take the K best schedules under the filter, ranked by
+//     predicted bottleneck latency (T_max). The solver scores each
+//     schedule once, which gives the distinct assignments the paper's
+//     blocking clauses guarantee.
 //  3. Autotuning: execute the top candidates on the device (the
 //     simulator's virtual device here) and pick the best measured one,
 //     absorbing residual model error within performance tiers.
@@ -135,17 +136,14 @@ type Optimizer struct {
 	// Workers bounds concurrent candidate simulations in Autotune: 0
 	// selects GOMAXPROCS, 1 runs serially, higher values are used as
 	// given. Every candidate run is seed-deterministic and independent,
-	// so the measured results are identical at any worker count.
+	// so the measured results are identical at any worker count. Runs
+	// that record into the caller's Options.Metrics or Options.Trace go
+	// serially whatever Workers says: those collectors are shared by
+	// every candidate run and are not safe for concurrent writers.
 	Workers int
-	// WarmStart seeds the top-K search's incumbent set with previously
-	// chosen schedules (e.g. a session's schedule before admission
-	// churn), so the latency prune bites from the first branch. Seeding
-	// never changes the candidate set — only the prune rate (pinned by
-	// property test); schedules that do not fit the table (wrong length,
-	// unknown class) or violate the constraints are silently ignored.
-	WarmStart []core.Schedule
 	// Search, when non-nil, receives the most recent Candidates call's
-	// search counters (reset per call).
+	// counters: schedules scored and schedules the utilization filter
+	// rejected (reset per call).
 	Search *solver.SearchStats
 }
 
@@ -191,16 +189,6 @@ func (o *Optimizer) table(s Strategy) *core.ProfileTable {
 	return o.Tables.Heavy
 }
 
-// problem converts a profiling table into a solver instance; class order
-// follows the table columns.
-func problem(t *core.ProfileTable) *solver.Problem {
-	p := &solver.Problem{N: len(t.Stages), M: len(t.PUs), Time: make([][]float64, len(t.Stages))}
-	for i := range t.Stages {
-		p.Time[i] = append([]float64(nil), t.Latency[i]...)
-	}
-	return p
-}
-
 // toSchedule maps a solver assignment back to PU classes.
 func toSchedule(t *core.ProfileTable, assign []int) core.Schedule {
 	s := core.Schedule{Assign: make([]core.PUClass, len(assign))}
@@ -210,72 +198,29 @@ func toSchedule(t *core.ProfileTable, assign []int) core.Schedule {
 	return s
 }
 
-// seeds maps the warm-start schedules onto the table's class columns.
-// Schedules that do not fit (wrong stage count, class the table lacks)
-// are dropped; feasibility against the constraint system is the
-// solver's job.
-func (o *Optimizer) seeds(t *core.ProfileTable) [][]int {
-	if len(o.WarmStart) == 0 {
-		return nil
-	}
-	col := make(map[core.PUClass]int, len(t.PUs))
-	for j, pu := range t.PUs {
-		col[pu] = j
-	}
-	var out [][]int
-	for _, s := range o.WarmStart {
-		if len(s.Assign) != len(t.Stages) {
-			continue
-		}
-		a := make([]int, len(s.Assign))
-		ok := true
-		for i, c := range s.Assign {
-			j, found := col[c]
-			if !found {
-				ok = false
-				break
-			}
-			a[i] = j
-		}
-		if ok {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Candidates runs optimization levels one and two for the strategy,
 // returning up to K schedules ranked by predicted latency.
 func (o *Optimizer) Candidates(strategy Strategy) []Candidate {
 	tab := o.table(strategy)
-	prob := problem(tab)
-
+	prob := &solver.Problem{N: len(tab.Stages), M: len(tab.PUs), Time: tab.Latency}
+	var filter solver.FilterFunc
 	if strategy == BetterTogether {
 		// Level one: minimum gapness sets the utilization threshold.
-		gapBest, ok := solver.MinimizeGapness(prob, solver.Constraints{})
+		minGap, ok := solver.MinGap(prob)
 		if !ok {
 			return nil
 		}
 		slack := o.slack()
-		gapCut := gapBest.Gap() + gapEps
-		// Level two: stream the gapness-filtered pool through the
-		// bounded top-K solver — never more than K solutions live, and
-		// branches whose partial T_max already exceeds the K-th incumbent
-		// are pruned. Ranking is by predicted latency; distinctness comes
-		// free (each assignment appears once), which is what the blocking
-		// clauses guarantee in the paper.
-		pool := solver.TopKFilteredSeeded(prob, solver.Constraints{}, o.k(), func(s solver.Solution) bool {
+		gapCut := minGap + gapEps
+		filter = func(s solver.Solution) bool {
 			return s.Gap() <= gapCut || s.Gap() <= slack*s.TMax
-		}, o.seeds(tab), o.Search)
-		out := make([]Candidate, len(pool))
-		for i, s := range pool {
-			out[i] = Candidate{Schedule: toSchedule(tab, s.Assign), Predicted: s.TMax, Gap: s.Gap()}
 		}
-		return out
 	}
-
-	// Baseline strategies: latency-only top-K, no utilization filter.
-	sols := solver.TopKFilteredSeeded(prob, solver.Constraints{}, o.k(), nil, o.seeds(tab), o.Search)
+	// Level two: the K best schedules by predicted latency, under the
+	// utilization filter for BetterTogether and unfiltered for the
+	// latency-only baselines. Each schedule is scored once, which is the
+	// distinctness the paper's blocking clauses guarantee.
+	sols := solver.TopK(prob, o.k(), filter, o.Search)
 	out := make([]Candidate, len(sols))
 	for i, s := range sols {
 		out[i] = Candidate{Schedule: toSchedule(tab, s.Assign), Predicted: s.TMax, Gap: s.Gap()}
@@ -343,7 +288,7 @@ func (o *Optimizer) Autotune(cands []Candidate, opts pipeline.Options) (Autotune
 		res.Measured[i] = r.PerTask
 		res.Energy[i] = r.EnergyPerTaskJ
 	}
-	if w := o.workers(len(cands)); w <= 1 {
+	if w := o.workers(len(cands)); w <= 1 || opts.Metrics != nil || opts.Trace != nil {
 		for i := range plans {
 			measure(i)
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -153,31 +154,27 @@ func TestAutotuneSelectsMeasuredBest(t *testing.T) {
 	}
 }
 
-// materializedCandidates is the pre-streaming reference: enumerate the
-// whole space, filter, sort by (TMax, Key), truncate to K. Candidates
-// must match it exactly for every strategy.
+// materializedCandidates is the reference semantics of Candidates: take
+// every schedule (an unbounded TopK), find the minimum gapness among
+// them, filter, sort by (TMax, Key) and truncate to K.
 func materializedCandidates(o *Optimizer, strategy Strategy) []Candidate {
 	tab := o.table(strategy)
-	prob := problem(tab)
-	var filter solver.FilterFunc
+	prob := &solver.Problem{N: len(tab.Stages), M: len(tab.PUs), Time: tab.Latency}
+	pool := solver.TopK(prob, math.MaxInt32, nil, nil)
 	if strategy == BetterTogether {
-		gapBest, ok := solver.MinimizeGapness(prob, solver.Constraints{})
-		if !ok {
-			return nil
+		minGap := math.Inf(1)
+		for _, s := range pool {
+			minGap = math.Min(minGap, s.Gap())
 		}
 		slack := o.slack()
-		gapCut := gapBest.Gap() + gapEps
-		filter = func(s solver.Solution) bool {
-			return s.Gap() <= gapCut || s.Gap() <= slack*s.TMax
+		kept := pool[:0]
+		for _, s := range pool {
+			if s.Gap() <= minGap+gapEps || s.Gap() <= slack*s.TMax {
+				kept = append(kept, s)
+			}
 		}
+		pool = kept
 	}
-	var pool []solver.Solution
-	_ = solver.Enumerate(prob, solver.Constraints{}, nil, func(s solver.Solution) bool {
-		if filter == nil || filter(s) {
-			pool = append(pool, s)
-		}
-		return true
-	})
 	sort.Slice(pool, func(a, b int) bool {
 		if pool[a].TMax != pool[b].TMax {
 			return pool[a].TMax < pool[b].TMax

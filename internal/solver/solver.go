@@ -1,21 +1,23 @@
 // Package solver implements the constraint system of BT-Optimizer
-// (paper Sec. 3.3) as a from-scratch branch-and-bound search, standing in
+// (paper Sec. 3.3) as one flat pass over its schedule space, standing in
 // for the paper's z3 encoding. The formulation is identical:
 //
 //	C1   exactly one PU class per stage (by construction of the
 //	     assignment vector)
-//	C2   contiguity — stages on one class form a single chunk
-//	C3a  every chunk's summed runtime <= ChunkMax
-//	C3b  every chunk's summed runtime >= ChunkMin
-//	C5ℓ  blocking clauses excluding previously returned assignments
+//	C2   contiguity: stages on one class form a single chunk, so a
+//	     schedule is a set of chunk boundaries plus an injective map
+//	     from chunks to classes
+//	C3   the chunk-runtime window, applied by the caller as a filter
+//	     over each schedule's T_max and T_min (sched's gapness filter)
+//	C5ℓ  distinct assignments, which hold by construction: the pass
+//	     scores each schedule exactly once
 //	O1   minimize gapness = T_max − T_min over chunk runtimes
 //
-// The search tree branches per stage on "extend the current chunk" vs
-// "open a new chunk on an unused class", which bakes C1 and C2 into the
-// tree shape; C3 prunes partial branches; objectives prune with
-// incumbent bounds. For the paper's scale (N=9 stages, M=4 classes) the
-// feasible space is ~2×10³ leaves and every query solves in well under a
-// millisecond — comfortably beating the paper's <50 ms z3 budget.
+// C1 and C2 cut the raw M^N space to Σₖ C(N−1,k−1)·P(M,k) schedules:
+// 2 116 for the paper's N=9 stages and M=4 classes. That is small
+// enough to score every schedule on every query, with no search to
+// prune: a top-20 query over the paper's space takes about 0.2 ms, far
+// under the paper's <50 ms z3 budget.
 package solver
 
 import (
@@ -57,18 +59,6 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// Constraints hold the optional bounds and blocking clauses.
-type Constraints struct {
-	// ChunkMax bounds every chunk's summed runtime from above (C3a);
-	// 0 disables the bound.
-	ChunkMax float64
-	// ChunkMin bounds every chunk's summed runtime from below (C3b);
-	// 0 disables the bound.
-	ChunkMin float64
-	// Blocked excludes assignments by canonical Key (C5ℓ).
-	Blocked map[string]bool
-}
-
 // Solution is one feasible assignment with its chunk metrics.
 type Solution struct {
 	// Assign[i] is the class index of stage i.
@@ -84,7 +74,8 @@ type Solution struct {
 // Gap returns the gapness objective O1.
 func (s Solution) Gap() float64 { return s.TMax - s.TMin }
 
-// Key returns the canonical blocking-clause key of an assignment.
+// Key returns the canonical text of an assignment. Top-K ranking breaks
+// exact TMax ties by this text's order.
 func Key(assign []int) string {
 	var b strings.Builder
 	for i, a := range assign {
@@ -96,258 +87,295 @@ func Key(assign []int) string {
 	return b.String()
 }
 
-// Enumerate visits every assignment satisfying C1, C2, C3 and the
-// blocking set, in deterministic order. visit returning false stops the
-// enumeration early. prune, when non-nil, is consulted at each branch
-// with the partial state (stage index, max and min over *closed* chunks,
-// current chunk's running sum); returning true abandons the subtree —
-// objective searches use it for incumbent bounds.
-func Enumerate(p *Problem, cons Constraints, prune func(stage int, closedMax, closedMin, curSum float64) bool, visit func(Solution) bool) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	assign := make([]int, p.N)
-	chunkTimes := make([]float64, 0, p.M)
-
-	closeOK := func(sum float64) bool {
-		return cons.ChunkMin == 0 || sum >= cons.ChunkMin
-	}
-	fitsMax := func(sum float64) bool {
-		return cons.ChunkMax == 0 || sum <= cons.ChunkMax
-	}
-
-	stop := false
-	var rec func(stage int, usedMask int, cur int, curSum, closedMax, closedMin float64)
-	rec = func(stage int, usedMask int, cur int, curSum, closedMax, closedMin float64) {
-		if stop {
-			return
-		}
-		if prune != nil && prune(stage, closedMax, closedMin, curSum) {
-			return
-		}
-		if stage == p.N {
-			if !closeOK(curSum) {
-				return
+// keyLess reports Key(a) < Key(b) for two equal-length assignments
+// without building either string. Equal prefixes render to equal text,
+// so the first differing class decides: its decimal text, where a
+// proper prefix sorts first (a ',' or the end of the string follows it,
+// and both sort before any digit).
+func keyLess(a, b []int) bool {
+	for i := range a {
+		if x, y := a[i], b[i]; x != y {
+			dx, dy := decimalDigits(x), decimalDigits(y)
+			px, py := x, y
+			for n := dx; n > dy; n-- {
+				px /= 10
 			}
-			times := append(append([]float64(nil), chunkTimes...), curSum)
-			tmax, tmin := times[0], times[0]
-			for _, t := range times[1:] {
-				tmax = math.Max(tmax, t)
-				tmin = math.Min(tmin, t)
+			for n := dy; n > dx; n-- {
+				py /= 10
 			}
-			sol := Solution{
-				Assign:     append([]int(nil), assign...),
-				ChunkTimes: times,
-				TMax:       tmax,
-				TMin:       tmin,
+			if px != py {
+				return px < py
 			}
-			if cons.Blocked != nil && cons.Blocked[Key(sol.Assign)] {
-				return
-			}
-			if !visit(sol) {
-				stop = true
-			}
-			return
-		}
-		// Branch 1: extend the current chunk on the same class.
-		if ext := curSum + p.Time[stage][cur]; fitsMax(ext) {
-			assign[stage] = cur
-			rec(stage+1, usedMask, cur, ext, closedMax, closedMin)
-		}
-		// Branch 2: close the current chunk, open a new one on any
-		// unused class (C2: a class never reopens).
-		if !closeOK(curSum) {
-			return
-		}
-		newMax := math.Max(closedMax, curSum)
-		newMin := math.Min(closedMin, curSum)
-		chunkTimes = append(chunkTimes, curSum)
-		for c := 0; c < p.M; c++ {
-			if usedMask&(1<<c) != 0 {
-				continue
-			}
-			if t := p.Time[stage][c]; fitsMax(t) {
-				assign[stage] = c
-				rec(stage+1, usedMask|1<<c, c, t, newMax, newMin)
-			}
-		}
-		chunkTimes = chunkTimes[:len(chunkTimes)-1]
-	}
-
-	// Root: the first stage opens the first chunk on any class.
-	for c := 0; c < p.M && !stop; c++ {
-		if t := p.Time[0][c]; fitsMax(t) {
-			assign[0] = c
-			// closedMax/Min start at ±empty sentinels folded via the
-			// first closed chunk; use -Inf/+Inf so Max/Min work.
-			rec(1, 1<<c, c, t, math.Inf(-1), math.Inf(1))
+			return dx < dy
 		}
 	}
-	return nil
+	return false
 }
 
-// MinimizeGapness solves objective O1: the feasible assignment with the
-// smallest T_max − T_min, branch-and-bound pruned by the incumbent (a
-// partial branch whose closed-chunk spread already exceeds the incumbent
-// gap cannot recover). Ties break toward lower TMax, then first found.
-// ok is false when no feasible assignment exists.
-func MinimizeGapness(p *Problem, cons Constraints) (best Solution, ok bool) {
-	bestGap := math.Inf(1)
-	err := Enumerate(p, cons,
-		func(stage int, closedMax, closedMin, curSum float64) bool {
-			if math.IsInf(closedMax, -1) {
-				return false
-			}
-			spread := closedMax - closedMin
-			// The running chunk can only push the spread further once it
-			// exceeds the closed max.
-			if curSum > closedMax {
-				spread = math.Max(spread, curSum-closedMin)
-			}
-			return spread > bestGap
-		},
-		func(s Solution) bool {
-			if g := s.Gap(); g < bestGap || (g == bestGap && ok && s.TMax < best.TMax) {
-				best, ok, bestGap = s, true, g
-			}
-			return true
-		})
-	if err != nil {
-		return Solution{}, false
+// decimalDigits is the length of the decimal text of v >= 0.
+func decimalDigits(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
 	}
-	return best, ok
+	return n
 }
 
-// MinimizeLatency finds the feasible assignment with the smallest TMax,
-// pruning branches whose partial bottleneck already exceeds the
-// incumbent.
-func MinimizeLatency(p *Problem, cons Constraints) (best Solution, ok bool) {
-	bestT := math.Inf(1)
-	err := Enumerate(p, cons,
-		func(stage int, closedMax, closedMin, curSum float64) bool {
-			return math.Max(closedMax, curSum) >= bestT
-		},
-		func(s Solution) bool {
-			if s.TMax < bestT {
-				best, ok, bestT = s, true, s.TMax
-			}
-			return true
-		})
-	if err != nil {
-		return Solution{}, false
-	}
-	return best, ok
+// FilterFunc accepts or rejects a scored schedule before it competes for
+// a top-K slot. It must be pure, and it must not retain the solution's
+// slices: the pass reuses them for the next schedule.
+type FilterFunc func(Solution) bool
+
+// SearchStats counts one top-K query's work.
+type SearchStats struct {
+	// Visited counts the schedules scored: every contiguous schedule.
+	Visited int
+	// Pruned counts the scored schedules the filter rejected.
+	Pruned int
 }
 
-// worseSolution is the total order every top-K query ranks by: higher
-// TMax is worse, ties broken by assignment key (keys are unique per
-// assignment, so the order is total and deterministic).
-func worseSolution(a, b Solution) bool {
-	if a.TMax != b.TMax {
-		return a.TMax > b.TMax
-	}
-	return Key(a.Assign) > Key(b.Assign)
-}
-
-// topKHeap is a bounded max-heap of incumbent solutions ordered by
-// worseSolution: the root is the worst incumbent, so a streaming offer
-// either rejects in O(1) or replaces the root in O(log k). It holds at
-// most k solutions no matter how many stream through.
-type topKHeap struct {
-	k    int
-	sols []Solution
-}
-
-func (h *topKHeap) full() bool { return len(h.sols) == h.k }
-
-// bound is the incumbent latency frontier: once the heap is full, no
-// solution — and by extension no branch whose partial bottleneck already
-// exceeds it — with TMax strictly above the worst incumbent's can enter.
-func (h *topKHeap) bound() float64 {
-	if !h.full() {
-		return math.Inf(1)
-	}
-	return h.sols[0].TMax
-}
-
-func (h *topKHeap) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(h.sols) && worseSolution(h.sols[l], h.sols[worst]) {
-			worst = l
+// pass calls visit once for every schedule satisfying C1 and C2, until
+// visit returns false. It walks each set of chunk boundaries with at
+// most M chunks, fewest chunks first, and for each set every injective
+// map from chunks to classes, both in lexicographic order and without
+// recursion. Each chunk's runtime is summed left to right from its first
+// stage, and TMax and TMin fold the chunks in order. s is scratch the
+// pass refills for every schedule; nothing is allocated per schedule.
+// p must be valid.
+func pass(p *Problem, visit func(s *Solution) bool) {
+	n, m := p.N, p.M
+	// starts[j] is chunk j's first stage; starts[k] = n closes the last.
+	starts := make([]int, n+1)
+	// sums[j*m+c] is chunk j's runtime on class c.
+	sums := make([]float64, n*m)
+	// class[j] is chunk j's class; hi[j+1] and lo[j+1] fold chunks 0..j
+	// onto the -Inf and +Inf seeds at index 0.
+	class := make([]int, n)
+	hi, lo := make([]float64, n+1), make([]float64, n+1)
+	hi[0], lo[0] = math.Inf(-1), math.Inf(1)
+	times := make([]float64, n)
+	s := &Solution{Assign: make([]int, n)}
+	for k := 1; k <= min(n, m); k++ {
+		s.ChunkTimes = times[:k]
+		// The first boundary set of k chunks: one stage per chunk, the
+		// last chunk taking the rest.
+		for j := 0; j < k; j++ {
+			starts[j] = j
 		}
-		if r < len(h.sols) && worseSolution(h.sols[r], h.sols[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h.sols[i], h.sols[worst] = h.sols[worst], h.sols[i]
-		i = worst
-	}
-}
-
-// offer streams one solution through the bounded incumbent set.
-func (h *topKHeap) offer(s Solution) {
-	if !h.full() {
-		h.sols = append(h.sols, s)
-		for i := len(h.sols) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !worseSolution(h.sols[i], h.sols[parent]) {
+		starts[k] = n
+		for {
+			for j := 0; j < k; j++ {
+				first, end := starts[j], starts[j+1]
+				for c := 0; c < m; c++ {
+					sum := p.Time[first][c]
+					for i := first + 1; i < end; i++ {
+						sum += p.Time[i][c]
+					}
+					sums[j*m+c] = sum
+				}
+			}
+			// Every injective class map, one chunk per level: used holds
+			// the classes of chunks 0..j-1. The last chunk's level scores
+			// a schedule for each class still unused.
+			used, j := 0, 0
+			class[0] = -1
+			for {
+				if j == k-1 {
+					for c := 0; c < m; c++ {
+						if used&(1<<c) != 0 {
+							continue
+						}
+						t := sums[j*m+c]
+						times[j] = t
+						for i := starts[j]; i < n; i++ {
+							s.Assign[i] = c
+						}
+						s.TMax, s.TMin = max(hi[j], t), min(lo[j], t)
+						if !visit(s) {
+							return
+						}
+					}
+					if j == 0 {
+						break
+					}
+					j--
+					continue
+				}
+				if class[j] >= 0 {
+					used &^= 1 << class[j]
+				}
+				c := class[j] + 1
+				for c < m && used&(1<<c) != 0 {
+					c++
+				}
+				if c == m {
+					if j == 0 {
+						break
+					}
+					j--
+					continue
+				}
+				class[j] = c
+				used |= 1 << c
+				t := sums[j*m+c]
+				times[j] = t
+				for i := starts[j]; i < starts[j+1]; i++ {
+					s.Assign[i] = c
+				}
+				hi[j+1], lo[j+1] = max(hi[j], t), min(lo[j], t)
+				j++
+				class[j] = -1
+			}
+			// The next boundary set: move the rightmost boundary that
+			// can still move right, and pack the ones after it behind it.
+			b := k - 1
+			for b >= 1 && starts[b] == n-k+b {
+				b--
+			}
+			if b < 1 {
 				break
 			}
-			h.sols[i], h.sols[parent] = h.sols[parent], h.sols[i]
-			i = parent
+			starts[b]++
+			for q := b + 1; q < k; q++ {
+				starts[q] = starts[q-1] + 1
+			}
 		}
-		return
 	}
-	if worseSolution(s, h.sols[0]) {
-		return
-	}
-	h.sols[0] = s
-	h.siftDown(0)
 }
 
-// sorted drains the heap into the canonical ascending (TMax, Key) order.
-func (h *topKHeap) sorted() []Solution {
-	if len(h.sols) == 0 {
+// MinGap solves objective O1: the smallest gapness T_max − T_min over
+// every feasible schedule. ok is false when the problem is invalid or no
+// schedule's gapness compares (all NaN). No gapness is below zero and a
+// one-chunk schedule's is exactly zero, so the pass, which scores those
+// first, stops at the first zero.
+func MinGap(p *Problem) (gap float64, ok bool) {
+	if p.Validate() != nil {
+		return 0, false
+	}
+	gap = math.Inf(1)
+	pass(p, func(s *Solution) bool {
+		if g := s.Gap(); g < gap {
+			gap, ok = g, true
+		}
+		return gap != 0
+	})
+	return gap, ok
+}
+
+// ranked is one top-K incumbent: its chunk extremes and where its
+// assignment sits in the incumbents' shared store.
+type ranked struct {
+	tmax, tmin float64
+	at         int
+}
+
+// TopK returns up to k schedules passing filter with the smallest TMax,
+// ascending. Exact TMax ties rank by Key order, so the order is total
+// and the result deterministic; it is the paper's optimization two (K
+// distinct candidates by repeated solving with blocking clauses C5ℓ),
+// taken from one pass. A nil filter admits everything. stats, when
+// non-nil, is reset and filled with the query's counters. An invalid
+// problem or k <= 0 yields nil.
+func TopK(p *Problem, k int, filter FilterFunc, stats *SearchStats) []Solution {
+	if stats != nil {
+		*stats = SearchStats{}
+	}
+	if k <= 0 || p.Validate() != nil {
 		return nil
 	}
-	out := h.sols
-	h.sols = nil
-	sort.Slice(out, func(a, b int) bool { return worseSolution(out[b], out[a]) })
+	n := p.N
+	// top is a bounded max-heap ordered by worse: the root is the worst
+	// incumbent, so a schedule either loses to it in O(1) or replaces it
+	// in O(log k). store holds the incumbents' assignments, n per slot.
+	var top []ranked
+	var store []int
+	assign := func(r ranked) []int { return store[r.at : r.at+n] }
+	worse := func(a, b ranked) bool {
+		if a.tmax != b.tmax {
+			return a.tmax > b.tmax
+		}
+		return keyLess(assign(b), assign(a))
+	}
+	siftDown := func(i int) {
+		for {
+			l, r, w := 2*i+1, 2*i+2, i
+			if l < len(top) && worse(top[l], top[w]) {
+				w = l
+			}
+			if r < len(top) && worse(top[r], top[w]) {
+				w = r
+			}
+			if w == i {
+				return
+			}
+			top[i], top[w] = top[w], top[i]
+			i = w
+		}
+	}
+	var visited, pruned int
+	pass(p, func(s *Solution) bool {
+		visited++
+		if filter != nil && !filter(*s) {
+			pruned++
+			return true
+		}
+		if len(top) < k {
+			top = append(top, ranked{s.TMax, s.TMin, len(store)})
+			store = append(store, s.Assign...)
+			for i := len(top) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !worse(top[i], top[parent]) {
+					break
+				}
+				top[i], top[parent] = top[parent], top[i]
+				i = parent
+			}
+			return true
+		}
+		root := top[0]
+		if s.TMax > root.tmax || (s.TMax == root.tmax && keyLess(assign(root), s.Assign)) {
+			return true
+		}
+		copy(assign(root), s.Assign)
+		top[0] = ranked{s.TMax, s.TMin, root.at}
+		siftDown(0)
+		return true
+	})
+	if stats != nil {
+		stats.Visited, stats.Pruned = visited, pruned
+	}
+	if len(top) == 0 {
+		return nil
+	}
+	sort.Slice(top, func(a, b int) bool { return worse(top[b], top[a]) })
+	out := make([]Solution, len(top))
+	for i, r := range top {
+		out[i] = Solution{
+			Assign:     append([]int(nil), assign(r)...),
+			ChunkTimes: chunkTimes(p, assign(r)),
+			TMax:       r.tmax,
+			TMin:       r.tmin,
+		}
+	}
 	return out
 }
 
-// FilterFunc accepts or rejects a complete feasible solution before it
-// enters a bounded candidate pool. It must be pure: the same solution
-// always gets the same verdict.
-type FilterFunc func(Solution) bool
-
-// TopKFiltered returns up to k feasible assignments passing filter with
-// the smallest TMax, ascending (ties broken by assignment key for
-// determinism). It is the streaming equivalent of enumerating every
-// feasible solution, filtering, sorting by (TMax, Key) and truncating to
-// k — pinned byte-identical by test — but never materializes the
-// solution pool: candidates stream through a bounded max-heap of
-// incumbents, and branches whose partial bottleneck already exceeds the
-// k-th incumbent's TMax are pruned (the same prune shape as
-// TopKByLatency). The prune stays sound under any filter because a
-// filter only discards solutions: every completion of a pruned branch
-// has TMax at or above the partial bottleneck, so none could displace an
-// incumbent whether the filter admits it or not. A nil filter admits
-// everything.
-func TopKFiltered(p *Problem, cons Constraints, k int, filter FilterFunc) []Solution {
-	return TopKFilteredSeeded(p, cons, k, filter, nil, nil)
-}
-
-// TopKByLatency returns up to k feasible assignments with the smallest
-// TMax, ascending (ties broken by assignment key for determinism). It
-// reproduces the paper's optimization two: repeated solving with
-// blocking clauses C5ℓ — implemented as one pruned enumeration with a
-// bounded incumbent set, which visits exactly the assignments the
-// iterative blocking loop would.
-func TopKByLatency(p *Problem, cons Constraints, k int) []Solution {
-	return TopKFiltered(p, cons, k, nil)
+// chunkTimes sums a contiguous assignment's chunks left to right, the
+// pass's float order.
+func chunkTimes(p *Problem, assign []int) []float64 {
+	chunks := 1
+	for i := 1; i < len(assign); i++ {
+		if assign[i] != assign[i-1] {
+			chunks++
+		}
+	}
+	out := make([]float64, 0, chunks)
+	for i := 0; i < len(assign); {
+		c, sum := assign[i], p.Time[i][assign[i]]
+		for i++; i < len(assign) && assign[i] == c; i++ {
+			sum += p.Time[i][c]
+		}
+		out = append(out, sum)
+	}
+	return out
 }
