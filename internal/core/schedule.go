@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -61,19 +62,19 @@ func (s Schedule) Validate(nStages int, allowed []PUClass) error {
 		return fmt.Errorf("core: schedule covers %d stages, application has %d",
 			len(s.Assign), nStages)
 	}
-	allowedSet := make(map[PUClass]bool, len(allowed))
-	for _, c := range allowed {
-		allowedSet[c] = true
-	}
-	seen := make(map[PUClass]bool)
-	for _, ch := range s.Chunks() {
-		if !allowedSet[ch.PU] {
-			return fmt.Errorf("core: schedule uses unknown PU class %q", ch.PU)
+	// Walk the chunks without building them: each run of one class
+	// starts a chunk, and a class that already appeared earlier hosts a
+	// second one.
+	for i, pu := range s.Assign {
+		if i > 0 && s.Assign[i-1] == pu {
+			continue
 		}
-		if seen[ch.PU] {
-			return fmt.Errorf("core: contiguity violated: class %q hosts two separate chunks", ch.PU)
+		if !slices.Contains(allowed, pu) {
+			return fmt.Errorf("core: schedule uses unknown PU class %q", pu)
 		}
-		seen[ch.PU] = true
+		if slices.Contains(s.Assign[:i], pu) {
+			return fmt.Errorf("core: contiguity violated: class %q hosts two separate chunks", pu)
+		}
 	}
 	return nil
 }

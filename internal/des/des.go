@@ -1,32 +1,23 @@
 // Package des is a minimal deterministic discrete-event simulation
-// engine. The pipeline's simulated execution mode runs on it: dispatcher
-// processes advance a virtual clock by the SoC model's service times
-// instead of wall time, standing in for the paper's hardware timers while
-// keeping experiments exactly reproducible.
+// engine: a virtual clock and an event heap ordered by (time, priority,
+// schedule order). The fleet replay runs on it, with arrivals,
+// departures and control-plane sweeps as events, so experiments stay
+// exactly reproducible. The pipeline simulator does not: a pipeline has
+// at most one pending completion per chunk, so it keeps one deadline per
+// chunk instead of an event queue (internal/pipeline).
 package des
 
 import "fmt"
 
-// Handler receives events scheduled with ScheduleHandler. The tag is the
-// value given at scheduling time; a caller that re-schedules an entity's
-// next event passes a version there and ignores events whose tag is
-// stale, instead of capturing the version in a fresh closure per event.
-type Handler interface {
-	Handle(tag int64)
-}
-
 // event is one scheduled callback, stored by value in the heap. prio
 // orders events sharing a timestamp (lower runs first); seq breaks
 // remaining ties in schedule order, which makes runs deterministic
-// regardless of map iteration or goroutine scheduling. Exactly one of fn
-// and h is set.
+// regardless of map iteration or goroutine scheduling.
 type event struct {
 	time float64
 	prio int
 	seq  int64
 	fn   func()
-	h    Handler
-	tag  int64
 }
 
 // before reports whether a runs before b.
@@ -42,8 +33,9 @@ func (a *event) before(b *event) bool {
 
 // Engine is a single-threaded event loop over virtual time. It is not
 // safe for concurrent use; simulated concurrency is expressed by
-// scheduling events, not goroutines. Scheduling and stepping allocate
-// nothing once the event heap has grown to the run's peak size.
+// scheduling events, not goroutines. Beyond the callbacks themselves,
+// scheduling and stepping allocate nothing once the event heap has grown
+// to the run's peak size.
 type Engine struct {
 	now    float64
 	seq    int64
@@ -81,17 +73,6 @@ func (e *Engine) At(t float64, fn func()) { e.AtPrio(t, 0, fn) }
 // epsilon time offsets that would leak into reported timestamps.
 func (e *Engine) AtPrio(t float64, prio int, fn func()) {
 	e.push(event{time: t, prio: prio, fn: fn})
-}
-
-// ScheduleHandler calls h.Handle(tag) after the given virtual delay, at
-// priority 0, ordered with Schedule's events by schedule order. It is
-// Schedule without a closure: the event carries the handler and tag by
-// value, so a steady-state caller allocates nothing per event.
-func (e *Engine) ScheduleHandler(delay float64, h Handler, tag int64) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	e.push(event{time: e.now + delay, h: h, tag: tag})
 }
 
 // push stamps ev with the next sequence number and sifts it up the heap.
@@ -146,11 +127,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.time
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.Handle(ev.tag)
-	}
+	ev.fn()
 	return true
 }
 

@@ -70,6 +70,49 @@ func TestNewPlanValidates(t *testing.T) {
 	}
 }
 
+// TestPlanValidateAllocatesNothing pins that re-validating a compiled
+// plan, as the engine driver does before every run, allocates nothing.
+func TestPlanValidateAllocatesNothing(t *testing.T) {
+	p := simBenchPlan(t)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Plan.Validate allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestPlanValidateErrors pins the error each hand-built inconsistency
+// reports.
+func TestPlanValidateErrors(t *testing.T) {
+	app, _ := testApp(4, 1e6)
+	good := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu"}}
+	chunks := good.Chunks()
+	dup := soc.NewPixel7a()
+	dup.PUs[2].Class = "big"
+	for _, tc := range []struct {
+		name string
+		plan *Plan
+		want string
+	}{
+		{"unknown class", &Plan{App: app, Device: soc.NewPixel7a(), Schedule: core.Schedule{Assign: []core.PUClass{"big", "npu", "npu", "gpu"}}},
+			`core: schedule uses unknown PU class "npu"`},
+		{"split class", &Plan{App: app, Device: soc.NewPixel7a(), Schedule: core.Schedule{Assign: []core.PUClass{"big", "gpu", "gpu", "big"}}},
+			`core: contiguity violated: class "big" hosts two separate chunks`},
+		{"duplicate device class", &Plan{App: app, Device: dup, Schedule: good, Chunks: chunks},
+			`soc: device "pixel7a" has duplicate class "big"`},
+		{"chunk count", &Plan{App: app, Device: soc.NewPixel7a(), Schedule: good, Chunks: chunks[:1]},
+			"pipeline: plan has 1 chunks, schedule compiles to 2"},
+		{"chunk bounds", &Plan{App: app, Device: soc.NewPixel7a(), Schedule: good, Chunks: []core.Chunk{chunks[0], {PU: "gpu", Start: 3, End: 4}}},
+			"pipeline: plan chunk 1 is {PU:gpu Start:3 End:4}, schedule compiles to {PU:gpu Start:2 End:4}"},
+	} {
+		if err := tc.plan.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestSimulateDeterministic(t *testing.T) {
 	app, _ := testApp(6, 5e6)
 	dev := soc.NewPixel7a()

@@ -63,17 +63,35 @@ func (p *Plan) Validate() error {
 	if err := p.Device.Validate(); err != nil {
 		return err
 	}
-	if err := p.Schedule.Validate(len(p.App.Stages), p.Device.Classes()); err != nil {
+	// The device's classes and the schedule's chunks are walked in place
+	// rather than built: the driver validates before every run.
+	var buf [8]core.PUClass
+	classes := buf[:0]
+	for i := range p.Device.PUs {
+		classes = append(classes, p.Device.PUs[i].Class)
+	}
+	if err := p.Schedule.Validate(len(p.App.Stages), classes); err != nil {
 		return err
 	}
-	want := p.Schedule.Chunks()
-	if len(p.Chunks) != len(want) {
-		return fmt.Errorf("pipeline: plan has %d chunks, schedule compiles to %d", len(p.Chunks), len(want))
+	assign := p.Schedule.Assign
+	n := 0
+	for i := range assign {
+		if i == 0 || assign[i] != assign[i-1] {
+			n++
+		}
 	}
-	for i, c := range want {
-		if p.Chunks[i] != c {
+	if len(p.Chunks) != n {
+		return fmt.Errorf("pipeline: plan has %d chunks, schedule compiles to %d", len(p.Chunks), n)
+	}
+	for i, start := 0, 0; start < len(assign); i++ {
+		end := start + 1
+		for end < len(assign) && assign[end] == assign[start] {
+			end++
+		}
+		if c := (core.Chunk{PU: assign[start], Start: start, End: end}); p.Chunks[i] != c {
 			return fmt.Errorf("pipeline: plan chunk %d is %+v, schedule compiles to %+v", i, p.Chunks[i], c)
 		}
+		start = end
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,7 +10,9 @@ import (
 	"testing"
 
 	"bettertogether/internal/core"
+	"bettertogether/internal/obs"
 	"bettertogether/internal/soc"
+	"bettertogether/internal/trace"
 )
 
 // recordingGovernor wraps a governor and keeps a copy of the busy slice
@@ -133,7 +136,7 @@ func TestSimDenseEnvMatchesMapReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{BaseEnv: randomBaseEnv(rng, &dev)}.withDefaults(p)
-		s := newSimState(p, opts, nil)
+		s := newSimState(p, opts, nil, p.Device.NewEnvOverlay(opts.BaseEnv), simMemoCap)
 		for i := range s.chunks {
 			c := &s.chunks[i]
 			c.busy = rng.Intn(3) != 0
@@ -295,5 +298,158 @@ func BenchmarkSimEngineRun(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		SimEngine{}.Run(context.Background(), p, opts)
+	}
+}
+
+// tieDevice is a noiseless two-PU device on which a stage with no work
+// costs exactly 2^-10 s (launch overhead alone) under any environment,
+// so completions on both PUs land on the same instants bit for bit.
+func tieDevice() *soc.Device {
+	pu := func(class core.PUClass) soc.PU {
+		return soc.PU{
+			Class: class, Kind: core.KindCPU, Cores: 1, BaseGHz: 1, EffFlopsPerCycle: 1,
+			LaunchOverheadSec: 1.0 / 1024, MemBWGBs: 1, IdleWatts: 0.1, BusyWatts: 1,
+		}
+	}
+	return &soc.Device{
+		Name: "tie", PUs: []soc.PU{pu("a"), pu("b")},
+		DRAMBWGBs: 10, Governor: soc.NominalGovernor{},
+	}
+}
+
+// doneOrder records StageDone events as "chunk/task/stage".
+type doneOrder []string
+
+func (d *doneOrder) Emit(e obs.Event) {
+	if e.Kind == obs.KindStageDone {
+		*d = append(*d, fmt.Sprintf("%d/%d/%s", e.Chunk, e.Task, e.Stage))
+	}
+}
+
+// TestSameTimeTiesUnderRescheduling pins the simulator's tie rule:
+// completions due at the same instant run in the order their chunks were
+// last rescheduled. Every event re-prices the chunk that continues with
+// its next stage first and then the other busy chunks in index order, so
+// at 2d chunk 0 (rescheduled first at d) completes before chunk 1, and at
+// 3d chunk 1 (continuing into stage c at 2d) completes before chunk 0.
+func TestSameTimeTiesUnderRescheduling(t *testing.T) {
+	app, _ := testApp(3, 0)
+	for i := range app.Stages {
+		app.Stages[i].Cost = core.CostSpec{}
+	}
+	p := mustPlan(t, app, tieDevice(), core.Schedule{Assign: []core.PUClass{"a", "b", "b"}})
+	var order doneOrder
+	tl := &trace.Timeline{}
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 4, Events: &order, Trace: tl})
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	want := []string{"0/0/a", "0/1/a", "1/0/b", "1/0/c", "0/2/a"}
+	if !slices.Equal(order[:len(want)], want) {
+		t.Fatalf("completion order = %v, want prefix %v", order, want)
+	}
+	const d = 1.0 / 1024
+	for i, end := range []float64{d, 2 * d, 2 * d, 3 * d, 3 * d} {
+		if got := tl.Spans[i].End; got != end {
+			t.Fatalf("span %d (%s) ends at %v, want exactly %v", i, want[i], got, end)
+		}
+	}
+}
+
+// sameOutcomeBits reports whether two executor outcomes are equal bit
+// for bit.
+func sameOutcomeBits(a, b runOutcome) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return eq(a.measureStart, b.measureStart) && eq(a.energyJ, b.energyJ) &&
+		eq(a.energyPerTaskJ, b.energyPerTaskJ) && eq(a.avgWatts, b.avgWatts) &&
+		slices.EqualFunc(a.completions, b.completions, eq) && slices.EqualFunc(a.chunkBusy, b.chunkBusy, eq)
+}
+
+// FuzzSimEngine runs random small plans under random options and
+// BaseEnvs (foreign classes and NaN, negative and saturating loads
+// included) and checks that the estimate memo changes nothing (a run
+// with the cap lowered to 0 estimates every reprice directly), that a
+// shared-noise run equals SimEngine's, that repeats are identical, and
+// that the result is well formed.
+func FuzzSimEngine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, stages, device, tasks, warmup, buffers uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		dev := *soc.Catalog()[int(device)%4]
+		if device&4 != 0 {
+			dev.Governor = thermalGovernor{}
+		}
+		if device&8 != 0 {
+			dev.NoiseSigma = 0
+		}
+		nStages := 1 + int(stages)%9
+		p, err := NewPlan(randomCostApp(rng, nStages), &dev, randomAssign(rng, nStages, dev.Classes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{
+			Tasks: 1 + int(tasks)%40, Warmup: int(warmup)%8 - 1, Buffers: int(buffers) % 8,
+			Seed: rng.Int63(), BaseEnv: randomBaseEnv(rng, &dev),
+		}
+
+		o := opts.withDefaults(p)
+		noise := drawNoise(p, o)
+		run := func(memoCap int) runOutcome {
+			return newSimState(p, o, noise, dev.NewEnvOverlay(o.BaseEnv), memoCap).run()
+		}
+		if !sameOutcomeBits(run(simMemoCap), run(0)) {
+			t.Fatal("memoized run differs from the direct run")
+		}
+
+		r := SimEngine{}.Run(context.Background(), p, opts)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if again := (SimEngine{}).Run(context.Background(), p, opts); !sameResultBits(again, r) {
+			t.Fatal("repeated run differs")
+		}
+		if shared := NewSimNoise(p, opts).Run(context.Background(), p); !sameResultBits(shared, r) {
+			t.Fatal("shared-noise run differs from SimEngine")
+		}
+
+		if len(r.Completions) != o.Tasks {
+			t.Fatalf("%d completions, want %d", len(r.Completions), o.Tasks)
+		}
+		if !slices.IsSorted(r.Completions) {
+			t.Fatalf("completions decrease: %v", r.Completions)
+		}
+		for i, b := range r.ChunkBusy {
+			if !(b > 0 && b <= 1+1e-9) {
+				t.Fatalf("chunk %d busy fraction %v", i, b)
+			}
+		}
+		if !(r.EnergyJ > 0) || math.IsInf(r.EnergyJ, 0) || !(r.PerTask >= 0) || math.IsInf(r.PerTask, 0) {
+			t.Fatalf("energy %v J, per task %v s", r.EnergyJ, r.PerTask)
+		}
+	})
+}
+
+// TestSimEngineWideDeviceEstimatesDirectly runs a plan whose memo key
+// count overflows int64 (38 two-stage chunks: 38·3^38 keys): the run
+// must estimate directly, as with the memo cap lowered to 0.
+func TestSimEngineWideDeviceEstimatesDirectly(t *testing.T) {
+	const classes = 38
+	dev := &soc.Device{Name: "wide", DRAMBWGBs: 40, Governor: soc.NominalGovernor{}}
+	var assign []core.PUClass
+	for k := 0; k < classes; k++ {
+		class := core.PUClass(fmt.Sprintf("c%02d", k))
+		dev.PUs = append(dev.PUs, soc.PU{
+			Class: class, Kind: core.KindCPU, Cores: 1, BaseGHz: 1, EffFlopsPerCycle: 1,
+			LaunchOverheadSec: 1e-5, MemBWGBs: 2, IdleWatts: 0.1, BusyWatts: 1,
+		})
+		assign = append(assign, class, class)
+	}
+	app, _ := testApp(2*classes, 1e6)
+	p := mustPlan(t, app, dev, core.Schedule{Assign: assign})
+	opts := Options{Tasks: 4}.withDefaults(p)
+	noise := drawNoise(p, opts)
+	got := newSimState(p, opts, noise, dev.NewEnvOverlay(nil), simMemoCap).run()
+	want := newSimState(p, opts, noise, dev.NewEnvOverlay(nil), 0).run()
+	if len(got.completions) != 4 || !sameOutcomeBits(got, want) {
+		t.Fatalf("completions %v, want the direct run's %v", got.completions, want.completions)
 	}
 }

@@ -12,8 +12,6 @@
 package profiler
 
 import (
-	"math/rand"
-
 	"bettertogether/internal/core"
 	"bettertogether/internal/soc"
 	"bettertogether/internal/stats"
@@ -98,7 +96,8 @@ func (c Config) withDefaults() Config {
 // place rather than as a map per cell.
 func Profile(app *core.Application, dev *soc.Device, mode core.ProfileMode, cfg Config) *core.ProfileTable {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := soc.NoiseRand(cfg.Seed)
+	defer soc.PutNoiseRand(rng)
 	classes := dev.Classes()
 	table := core.NewProfileTable(app.Name, dev.Name, mode, app.StageNames(), classes)
 	samples := make([]float64, cfg.Reps)

@@ -61,7 +61,10 @@ func TestRuntimeEmitsAdmitAndRejectEvents(t *testing.T) {
 	rt := mustRuntime(t, Config{Device: mustDevice(t, "jetson"), Events: stream})
 	defer rt.Close()
 
-	s, err := rt.Admit(mustApp(t, "vision"), AdmitOptions{Tasks: 8, WaveTasks: 4})
+	// The first session is held until the second admission has been
+	// refused: a running 8-task session may finish and release its
+	// bandwidth before the second Admit takes the lock.
+	s, err := rt.Admit(mustApp(t, "vision"), AdmitOptions{Tasks: 8, WaveTasks: 4, Hold: true})
 	if err != nil {
 		t.Fatalf("first vision admit should fit: %v", err)
 	}
@@ -70,6 +73,7 @@ func TestRuntimeEmitsAdmitAndRejectEvents(t *testing.T) {
 	if !errors.As(err, &adm) {
 		t.Fatalf("want *AdmissionError, got %v", err)
 	}
+	s.Start()
 	s.Wait()
 
 	var admits, rejects []obs.Event

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"bettertogether/internal/core"
 )
@@ -125,15 +126,13 @@ func (d *Device) Validate() error {
 	if d.Governor == nil {
 		return fmt.Errorf("soc: device %q has no governor", d.Name)
 	}
-	seen := map[core.PUClass]bool{}
 	for i := range d.PUs {
 		if err := d.PUs[i].Validate(); err != nil {
 			return fmt.Errorf("soc: device %q: %w", d.Name, err)
 		}
-		if seen[d.PUs[i].Class] {
+		if d.puIndex(d.PUs[i].Class) < i {
 			return fmt.Errorf("soc: device %q has duplicate class %q", d.Name, d.PUs[i].Class)
 		}
-		seen[d.PUs[i].Class] = true
 	}
 	return nil
 }
@@ -277,6 +276,23 @@ func (d *Device) Noise(rng *rand.Rand) float64 {
 	}
 	return 1
 }
+
+// noiseRands recycles noise generators: reseeding one yields exactly the
+// stream a fresh rand.New(rand.NewSource(seed)) would, without allocating
+// its 4.9 KB state per use.
+var noiseRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// NoiseRand returns a pooled generator seeded with seed, for Noise draws.
+// Hand it back with PutNoiseRand once the draws are done, and do not use
+// it after that.
+func NoiseRand(seed int64) *rand.Rand {
+	rng := noiseRands.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// PutNoiseRand returns a NoiseRand generator to the pool.
+func PutNoiseRand(rng *rand.Rand) { noiseRands.Put(rng) }
 
 // HeavyEnv builds the interference-heavy profiling environment of
 // Sec. 3.2: every PU class except `measuring` runs the same computation

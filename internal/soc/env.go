@@ -108,11 +108,7 @@ type overlayClass struct {
 // NewEnvOverlay lays base out for repeated in-place rebuilding.
 func (d *Device) NewEnvOverlay(base Env) *EnvOverlay {
 	n := len(d.PUs)
-	o := &EnvOverlay{
-		base:    d.Dense(base),
-		env:     DenseEnv{Present: make([]bool, n), Load: make([]float64, n), Busy: make([]core.PUClass, 0, n+len(base))},
-		classes: make([]overlayClass, 0, n+len(base)),
-	}
+	o := &EnvOverlay{base: d.Dense(base), classes: make([]overlayClass, 0, n+len(base))}
 	for k := range d.PUs {
 		o.classes = append(o.classes, overlayClass{d.PUs[k].Class, k})
 	}
@@ -122,7 +118,20 @@ func (d *Device) NewEnvOverlay(base Env) *EnvOverlay {
 		}
 	}
 	slices.SortFunc(o.classes, func(a, b overlayClass) int { return cmp.Compare(a.class, b.class) })
+	o.env = o.newScratch()
 	return o
+}
+
+// Clone returns an overlay of the same base with a scratch environment
+// of its own, sharing the read-only layout: concurrent users of one
+// layout each rebuild in their own clone.
+func (o *EnvOverlay) Clone() *EnvOverlay {
+	return &EnvOverlay{base: o.base, env: o.newScratch(), classes: o.classes}
+}
+
+func (o *EnvOverlay) newScratch() DenseEnv {
+	n := len(o.base.Present)
+	return DenseEnv{Present: make([]bool, n), Load: make([]float64, n), Busy: make([]core.PUClass, 0, len(o.classes))}
 }
 
 // Reset rewrites the scratch environment to the base alone and returns
