@@ -34,6 +34,10 @@ func (e *PlacementError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet: no node admitted %q (%d tried)", e.App, len(e.Refusals))
 	for _, r := range e.Refusals {
+		if r.Err.Floor {
+			fmt.Fprintf(&b, "; %s: minimum %s demand over all schedules %.2f > %.2f", r.Node, r.Err.Resource, r.Err.Demand, r.Err.Capacity)
+			continue
+		}
 		fmt.Fprintf(&b, "; %s: %s demand %.2f > %.2f", r.Node, r.Err.Resource, r.Err.Demand, r.Err.Capacity)
 	}
 	return b.String()

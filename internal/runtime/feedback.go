@@ -73,13 +73,14 @@ func (rt *Runtime) planAdjust() (profiler.Adjust, string) {
 // therefore the baseline drift is measured against.
 func (rt *Runtime) modelCells(p *pipeline.Plan, ext soc.Env, adjust profiler.Adjust) []onlineprof.ModelCell {
 	var cells []onlineprof.ModelCell
+	intensity := planIntensity(p)
 	for i, c := range p.Chunks {
 		env := ext.Clone()
 		for j, o := range p.Chunks {
 			if j == i {
 				continue
 			}
-			env.Add(o.PU, soc.Load{MemIntensity: chunkIntensity(p, o)})
+			env.Add(o.PU, soc.Load{MemIntensity: chunkIntensity(o, intensity)})
 		}
 		for si := c.Start; si < c.End; si++ {
 			stage := p.App.Stages[si]

@@ -9,7 +9,8 @@
 //   - Admission control projects each applicant's steady-state DRAM
 //     bandwidth and PU-core demand from its plan, stacks it on every
 //     resident session's, and rejects with a typed *AdmissionError when
-//     a configured headroom would be exceeded.
+//     a configured headroom would be exceeded. An applicant that no
+//     schedule in its space could fit is refused before it is planned.
 //   - Interference-aware re-planning: every admission and departure
 //     changes the device's interference environment, so the runtime
 //     re-runs the profiling/optimization pipeline for each resident
@@ -154,6 +155,10 @@ type Runtime struct {
 	sloAttained int
 	sloMissed   int
 	sloLatency  *metrics.Histogram
+
+	// floors memoizes each app's demand floor on the device, keyed by
+	// schedcache.Fingerprint.
+	floors map[string]demand
 }
 
 // newRuntime validates a Config assembled by New's options, fills its
@@ -230,7 +235,11 @@ func (rt *Runtime) ReplansSkipped() int {
 // environment, checks projected resource demand against the headroom
 // capacities, and — if accepted — starts a Session and re-plans every
 // resident session against the environment the newcomer creates.
-// Rejections return a *AdmissionError (resources) or ErrClosed.
+// Rejections return a *AdmissionError (resources) or ErrClosed. An
+// unpinned applicant is first checked with its demand floor, the
+// smallest claim over its whole schedule space: when even that does not
+// fit, Admit refuses without planning (AdmissionError.Floor), which is
+// exactly the refusal planning would have ended in.
 func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -248,21 +257,22 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 	}
 	opts = opts.withDefaults(app, rt.nextID)
 
+	residents := rt.residentDemandsLocked()
+	if opts.Schedule == nil {
+		// No schedule the planner can return fits when even the floor
+		// does not: refuse before profiling, solving and autotuning.
+		if aerr := rt.checkFit(app.Name, rt.floorLocked(app), residents, true); aerr != nil {
+			return nil, rt.rejectLocked(aerr, opts)
+		}
+	}
+
 	env := rt.envLocked(nil)
 	plan, err := rt.planLocked(app, env, opts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: planning %q: %w", app.Name, err)
 	}
-
-	total := planDemand(plan)
-	for _, id := range rt.residentIDs() {
-		total = total.plus(planDemand(rt.resident[id].currentPlan()))
-	}
-	if capBW := rt.cfg.BWHeadroom * rt.dev.DRAMBWGBs; total.bwGBs > capBW {
-		return nil, rt.rejectLocked(&AdmissionError{App: app.Name, Resource: ResourceBandwidth, Demand: total.bwGBs, Capacity: capBW}, opts)
-	}
-	if capCores := rt.cfg.CoreHeadroom * rt.deviceCores(); total.cores > capCores {
-		return nil, rt.rejectLocked(&AdmissionError{App: app.Name, Resource: ResourceCores, Demand: total.cores, Capacity: capCores}, opts)
+	if aerr := rt.checkFit(app.Name, planDemand(plan), residents, false); aerr != nil {
+		return nil, rt.rejectLocked(aerr, opts)
 	}
 
 	s := newSession(rt, rt.nextID, app, opts, plan, env)
@@ -281,6 +291,51 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 		s.Start()
 	}
 	return s, nil
+}
+
+// residentDemandsLocked returns every resident's demand in admission
+// order.
+func (rt *Runtime) residentDemandsLocked() []demand {
+	out := make([]demand, 0, len(rt.resident))
+	for _, id := range rt.residentIDs() {
+		out = append(out, planDemand(rt.resident[id].currentPlan()))
+	}
+	return out
+}
+
+// floorLocked returns app's demand floor on the runtime's device,
+// computing it on the app's first Admit.
+func (rt *Runtime) floorLocked(app *core.Application) demand {
+	fp := schedcache.Fingerprint(app)
+	f, ok := rt.floors[fp]
+	if !ok {
+		f = demandFloor(app, rt.dev)
+		if rt.floors == nil {
+			rt.floors = map[string]demand{}
+		}
+		rt.floors[fp] = f
+	}
+	return f
+}
+
+// checkFit folds the residents' demands onto the newcomer's d, in
+// admission order, and reports the first resource whose total exceeds
+// its headroom-scaled capacity (bandwidth, then cores), or nil. floor
+// marks d as the newcomer's demand floor rather than a planned
+// schedule's. Float addition rounds monotonically, so with the same
+// residents in the same order a floor's totals never exceed a planned
+// schedule's: a floor refusal is one the planned check would make too.
+func (rt *Runtime) checkFit(app string, d demand, residents []demand, floor bool) *AdmissionError {
+	for _, r := range residents {
+		d = d.plus(r)
+	}
+	if capBW := rt.cfg.BWHeadroom * rt.dev.DRAMBWGBs; d.bwGBs > capBW {
+		return &AdmissionError{App: app, Resource: ResourceBandwidth, Demand: d.bwGBs, Capacity: capBW, Floor: floor}
+	}
+	if capCores := rt.cfg.CoreHeadroom * rt.deviceCores(); d.cores > capCores {
+		return &AdmissionError{App: app, Resource: ResourceCores, Demand: d.cores, Capacity: capCores, Floor: floor}
+	}
+	return nil
 }
 
 // rejectLocked counts a refused admission and emits its Reject event.

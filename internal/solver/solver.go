@@ -243,6 +243,19 @@ func pass(p *Problem, visit func(s *Solution) bool) {
 	}
 }
 
+// Each calls visit once for every schedule satisfying C1 and C2, in the
+// order MinGap and TopK score them, until visit returns false. visit
+// must not retain s or its slices: the pass refills them for the next
+// schedule. It returns the problem's validation error, if any, without
+// visiting anything.
+func Each(p *Problem, visit func(s *Solution) bool) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	pass(p, visit)
+	return nil
+}
+
 // MinGap solves objective O1: the smallest gapness T_max − T_min over
 // every feasible schedule. ok is false when the problem is invalid or no
 // schedule's gapness compares (all NaN). No gapness is below zero and a

@@ -252,6 +252,32 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
+// Each walks the space TopK scores, in the same order, and refuses an
+// invalid problem before visiting anything.
+func TestEachMatchesScoredOrder(t *testing.T) {
+	p := randomProblem(rand.New(rand.NewSource(3)), 6, 3, 1)
+	want := scored(p)
+	i := 0
+	if err := Each(p, func(s *Solution) bool {
+		if i >= len(want) || Key(s.Assign) != Key(want[i].Assign) || s.TMax != want[i].TMax || s.TMin != want[i].TMin {
+			t.Fatalf("visit %d is %v, TopK scored %v there", i, s.Assign, want[min(i, len(want)-1)].Assign)
+		}
+		i++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) {
+		t.Fatalf("Each visited %d schedules, TopK scored %d", i, len(want))
+	}
+	if err := Each(&Problem{N: 2, M: 0}, func(*Solution) bool {
+		t.Fatal("visited a schedule of an invalid problem")
+		return false
+	}); err == nil {
+		t.Fatal("invalid problem accepted")
+	}
+}
+
 // C5 holds by construction: a top-K pool never repeats an assignment.
 func TestTopKDistinctByConstruction(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(2)), 7, 4, 1)
