@@ -82,6 +82,9 @@ func TestSparseModelPruning(t *testing.T) {
 		if l.CSR == nil {
 			t.Fatalf("conv%d has no CSR weights", i+1)
 		}
+		if l.W != nil {
+			t.Errorf("conv%d of the sparse model carries dense weights", i+1)
+		}
 		if err := l.CSR.Validate(); err != nil {
 			t.Fatalf("conv%d CSR invalid: %v", i+1, err)
 		}

@@ -27,7 +27,7 @@ func denseCosts(m *Model, b int) []core.CostSpec {
 		spec := m.Convs[i].Spec
 		in := float64(spec.InC * spec.InH * spec.InW)
 		out := float64(spec.OutC * spec.OutH() * spec.OutW())
-		wts := float64(len(m.Convs[i].W.Data))
+		wts := float64(spec.OutC * spec.InC * spec.Kernel * spec.Kernel)
 		cs = append(cs, core.CostSpec{
 			FLOPs:            fb * float64(spec.FLOPs()),
 			Bytes:            fb*4*(in+out) + 4*wts,

@@ -11,7 +11,7 @@ import (
 // goldenSparseCSR is the SHA-256 of the default sparse model's pruned
 // conv weights (every layer's RowPtr, Col and Float32bits(Val), in layer
 // order, little-endian). It pins the pruning output byte for byte, so a
-// faster Prune or FromDense cannot silently change which weights survive.
+// faster PruneCSR cannot silently change which weights survive.
 const goldenSparseCSR = "4ef1c164f21270b8ce4bab211e8c3eaf32f0643223eb7853c68844056ba54692"
 
 func TestSparseModelCSRGolden(t *testing.T) {

@@ -31,15 +31,17 @@ const (
 // matching the heavy pruning Condensa applies in the paper.
 const DefaultSparsity = 0.8
 
-// ConvLayer is one convolution stage's parameters: dense weights, bias,
-// and (for the sparse variant) the pruned weights in CSR with rows
-// [OutC] × cols [InC·K·K], the layout that turns convolution into
-// CSR × im2col.
+// ConvLayer is one convolution stage's parameters: the weights, dense in
+// the dense model and pruned to CSR in the sparse one, and the bias.
 type ConvLayer struct {
 	Spec tensor.ConvSpec
+	// W holds the dense weights [OutC × InC × K × K]; nil in the sparse
+	// model, which never materializes them.
 	W    *tensor.Tensor
 	Bias []float32
-	// CSR holds the pruned weights; nil in the dense model.
+	// CSR holds the pruned weights with rows [OutC] × cols [InC·K·K], the
+	// layout that turns convolution into CSR × im2col; nil in the dense
+	// model.
 	CSR *sparse.CSR
 }
 
@@ -64,7 +66,8 @@ var channelProgression = [4]int{64, 192, 384, 256}
 
 // NewModel builds a model with deterministic seeded weights. sparsity 0
 // gives the dense variant; a positive sparsity prunes each conv layer
-// per-row by magnitude and attaches CSR weights.
+// per-row by magnitude straight into CSR weights, from the same draws the
+// dense variant keeps.
 func NewModel(seed int64, sparsity float64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := &Model{Sparsity: sparsity}
@@ -74,18 +77,23 @@ func NewModel(seed int64, sparsity float64) *Model {
 			InC: c, InH: h, InW: w,
 			OutC: channelProgression[i], Kernel: 3, Stride: 1, Pad: 1,
 		}
-		wt := tensor.New(spec.OutC, spec.InC, spec.Kernel, spec.Kernel)
-		wt.FillRandom(rng, 0.25)
-		bias := make([]float32, spec.OutC)
-		for j := range bias {
-			bias[j] = (rng.Float32()*2 - 1) * 0.05
-		}
-		layer := ConvLayer{Spec: spec, W: wt, Bias: bias}
+		layer := ConvLayer{Spec: spec}
 		if sparsity > 0 {
-			rows := spec.OutC
+			// The same draws, in the same row-major order, as the dense
+			// FillRandom, pruned row by row as they are drawn.
 			cols := spec.InC * spec.Kernel * spec.Kernel
-			pruned := sparse.Prune(wt.Data, rows, cols, sparsity)
-			layer.CSR = sparse.FromDense(pruned, rows, cols)
+			layer.CSR = sparse.PruneCSR(spec.OutC, cols, sparsity, func(_ int, row []float32) {
+				for j := range row {
+					row[j] = (rng.Float32()*2 - 1) * 0.25
+				}
+			})
+		} else {
+			layer.W = tensor.New(spec.OutC, spec.InC, spec.Kernel, spec.Kernel)
+			layer.W.FillRandom(rng, 0.25)
+		}
+		layer.Bias = make([]float32, spec.OutC)
+		for j := range layer.Bias {
+			layer.Bias[j] = (rng.Float32()*2 - 1) * 0.05
 		}
 		m.Convs[i] = layer
 		// Pool halves the spatial dims.

@@ -186,37 +186,86 @@ func (m *CSR) Imbalance() float64 {
 	return float64(maxN) / mean
 }
 
-// Prune returns a copy of dense with the smallest-magnitude fraction
-// `sparsity` of each row's weights zeroed (per-row magnitude pruning —
-// the "structured" pruning shape Condensa applies to conv layers, which
-// keeps rows non-empty and bounds imbalance). sparsity must be in [0, 1).
+// PruneCSR builds a rows×cols CSR matrix of per-row magnitude-pruned
+// weights (the "structured" pruning shape Condensa applies to conv
+// layers, which keeps rows non-empty and bounds imbalance) without ever
+// holding the dense matrix. fill writes row i's dense weights into row,
+// a buffer of length cols reused across calls; it is called once per
+// row, for i = 0, 1, …, rows-1 in order. sparsity must be in [0, 1).
 //
 // Each row drops its floor(sparsity·cols) smallest weights in the order
 // (|w|, column): equal magnitudes — ±x pairs, ±0 — lose the lower
 // column first. NaN ranks above ±Inf, so a NaN weight is never pruned
-// while its row holds at least that many non-NaN weights.
-func Prune(dense []float32, rows, cols int, sparsity float64) []float32 {
+// while its row holds at least that many non-NaN weights. Surviving
+// exact zeros are not stored, as in FromDense.
+func PruneCSR(rows, cols int, sparsity float64, fill func(i int, row []float32)) *CSR {
 	if sparsity < 0 || sparsity >= 1 {
 		panic(fmt.Sprintf("sparse: sparsity %v out of [0,1)", sparsity))
 	}
-	out := make([]float32, len(dense))
-	copy(out, dense)
 	drop := int(math.Floor(sparsity * float64(cols)))
-	if drop == 0 {
-		return out
+	m := NewCSR(rows, cols)
+	// Which weights survive is data-dependent and unpredictable, so the
+	// emit loop stores every weight and advances only past survivors;
+	// the one spare slot takes the store after the last survivor.
+	col := make([]int32, rows*(cols-drop)+1)
+	val := make([]float32, len(col))
+	row := make([]float32, cols)
+	var keys []uint64
+	var hist [1 << (31 - histShift)]int32
+	if drop > 0 {
+		keys = make([]uint64, cols)
 	}
-	keys := make([]uint64, cols)
+	n := 0
 	for i := 0; i < rows; i++ {
-		row := out[i*cols : (i+1)*cols]
-		for j, w := range row {
-			keys[j] = pruneKey(w, j)
+		fill(i, row)
+		// Keep keys from the row's threshold up; ±0's keys are below
+		// 1<<32, so the same comparison drops surviving zeros.
+		lo := uint64(1) << 32
+		if drop > 0 {
+			lo = max(lo, dropThreshold(row, drop, &hist, keys))
 		}
-		selectSmallest(keys, drop)
-		for _, k := range keys[:drop] {
-			row[uint32(k)] = 0
+		for j, w := range row {
+			col[n], val[n] = int32(j), w
+			if pruneKey(w, j) >= lo {
+				n++
+			}
+		}
+		m.RowPtr[i+1] = int32(n)
+	}
+	m.Col, m.Val = col[:n:n], val[:n:n]
+	return m
+}
+
+// histShift leaves the top 11 of a magnitude's 31 bits — the exponent
+// and 3 mantissa bits — as dropThreshold's histogram bucket, so a bucket
+// spans an eighth of a binade.
+const histShift = 20
+
+// dropThreshold returns the key of rank drop (0-based) in row's
+// (|w|, column) order, the smallest key that survives pruning. It
+// histograms the row by high magnitude bits, finds the one bucket that
+// holds that rank, and selects inside that bucket alone; keys is scratch
+// of length len(row). drop must be in [1, len(row)).
+func dropThreshold(row []float32, drop int, hist *[1 << (31 - histShift)]int32, keys []uint64) uint64 {
+	clear(hist[:])
+	for _, w := range row {
+		hist[pruneKey(w, 0)>>(32+histShift)]++
+	}
+	b, below := uint64(0), 0
+	for ; below+int(hist[b]) <= drop; b++ {
+		below += int(hist[b])
+	}
+	n := 0
+	for j, w := range row {
+		k := pruneKey(w, j)
+		keys[n] = k
+		if k>>(32+histShift) == b {
+			n++
 		}
 	}
-	return out
+	r := drop - below
+	selectSmallest(keys[:n], r)
+	return slices.Min(keys[r:n])
 }
 
 // pruneKey packs weight w at column j into one integer that orders by

@@ -178,8 +178,7 @@ func TestPruneSparsityLevel(t *testing.T) {
 	for i := range dense {
 		dense[i] = rng.Float32() + 0.01 // all nonzero
 	}
-	pruned := Prune(dense, rows, cols, 0.8)
-	m := FromDense(pruned, rows, cols)
+	m := pruneDense(dense, rows, cols, 0.8)
 	// Per-row pruning drops floor(0.8*40)=32 of 40 → density 0.2 exactly.
 	if d := m.Density(); math.Abs(d-0.2) > 1e-9 {
 		t.Errorf("density after 80%% pruning = %v, want 0.2", d)
@@ -192,28 +191,20 @@ func TestPruneSparsityLevel(t *testing.T) {
 }
 
 func TestPruneKeepsLargestMagnitudes(t *testing.T) {
-	dense := []float32{0.1, -5, 0.2, 4} // one row
-	pruned := Prune(dense, 1, 4, 0.5)   // drop 2 smallest |w|
+	dense := []float32{0.1, -5, 0.2, 4}           // one row
+	got := pruneDense(dense, 1, 4, 0.5).ToDense() // drop 2 smallest |w|
 	want := []float32{0, -5, 0, 4}
 	for i := range want {
-		if pruned[i] != want[i] {
-			t.Fatalf("Prune = %v, want %v", pruned, want)
+		if got[i] != want[i] {
+			t.Fatalf("PruneCSR = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestPruneZeroSparsityIsIdentity(t *testing.T) {
-	dense := []float32{1, 2, 3, 4}
-	out := Prune(dense, 2, 2, 0)
-	for i := range dense {
-		if out[i] != dense[i] {
-			t.Fatal("zero sparsity must not change weights")
-		}
-	}
-	// And must not alias the input.
-	out[0] = 99
-	if dense[0] == 99 {
-		t.Fatal("Prune must copy")
+	dense := []float32{1, 0, 3, -4}
+	if err := sameCSR(pruneDense(dense, 2, 2, 0), FromDense(dense, 2, 2)); err != nil {
+		t.Fatalf("zero sparsity must keep every nonzero: %v", err)
 	}
 }
 
@@ -225,7 +216,7 @@ func TestPrunePanicsOnBadSparsity(t *testing.T) {
 					t.Errorf("sparsity %v should panic", s)
 				}
 			}()
-			Prune([]float32{1}, 1, 1, s)
+			pruneDense([]float32{1}, 1, 1, s)
 		}()
 	}
 }
