@@ -187,7 +187,9 @@ func TestSimEngineAllocsFlat(t *testing.T) {
 		})
 	}
 	a30, a300 := allocs(30), allocs(300)
-	if a30 != a300 {
+	// Under -race a dropped pooled run state is rebuilt on a random
+	// share of runs, so the counts jitter; the exact check needs no race.
+	if a30 != a300 && !raceEnabled {
 		t.Errorf("allocs per run: %v at 30 tasks, %v at 300", a30, a300)
 	}
 }

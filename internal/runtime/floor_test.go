@@ -227,7 +227,7 @@ func FuzzAdmitFloor(f *testing.F) {
 			ds = append(ds, planDemand(p))
 			addPlanEnv(env, p)
 		}
-		if rt.checkFit(app.Name, rt.floorLocked(app), ds, true) == nil {
+		if rt.checkFit(app.Name, rt.floorLocked(app, schedcache.Fingerprint(app)), ds, true) == nil {
 			return
 		}
 		for _, p := range space {
@@ -235,7 +235,7 @@ func FuzzAdmitFloor(f *testing.F) {
 				t.Fatalf("floor refused, but %s fits", p.Schedule)
 			}
 		}
-		plan, err := rt.planLocked(app, env, AdmitOptions{}.withDefaults(app, 0))
+		plan, err := rt.planLocked(app, schedcache.Fingerprint(app), env, AdmitOptions{}.withDefaults(app, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,18 +256,19 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 		return nil, fmt.Errorf("runtime: admit %q: deadline must be a finite value >= 0 (0 disables the SLO), got %v", app.Name, d)
 	}
 	opts = opts.withDefaults(app, rt.nextID)
+	fp := schedcache.Fingerprint(app)
 
 	residents := rt.residentDemandsLocked()
 	if opts.Schedule == nil {
 		// No schedule the planner can return fits when even the floor
 		// does not: refuse before profiling, solving and autotuning.
-		if aerr := rt.checkFit(app.Name, rt.floorLocked(app), residents, true); aerr != nil {
+		if aerr := rt.checkFit(app.Name, rt.floorLocked(app, fp), residents, true); aerr != nil {
 			return nil, rt.rejectLocked(aerr, opts)
 		}
 	}
 
 	env := rt.envLocked(nil)
-	plan, err := rt.planLocked(app, env, opts)
+	plan, err := rt.planLocked(app, fp, env, opts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: planning %q: %w", app.Name, err)
 	}
@@ -275,7 +276,7 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 		return nil, rt.rejectLocked(aerr, opts)
 	}
 
-	s := newSession(rt, rt.nextID, app, opts, plan, env)
+	s := newSession(rt, rt.nextID, app, fp, opts, plan, env)
 	rt.nextID++
 	rt.resident[s.id] = s
 	rt.history = append(rt.history, s)
@@ -304,9 +305,8 @@ func (rt *Runtime) residentDemandsLocked() []demand {
 }
 
 // floorLocked returns app's demand floor on the runtime's device,
-// computing it on the app's first Admit.
-func (rt *Runtime) floorLocked(app *core.Application) demand {
-	fp := schedcache.Fingerprint(app)
+// computing it on the first Admit of an app with fingerprint fp.
+func (rt *Runtime) floorLocked(app *core.Application, fp string) demand {
 	f, ok := rt.floors[fp]
 	if !ok {
 		f = demandFloor(app, rt.dev)
@@ -405,8 +405,9 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 // bucket-quantized environment (the bucket's canonical representative),
 // so a later lookup under any environment in the same bucket returns a
 // schedule byte-identical to this cold solve. On a miss, the chosen
-// schedule is stored.
-func (rt *Runtime) planLocked(app *core.Application, env soc.Env, opts AdmitOptions) (*pipeline.Plan, error) {
+// schedule is stored. fp is app's schedcache.Fingerprint, taken once at
+// Admit.
+func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opts AdmitOptions) (*pipeline.Plan, error) {
 	if opts.Schedule != nil {
 		return pipeline.NewPlan(app, rt.dev, *opts.Schedule)
 	}
@@ -414,7 +415,7 @@ func (rt *Runtime) planLocked(app *core.Application, env soc.Env, opts AdmitOpti
 	var key string
 	if c := rt.cfg.Cache; c != nil {
 		env = schedcache.QuantizeEnv(env, c.Bucket())
-		key = schedcache.Key(schedcache.Fingerprint(app), rt.dev.Name, env, c.Bucket(), schedcache.Knobs{
+		key = schedcache.Key(fp, rt.dev.Name, env, c.Bucket(), schedcache.Knobs{
 			ProfileReps:   rt.cfg.ProfileReps,
 			AutotuneTasks: rt.cfg.AutotuneTasks,
 			K:             rt.cfg.K,
@@ -476,7 +477,7 @@ func (rt *Runtime) replanLocked(except *Session) {
 			rt.registerModel(s)
 			continue
 		}
-		plan, err := rt.planLocked(s.app, env, s.opts)
+		plan, err := rt.planLocked(s.app, s.fp, env, s.opts)
 		if err != nil {
 			s.setEnv(env)
 			rt.registerModel(s)

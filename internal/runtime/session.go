@@ -103,6 +103,9 @@ type Session struct {
 	rt   *Runtime
 	app  *core.Application
 	opts AdmitOptions
+	// fp is app's schedcache.Fingerprint, taken at admission: the
+	// floor-memo and schedule-cache key of every plan the session gets.
+	fp string
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -145,10 +148,10 @@ type Session struct {
 
 // newSession builds a session around its initial plan; run() is started
 // by Admit after registration.
-func newSession(rt *Runtime, id int, app *core.Application, opts AdmitOptions, plan *pipeline.Plan, env soc.Env) *Session {
+func newSession(rt *Runtime, id int, app *core.Application, fp string, opts AdmitOptions, plan *pipeline.Plan, env soc.Env) *Session {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Session{
-		id: id, rt: rt, app: app, opts: opts,
+		id: id, rt: rt, app: app, fp: fp, opts: opts,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		plan: plan, env: env, planEnv: env,
 		schedules: []core.Schedule{plan.Schedule},

@@ -32,12 +32,18 @@ func Catalog() []*Device {
 	}
 }
 
-// DeviceByName returns the catalog device with the given name.
+// DeviceByName returns a fresh model of the catalog device with the
+// given name, building only that device.
 func DeviceByName(name string) (*Device, error) {
-	for _, d := range Catalog() {
-		if d.Name == name {
-			return d, nil
-		}
+	switch name {
+	case Pixel7a:
+		return NewPixel7a(), nil
+	case OnePlus11:
+		return NewOnePlus11(), nil
+	case Jetson:
+		return NewJetson(), nil
+	case JetsonLP:
+		return NewJetsonLP(), nil
 	}
 	return nil, fmt.Errorf("soc: unknown device %q (have pixel7a, oneplus11, jetson, jetson-lp)", name)
 }

@@ -3,6 +3,7 @@ package soc
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,22 @@ func TestDeviceByName(t *testing.T) {
 	}
 	if _, err := DeviceByName("iphone"); err == nil {
 		t.Error("unknown device accepted")
+	}
+}
+
+func TestDeviceByNameMatchesCatalog(t *testing.T) {
+	for _, want := range Catalog() {
+		got, err := DeviceByName(want.Name)
+		if err != nil {
+			t.Fatalf("DeviceByName(%q): %v", want.Name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("DeviceByName(%q) differs from its Catalog entry", want.Name)
+		}
+	}
+	const wantErr = `soc: unknown device "iphone" (have pixel7a, oneplus11, jetson, jetson-lp)`
+	if _, err := DeviceByName("iphone"); err == nil || err.Error() != wantErr {
+		t.Errorf("DeviceByName(iphone) error = %v, want %s", err, wantErr)
 	}
 }
 
