@@ -82,7 +82,7 @@ func NewModel(seed int64, sparsity float64) *Model {
 			// The same draws, in the same row-major order, as the dense
 			// FillRandom, pruned row by row as they are drawn.
 			cols := spec.InC * spec.Kernel * spec.Kernel
-			layer.CSR = sparse.PruneCSR(spec.OutC, cols, sparsity, func(_ int, row []float32) {
+			layer.CSR = sparse.PruneCSR(spec.OutC, cols, sparsity, func(row []float32) {
 				for j := range row {
 					row[j] = (rng.Float32()*2 - 1) * 0.25
 				}

@@ -189,16 +189,16 @@ func (m *CSR) Imbalance() float64 {
 // PruneCSR builds a rows×cols CSR matrix of per-row magnitude-pruned
 // weights (the "structured" pruning shape Condensa applies to conv
 // layers, which keeps rows non-empty and bounds imbalance) without ever
-// holding the dense matrix. fill writes row i's dense weights into row,
-// a buffer of length cols reused across calls; it is called once per
-// row, for i = 0, 1, …, rows-1 in order. sparsity must be in [0, 1).
+// holding the dense matrix. fill writes the next row's dense weights
+// into row, a buffer of length cols reused across calls; it is called
+// once per row, in row order. sparsity must be in [0, 1).
 //
 // Each row drops its floor(sparsity·cols) smallest weights in the order
 // (|w|, column): equal magnitudes — ±x pairs, ±0 — lose the lower
 // column first. NaN ranks above ±Inf, so a NaN weight is never pruned
 // while its row holds at least that many non-NaN weights. Surviving
 // exact zeros are not stored, as in FromDense.
-func PruneCSR(rows, cols int, sparsity float64, fill func(i int, row []float32)) *CSR {
+func PruneCSR(rows, cols int, sparsity float64, fill func(row []float32)) *CSR {
 	if sparsity < 0 || sparsity >= 1 {
 		panic(fmt.Sprintf("sparse: sparsity %v out of [0,1)", sparsity))
 	}
@@ -217,7 +217,7 @@ func PruneCSR(rows, cols int, sparsity float64, fill func(i int, row []float32))
 	}
 	n := 0
 	for i := 0; i < rows; i++ {
-		fill(i, row)
+		fill(row)
 		// Keep keys from the row's threshold up; ±0's keys are below
 		// 1<<32, so the same comparison drops surviving zeros.
 		lo := uint64(1) << 32
