@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e0, table1, table2, fig1, table3, fig4, fig5, fig6, table4, fig7, abl-dp, abl-k, abl-buffers, abl-reps, ext-energy, churn, fleet, fleetscale, drift, all)")
+	exp := flag.String("exp", "all", "experiment id (e0, table1, table2, fig1, table3, fig4, fig5, fig6, table4, fig7, abl-dp, abl-k, abl-buffers, abl-reps, ext-energy, churn, fleetscale, drift, all)")
 	parallel := flag.Bool("parallel", false, "fan experiment grids across GOMAXPROCS-bounded workers (deterministic: output matches the serial run)")
 	timing := flag.Bool("time", false, "report per-experiment and total wall-clock to stderr")
 	listen := flag.String("listen", "", "serve liveness, pprof and per-experiment progress events over HTTP while the suite runs")
@@ -41,10 +41,10 @@ func main() {
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Same shared validation path as btrun and btfleet. The planner
-	// flags parameterize the churn and fleet experiments (the -sched-cache
-	// capacity feeds churn's cache-on mode; all of them feed the fleet
-	// replay).
+	// Same shared validation path as btrun and btfleet. Of the planner
+	// flags, only -sched-cache (the capacity of churn's cache-on mode)
+	// and -cache-bucket feed an experiment; -replan-delta,
+	// -online-profile and -drift-threshold are validated but unused.
 	cli.FatalIf("btbench", planner.Validate())
 
 	s := experiments.NewSuite()
@@ -290,21 +290,6 @@ func run(s *experiments.Suite, id string, churn churnOpts, planner *cli.PlannerF
 			return err
 		}
 		fmt.Print(body)
-	case "fleet":
-		// Deterministic like the rest of the suite (seeded trace, virtual
-		// time), but kept out of -exp all to hold the bench-suite golden
-		// stable; run it explicitly or via cmd/btfleet.
-		out, err := experiments.FleetReplay(experiments.FleetReplayConfig{
-			Seed:          1,
-			ReplanDelta:   planner.ReplanDelta,
-			CacheCapacity: planner.CacheCapacity,
-			CacheBucket:   planner.CacheBucket,
-			OnlineProf:    planner.OnlineProf(),
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(report.Section("Fleet replay", out.Render()))
 	case "fleetscale":
 		// Wall-clock dependent (it times the placement sweep itself), so
 		// it records the BENCH_9.json trajectory without a CI gate and

@@ -30,9 +30,9 @@ import (
 	"time"
 
 	"bettertogether/internal/cli"
-	"bettertogether/internal/experiments"
 	"bettertogether/internal/fleet"
 	"bettertogether/internal/obs"
+	"bettertogether/internal/report"
 )
 
 func main() {
@@ -88,9 +88,35 @@ func main() {
 	aff, err := fleet.ParseAffinity(*affinity)
 	cli.FatalIf("btfleet", err)
 
-	cfg := experiments.FleetReplayConfig{
-		Nodes: specs,
-		Gen: fleet.GenConfig{
+	cfg := fleet.Config{
+		Nodes:         specs,
+		Seed:          *seed,
+		BWHeadroom:    *bwHeadroom,
+		CoreHeadroom:  *coreHeadroom,
+		ReplanDelta:   planner.ReplanDelta,
+		CacheCapacity: planner.CacheCapacity,
+		CacheBucket:   planner.CacheBucket,
+		Affinity:      aff,
+		IndexBands:    *indexBands,
+		OnlineProf:    planner.OnlineProf(),
+		Trace:         tracing.Tracer(*seed),
+	}
+	replayOpts := fleet.ReplayOptions{SLODeadline: tracing.SLODeadline}
+	if *drainNode != "" {
+		replayOpts.DrainNode, replayOpts.DrainAt = *drainNode, *drainAt
+	}
+	// A supplied trace is decoded here; a generated one is drawn inside
+	// the profiled region, as part of the replay.
+	var trace fleet.Trace
+	var gen *fleet.GenConfig
+	if *tracePath != "" {
+		f, err := os.Open(*tracePath)
+		cli.FatalIf("btfleet", err)
+		trace, err = fleet.DecodeTrace(f)
+		cli.FatalIf("btfleet", f.Close())
+		cli.FatalIf("btfleet", err)
+	} else {
+		gen = &fleet.GenConfig{
 			Pattern:    *pattern,
 			Arrivals:   *arrivals,
 			RatePerSec: *rate,
@@ -100,29 +126,7 @@ func main() {
 			MeanDwell:  *meanDwell,
 			Tasks:      *tasks,
 			Seed:       *seed,
-		},
-		BWHeadroom:    *bwHeadroom,
-		CoreHeadroom:  *coreHeadroom,
-		ReplanDelta:   planner.ReplanDelta,
-		CacheCapacity: planner.CacheCapacity,
-		CacheBucket:   planner.CacheBucket,
-		Affinity:      aff,
-		OnlineProf:    planner.OnlineProf(),
-		IndexBands:    *indexBands,
-		Seed:          *seed,
-		SessionTrace:  tracing.Tracer(*seed),
-		SLODeadline:   tracing.SLODeadline,
-	}
-	if *drainNode != "" {
-		cfg.Replay = fleet.ReplayOptions{DrainNode: *drainNode, DrainAt: *drainAt}
-	}
-	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		cli.FatalIf("btfleet", err)
-		tr, err := fleet.DecodeTrace(f)
-		cli.FatalIf("btfleet", f.Close())
-		cli.FatalIf("btfleet", err)
-		cfg.Trace = tr
+		}
 	}
 
 	var stream *obs.Stream
@@ -134,14 +138,14 @@ func main() {
 
 	stopProf, err := prof.Start()
 	cli.FatalIf("btfleet", err)
-	out, err := experiments.FleetReplay(cfg)
+	out, err := replay(cfg, gen, trace, replayOpts)
 	cli.FatalIf("btfleet", errors.Join(err, stopProf()))
 
-	if out.OnlineProfEnabled {
-		fmt.Fprintf(os.Stderr, "btfleet: %s\n", cli.OnlineProfSummary(out.OnlineProf, true))
+	if out.onlineProfOn {
+		fmt.Fprintf(os.Stderr, "btfleet: %s\n", cli.OnlineProfSummary(out.onlineProf, true))
 	}
-	if out.SLOEnabled {
-		fmt.Fprintf(os.Stderr, "btfleet: %s\n", cli.SLOSummary(out.SLO, true))
+	if out.sloOn {
+		fmt.Fprintf(os.Stderr, "btfleet: %s\n", cli.SLOSummary(out.slo, true))
 	}
 
 	if *listen != "" {
@@ -149,16 +153,16 @@ func main() {
 		// stats snapshot: scrapers and CI probes read the completed run.
 		srvCfg := obs.ServerConfig{
 			Stream: stream,
-			Fleet:  func() obs.FleetStats { return out.Stats },
+			Fleet:  func() obs.FleetStats { return out.stats },
 		}
-		if out.OnlineProfEnabled {
-			srvCfg.OnlineProf = func() obs.OnlineProfStats { return out.OnlineProf }
+		if out.onlineProfOn {
+			srvCfg.OnlineProf = func() obs.OnlineProfStats { return out.onlineProf }
 		}
-		if out.SLOEnabled {
-			srvCfg.SLO = func() obs.SLOStats { return out.SLO }
+		if out.sloOn {
+			srvCfg.SLO = func() obs.SLOStats { return out.slo }
 		}
-		if cfg.SessionTrace != nil {
-			srvCfg.Traces = cfg.SessionTrace.Handler()
+		if cfg.Trace != nil {
+			srvCfg.Traces = cfg.Trace.Handler()
 		}
 		srv, err = obs.Serve(*listen, srvCfg)
 		cli.FatalIf("btfleet", err)
@@ -169,7 +173,7 @@ func main() {
 	if *emitTrace != "" {
 		f, err := os.Create(*emitTrace)
 		cli.FatalIf("btfleet", err)
-		err = out.Trace.Encode(f)
+		err = out.trace.Encode(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -180,14 +184,14 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		cli.FatalIf("btfleet", enc.Encode(out.Result))
+		cli.FatalIf("btfleet", enc.Encode(out.result))
 	} else {
-		fmt.Print(out.Render())
+		fmt.Print(out.render())
 	}
 
-	if *maxRejections >= 0 && out.Result.Rejected > *maxRejections {
+	if *maxRejections >= 0 && out.result.Rejected > *maxRejections {
 		fmt.Fprintf(os.Stderr, "btfleet: %d rejections exceed the -max-rejections gate (%d)\n",
-			out.Result.Rejected, *maxRejections)
+			out.result.Rejected, *maxRejections)
 		os.Exit(1)
 	}
 
@@ -195,6 +199,105 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btfleet: holding observability server for %s\n", *hold)
 		time.Sleep(*hold)
 	}
+}
+
+// outcome is what a replay leaves for the report and the observability
+// server once its fleet is torn down.
+type outcome struct {
+	result fleet.ReplayResult
+	stats  obs.FleetStats
+	// trace is the trace that was replayed, generated or supplied.
+	trace fleet.Trace
+	// onlineProfOn is false when the replay ran without online
+	// profiling; sloOn is false when no session carried a deadline.
+	onlineProf   obs.OnlineProfStats
+	onlineProfOn bool
+	slo          obs.SLOStats
+	sloOn        bool
+}
+
+// replay draws the trace from gen when one is given (else replays
+// trace), builds the fleet, replays the trace on the discrete-event
+// timeline, and tears the fleet down. The same inputs yield a
+// byte-identical outcome on every run.
+func replay(cfg fleet.Config, gen *fleet.GenConfig, trace fleet.Trace, opts fleet.ReplayOptions) (outcome, error) {
+	out := outcome{trace: trace}
+	if gen != nil {
+		tr, err := fleet.Generate(*gen)
+		if err != nil {
+			return out, err
+		}
+		out.trace = tr
+	}
+	f, err := fleet.New(cfg)
+	if err != nil {
+		return out, err
+	}
+	defer f.Close()
+	if out.result, err = f.ReplayWith(out.trace, opts); err != nil {
+		return out, err
+	}
+	out.stats = f.Stats()
+	out.onlineProf, out.onlineProfOn = f.OnlineProfStats()
+	out.slo, out.sloOn = f.SLOStats()
+	return out, nil
+}
+
+// render lays the outcome out as the report: every placement decision
+// in trace order, the per-node routing split, and the fleet-wide
+// summary with rejection rate and latency quantiles.
+func (o outcome) render() string {
+	var b strings.Builder
+
+	placements := report.NewTable("Placement decisions", "#", "t(s)", "app", "node", "choice", "latency(s)")
+	for _, r := range o.result.Records {
+		node, choice, lat := r.Node, fmt.Sprintf("%d", r.Choice), report.F4(r.Elapsed)
+		if r.Rejected {
+			node, choice, lat = "REJECTED", "-", "-"
+		}
+		placements.AddRow(fmt.Sprintf("%d", r.Seq), report.F2(r.At), r.App, node, choice, lat)
+	}
+	b.WriteString(placements.Render())
+	b.WriteString("\n")
+
+	nodes := report.NewTable("Fleet nodes", "node", "device", "placed", "refused")
+	for _, n := range o.stats.PerNode {
+		nodes.AddRow(n.ID, n.Device, fmt.Sprintf("%d", n.Placed), fmt.Sprintf("%d", n.Rejected))
+	}
+	b.WriteString(nodes.Render())
+	b.WriteString("\n")
+
+	sum := report.NewTable("Fleet replay summary", "metric", "value")
+	sum.AddRow("arrivals", fmt.Sprintf("%d", o.result.Arrivals))
+	sum.AddRow("placed", fmt.Sprintf("%d", o.result.Placed))
+	sum.AddRow("spillovers", fmt.Sprintf("%d", o.result.Spilled))
+	sum.AddRow("rejected", fmt.Sprintf("%d", o.result.Rejected))
+	sum.AddRow("rejection rate", o.result.RejectionRate())
+	// Control-plane rows appear only when a drain actually ran, so the
+	// default replay report stays byte-identical with or without the
+	// drain machinery existing.
+	for _, d := range o.result.Drains {
+		sum.AddRow(fmt.Sprintf("drain %s at %s", d.Node, report.F2(d.At)),
+			fmt.Sprintf("%d migrated", d.Migrated))
+	}
+	if o.result.Migrated > 0 {
+		sum.AddRow("migrations", fmt.Sprintf("%d", o.result.Migrated))
+	}
+	sum.AddRow("p50 latency (s)", report.F4(o.result.P50))
+	sum.AddRow("p99 latency (s)", report.F4(o.result.P99))
+	if o.onlineProfOn {
+		sum.AddRow("drift re-plans", fmt.Sprintf("%d", o.onlineProf.DriftReplans))
+	}
+	// SLO rows appear only when at least one session carried a deadline,
+	// keeping deadline-free replay reports byte-identical.
+	if s := o.result.SLO; s != nil {
+		sum.AddRow("slo attained", fmt.Sprintf("%d/%d (%s)", s.Attained, s.Sessions, s.Fraction))
+		sum.AddRow("slo missed", fmt.Sprintf("%d", s.Missed))
+		sum.AddRow("slo p50 latency (s)", report.F4(s.P50))
+		sum.AddRow("slo p99 latency (s)", report.F4(s.P99))
+	}
+	b.WriteString(sum.Render())
+	return b.String()
 }
 
 // splitList splits a comma-separated flag into trimmed non-empty parts.

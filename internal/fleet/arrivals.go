@@ -25,15 +25,25 @@ type Arrival struct {
 	// Seed drives the session's simulation-noise stream.
 	Seed int64 `json:"seed,omitempty"`
 	// Session optionally names the session; empty derives the replay
-	// default "<app>#<trace-index>". Non-empty names must be unique
-	// across the trace (DecodeTrace rejects duplicates — session names
-	// key the fleet's active-session tracking and must be fleet-unique).
+	// default "<app>#<trace-index>". Effective names, explicit or
+	// default, must be unique across the trace (DecodeTrace rejects
+	// duplicates — session names key the fleet's active-session
+	// tracking and must be fleet-unique).
 	Session string `json:"session,omitempty"`
 	// Deadline is the session's SLO budget in virtual seconds of modeled
 	// execution time. 0 attaches no per-arrival deadline (the replay-wide
 	// ReplayOptions.SLODeadline, if set, applies instead); negative
 	// values fail DecodeTrace.
 	Deadline float64 `json:"deadline,omitempty"`
+}
+
+// sessionName is the name arrival i replays under: its own Session, or
+// the default "<app>#<i>".
+func sessionName(a Arrival, i int) string {
+	if a.Session != "" {
+		return a.Session
+	}
+	return fmt.Sprintf("%s#%d", a.App, i)
 }
 
 // Trace is a replayable arrival sequence, ordered by At.
@@ -141,11 +151,11 @@ func (t Trace) Encode(w io.Writer) error {
 }
 
 // DecodeTrace reads a JSON trace and validates it for replay: known
-// shape, non-negative times and dwells, non-decreasing arrival order,
-// and unique session names. Each violation gets its own descriptive
-// error naming the offending arrival and values, so a hand-edited
-// trace fails with a pointer to the line that broke it rather than a
-// generic rejection.
+// shape, non-negative times, dwells and deadlines, non-decreasing
+// arrival order, and unique effective session names (explicit or
+// default). Each violation gets its own descriptive error naming the
+// offending arrival and values, so a hand-edited trace fails with a
+// pointer to the line that broke it rather than a generic rejection.
 func DecodeTrace(r io.Reader) (Trace, error) {
 	var t Trace
 	dec := json.NewDecoder(r)
@@ -171,12 +181,15 @@ func DecodeTrace(r io.Reader) (Trace, error) {
 		if a.Deadline < 0 {
 			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has negative deadline=%v", i, a.Deadline)
 		}
-		if a.Session != "" {
-			if j, dup := sessions[a.Session]; dup {
-				return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d reuses session ID %q already used by arrival %d", i, a.Session, j)
+		name := sessionName(a, i)
+		if j, dup := sessions[name]; dup {
+			hint := ""
+			if a.Session == "" || t.Arrivals[j].Session == "" {
+				hint = " (an arrival without a session is named <app>#<index>)"
 			}
-			sessions[a.Session] = i
+			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d reuses session ID %q already used by arrival %d%s", i, name, j, hint)
 		}
+		sessions[name] = i
 		prev = a.At
 	}
 	return t, nil

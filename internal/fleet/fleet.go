@@ -38,7 +38,6 @@ import (
 	"bettertogether/internal/obs"
 	"bettertogether/internal/obs/sessiontrace"
 	"bettertogether/internal/onlineprof"
-	"bettertogether/internal/pipeline"
 	"bettertogether/internal/runtime"
 	"bettertogether/internal/schedcache"
 	"bettertogether/internal/soc"
@@ -57,22 +56,15 @@ type NodeSpec struct {
 type Config struct {
 	// Nodes declares the registry, in declaration order. Required.
 	Nodes []NodeSpec
-	// Engine executes every node's session waves; nil selects
-	// pipeline.SimEngine (the deterministic replay path).
-	Engine pipeline.Engine
 	// Seed derives each node runtime's noise stream: node i uses
 	// Seed + i*nodeSeedStride, so populations are heterogeneous but
 	// reproducible.
 	Seed int64
-	// BWHeadroom, CoreHeadroom, ReplanDelta, ProfileReps, AutotuneTasks
-	// and K forward to every node's runtime.Config (zero values select
-	// the runtime defaults).
-	BWHeadroom    float64
-	CoreHeadroom  float64
-	ReplanDelta   float64
-	ProfileReps   int
-	AutotuneTasks int
-	K             int
+	// BWHeadroom, CoreHeadroom and ReplanDelta forward to every node's
+	// runtime options (zero values select the runtime defaults).
+	BWHeadroom   float64
+	CoreHeadroom float64
+	ReplanDelta  float64
 	// CacheCapacity, when positive, shares one schedule cache across all
 	// node runtimes — recurring (app, device-class, env) tuples then hit
 	// across the whole fleet, not just within a node. CacheBucket is its
@@ -295,9 +287,6 @@ func (f *Fleet) nodeOptions(cfg Config, node int) []runtime.Option {
 	opts := []runtime.Option{
 		runtime.WithSeed(cfg.Seed + int64(node)*nodeSeedStride),
 	}
-	if cfg.Engine != nil {
-		opts = append(opts, runtime.WithEngine(cfg.Engine))
-	}
 	if cfg.BWHeadroom > 0 || cfg.CoreHeadroom > 0 {
 		bw, cores := cfg.BWHeadroom, cfg.CoreHeadroom
 		if bw <= 0 {
@@ -307,19 +296,6 @@ func (f *Fleet) nodeOptions(cfg Config, node int) []runtime.Option {
 			cores = runtime.DefaultCoreHeadroom
 		}
 		opts = append(opts, runtime.WithHeadroom(bw, cores))
-	}
-	if cfg.ProfileReps > 0 || cfg.AutotuneTasks > 0 || cfg.K > 0 {
-		reps, autotune, k := cfg.ProfileReps, cfg.AutotuneTasks, cfg.K
-		if reps <= 0 {
-			reps = runtime.DefaultProfileReps
-		}
-		if autotune <= 0 {
-			autotune = runtime.DefaultAutotuneTasks
-		}
-		if k <= 0 {
-			k = runtime.DefaultReplanK
-		}
-		opts = append(opts, runtime.WithPlanningBudget(reps, autotune, k))
 	}
 	if cfg.Events != nil {
 		opts = append(opts, runtime.WithEvents(cfg.Events))
@@ -337,16 +313,6 @@ func (f *Fleet) nodeOptions(cfg Config, node int) []runtime.Option {
 		opts = append(opts, runtime.WithSessionTrace(cfg.Trace))
 	}
 	return opts
-}
-
-// ReplansFromDrift sums drift-triggered replans across every node
-// runtime (zero when online profiling is disabled).
-func (f *Fleet) ReplansFromDrift() int {
-	total := 0
-	for _, n := range f.nodes {
-		total += n.RT.ReplansFromDrift()
-	}
-	return total
 }
 
 // OnlineProfStats merges every node runtime's feedback-loop counters;

@@ -151,7 +151,7 @@ const (
 // Replay runs a trace through the fleet in logical time with no
 // control-plane events scheduled. It is a thin wrapper over ReplayWith;
 // its output is byte-identical to the historical lockstep replay loop
-// (pinned by TestReplayDeterministic and the CI smoke comparison).
+// (pinned by TestReplayDeterministic and TestReplayMatchesLockstepReference).
 func (f *Fleet) Replay(t Trace) (ReplayResult, error) {
 	return f.ReplayWith(t, ReplayOptions{})
 }
@@ -327,10 +327,7 @@ func (f *Fleet) replayArrival(res *ReplayResult, apps map[string]*core.Applicati
 	rec.Seq = i
 	rec.At = a.At
 	rec.App = a.App
-	rec.Session = a.Session
-	if rec.Session == "" {
-		rec.Session = fmt.Sprintf("%s#%d", a.App, i)
-	}
+	rec.Session = sessionName(a, i)
 	if deadline > 0 {
 		rec.Deadline = deadline
 	}
@@ -428,9 +425,4 @@ func (f *Fleet) sample(at float64) SampleRecord {
 		Rejected:   f.rejected,
 		Migrations: f.migrations,
 	}
-}
-
-// Latency exposes the fleet's completed-session latency histogram.
-func (f *Fleet) Latency() (p50, p99 time.Duration) {
-	return f.latency.Quantile(0.50), f.latency.Quantile(0.99)
 }

@@ -1,4 +1,4 @@
-package experiments
+package fleet
 
 import (
 	"encoding/json"
@@ -9,8 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"bettertogether/internal/fleet"
 	"bettertogether/internal/obs"
+	"bettertogether/internal/onlineprof"
 )
 
 // fleetReplayGoldenPath holds per-arrival replay outcomes, recorded bit
@@ -67,29 +67,34 @@ func fleetReplayGoldenCases(t *testing.T) []fleetReplayGoldenCase {
 	shapes := []struct {
 		name  string
 		nodes string
-		gen   fleet.GenConfig
+		gen   GenConfig
 	}{
-		{"saturated", "pixel7a=4,oneplus11=4,jetson=4", fleet.GenConfig{
-			Pattern: fleet.PatternPoisson, Arrivals: 80, RatePerSec: 8, MeanDwell: 30}},
-		{"roomy", "pixel7a=8,oneplus11=8,jetson=8", fleet.GenConfig{
-			Pattern: fleet.PatternPoisson, Arrivals: 24, RatePerSec: 1, MeanDwell: 5}},
+		{"saturated", "pixel7a=4,oneplus11=4,jetson=4", GenConfig{
+			Pattern: PatternPoisson, Arrivals: 80, RatePerSec: 8, MeanDwell: 30}},
+		{"roomy", "pixel7a=8,oneplus11=8,jetson=8", GenConfig{
+			Pattern: PatternPoisson, Arrivals: 24, RatePerSec: 1, MeanDwell: 5}},
 	}
 	var out []fleetReplayGoldenCase
 	for _, sh := range shapes {
-		specs, err := fleet.ParseNodeSpecs(sh.nodes)
+		specs, err := ParseNodeSpecs(sh.nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sh.gen.Apps = []string{"octree", "vision"}
+		sh.gen.Tasks, sh.gen.Seed = 4, 1
+		tr, err := Generate(sh.gen)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sink := &admitSchedules{sched: map[string]string{}}
-		res, err := FleetReplay(FleetReplayConfig{
-			Nodes: specs, Gen: sh.gen, CacheCapacity: 256, Seed: 1, Events: sink,
-		})
+		f := mustFleet(t, Config{Nodes: specs, CacheCapacity: 256, Seed: 1, Events: sink})
+		res, err := f.ReplayWith(tr, ReplayOptions{})
+		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
 		c := fleetReplayGoldenCase{Name: sh.name}
-		for _, r := range res.Result.Records {
+		for _, r := range res.Records {
 			c.Arrivals = append(c.Arrivals, replayArrivalBits{
 				Session:  r.Session,
 				Node:     r.Node,
@@ -136,5 +141,38 @@ func TestFleetReplayGolden(t *testing.T) {
 		if bad > 0 {
 			t.Errorf("%s: %d of %d arrivals differ from %s", want[i].Name, bad, len(want[i].Arrivals), fleetReplayGoldenPath)
 		}
+	}
+}
+
+// TestFleetReplayOnlineProfDeterministic pins that the feedback loop is
+// part of the deterministic replay: two identical replays with online
+// profiling fold the same observations, latch the same drifts, and
+// re-plan the same number of times.
+func TestFleetReplayOnlineProfDeterministic(t *testing.T) {
+	tr, err := Generate(GenConfig{
+		Pattern: PatternPoisson, Arrivals: 12, RatePerSec: 0.5,
+		Apps: []string{"octree", "vision"}, MeanDwell: 20, Tasks: 12, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() obs.OnlineProfStats {
+		f := mustFleet(t, Config{
+			Nodes:      []NodeSpec{{Device: "pixel7a", Count: 2}, {Device: "jetson", Count: 2}},
+			OnlineProf: &onlineprof.Config{DriftThreshold: 0.05},
+			Seed:       3,
+		})
+		defer f.Close()
+		if _, err := f.ReplayWith(tr, ReplayOptions{}); err != nil {
+			t.Fatalf("ReplayWith: %v", err)
+		}
+		st, ok := f.OnlineProfStats()
+		if !ok || st.Observations == 0 {
+			t.Fatalf("online profiling observed nothing: %+v (enabled=%v)", st, ok)
+		}
+		return st
+	}
+	if first, second := replay(), replay(); first != second {
+		t.Fatalf("online-profiling stats differ between identical replays:\n%+v\n%+v", first, second)
 	}
 }

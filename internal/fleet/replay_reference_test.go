@@ -341,7 +341,7 @@ func lockstepReplay(t *testing.T, f *Fleet, tr Trace) ReplayResult {
 // TestReplayMatchesLockstepReference is the refactor's acceptance pin:
 // the DES-backed Replay (with the banded index on, its default) is
 // byte-identical to the historical lockstep loop over an exhaustive
-// fleet, on both the canonical bursty trace and the CI smoke workload.
+// fleet, on both the canonical bursty trace and btfleet's smoke workload.
 func TestReplayMatchesLockstepReference(t *testing.T) {
 	cases := map[string]struct {
 		cfg Config

@@ -137,27 +137,3 @@ func findLines(s, sub string) string {
 	}
 	return strings.Join(out, "\n")
 }
-
-func TestSnapshotShape(t *testing.T) {
-	snap := Snapshot(testCollector())
-	if len(snap.Stages) != 2 || len(snap.Queues) != 2 || len(snap.Pools) != 1 {
-		t.Fatalf("snapshot shape %d/%d/%d", len(snap.Stages), len(snap.Queues), len(snap.Pools))
-	}
-	if snap.Stages[0].Name != "sort" || snap.Stages[0].Dispatches != 10 {
-		t.Fatalf("stage row %+v", snap.Stages[0])
-	}
-	if snap.Stages[0].P50Sec <= 0 || snap.Stages[0].MaxSec < snap.Stages[0].P50Sec {
-		t.Fatalf("quantiles inconsistent: %+v", snap.Stages[0])
-	}
-	if snap.Pools[0].Utilization != 0.5 {
-		t.Fatalf("pool utilization %v want 0.5", snap.Pools[0].Utilization)
-	}
-	if snap.ElapsedSec != 0.02 {
-		t.Fatalf("elapsed %v", snap.ElapsedSec)
-	}
-
-	empty := Snapshot(nil)
-	if empty.Stages == nil || empty.Queues == nil || empty.Pools == nil {
-		t.Fatal("nil collector must snapshot to empty (not null) slices")
-	}
-}

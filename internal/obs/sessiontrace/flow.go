@@ -1,11 +1,6 @@
 package sessiontrace
 
-import (
-	"encoding/json"
-	"io"
-
-	"bettertogether/internal/obs"
-)
+import "bettertogether/internal/obs"
 
 // flowEpsilonUs is the width, in microseconds, given to instantaneous
 // lifecycle spans in the Chrome export: Perfetto cannot anchor a flow
@@ -39,11 +34,6 @@ func ChromeFlowAll(docs []TraceDoc) obs.ChromeTraceDoc {
 		appendFlowTrace(&out, d, i)
 	}
 	return out
-}
-
-// WriteChromeFlow encodes ChromeFlowAll for the Snapshot to w.
-func (t *Tracer) WriteChromeFlow(w io.Writer) error {
-	return json.NewEncoder(w).Encode(ChromeFlowAll(t.Snapshot()))
 }
 
 // appendFlowTrace emits doc's spans as "X" slices on thread tid plus a
