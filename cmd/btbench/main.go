@@ -37,14 +37,13 @@ func main() {
 	gateTol := flag.Float64("gate-tolerance", 10, "regression tolerance for -bench-gate, percent")
 	churnRounds := flag.Int("churn-rounds", 0, "admit/drain rounds per churn mode (0 selects the default)")
 	churnMinSpeedup := flag.Float64("churn-min-speedup", 0, "fail unless the churn cache speedup reaches this factor (0 disables)")
-	planner := cli.AddPlannerFlags(flag.CommandLine)
+	planner := cli.AddCacheFlags(flag.CommandLine)
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Same shared validation path as btrun and btfleet. Of the planner
-	// flags, only -sched-cache (the capacity of churn's cache-on mode)
-	// and -cache-bucket feed an experiment; -replan-delta,
-	// -online-profile and -drift-threshold are validated but unused.
+	// Same shared validation path as btrun and btfleet. -sched-cache
+	// (the capacity of churn's cache-on mode) and -cache-bucket are the
+	// only planner flags an experiment reads.
 	cli.FatalIf("btbench", planner.Validate())
 
 	s := experiments.NewSuite()

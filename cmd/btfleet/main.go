@@ -76,6 +76,20 @@ func main() {
 			cli.Fatalf("btfleet", "%s must be a finite value >= 0 (0 selects the runtime default), got %v", v.name, v.val)
 		}
 	}
+	// fleet.GenConfig reads a zero generator knob as its own default,
+	// which is not the default this command documents.
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{{"-rate", *rate}, {"-burst", float64(*burst)}, {"-burst-every", *burstEvery},
+		{"-mean-dwell", *meanDwell}, {"-tasks", float64(*tasks)}} {
+		if !(v.val > 0) || math.IsInf(v.val, 0) {
+			cli.Fatalf("btfleet", "%s must be a finite value > 0, got %v", v.name, v.val)
+		}
+	}
+	if *pattern == "" {
+		cli.Fatalf("btfleet", "-pattern must be %s or %s", fleet.PatternPoisson, fleet.PatternBursty)
+	}
 	if *drainNode != "" && (*drainAt < 0 || math.IsNaN(*drainAt) || math.IsInf(*drainAt, 0)) {
 		cli.Fatalf("btfleet", "-drain-node requires -drain-at set to a finite time >= 0, got %v", *drainAt)
 	}

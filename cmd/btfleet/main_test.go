@@ -63,6 +63,24 @@ func TestProfileFlagsSmoke(t *testing.T) {
 	}
 }
 
+// TestRejectsZeroGeneratorFlags pins that a zero or empty generator
+// flag exits non-zero naming the flag, rather than replaying under
+// fleet.GenConfig's own default for that knob.
+func TestRejectsZeroGeneratorFlags(t *testing.T) {
+	for _, flag := range []string{"-tasks", "-burst", "-burst-every", "-mean-dwell", "-rate", "-pattern"} {
+		val := "0"
+		if flag == "-pattern" {
+			val = ""
+		}
+		cmd := exec.Command(os.Args[0], flag, val)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), flag+" must be") {
+			t.Errorf("btfleet %s %q: err %v, output %q; want a failure naming %s", flag, val, err, out, flag)
+		}
+	}
+}
+
 // smokeArgs is a short heterogeneous trace that routes without a single
 // rejection: vision overflows the jetson's unscaled bandwidth and spills
 // to the pixel, so it also exercises spillover.

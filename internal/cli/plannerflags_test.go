@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -106,5 +107,33 @@ func TestPlannerFlagsBuildsArtifacts(t *testing.T) {
 	}
 	if opts := p.RuntimeOptions(); len(opts) != 3 {
 		t.Errorf("RuntimeOptions() produced %d options, want 3 (cache, delta, onlineprof)", len(opts))
+	}
+}
+
+// TestAddCacheFlagsOnlyCache pins that the cache-only set declares the
+// two schedule-cache flags and none of the re-planner's, so a command
+// that cannot honour -online-profile refuses it instead of ignoring it.
+func TestAddCacheFlagsOnlyCache(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	p := AddCacheFlags(fs)
+	for _, name := range []string{"sched-cache", "cache-bucket"} {
+		if fs.Lookup(name) == nil {
+			t.Errorf("-%s not declared", name)
+		}
+	}
+	for _, name := range []string{"replan-delta", "online-profile", "drift-threshold"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s declared on the cache-only set", name)
+		}
+	}
+	if err := fs.Parse([]string{"-sched-cache", "8", "-cache-bucket", "0.5"}); err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if p.CacheCapacity != 8 || p.CacheBucket != 0.5 {
+		t.Errorf("parsed %+v, want capacity 8 bucket 0.5", *p)
 	}
 }

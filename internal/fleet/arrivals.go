@@ -26,9 +26,9 @@ type Arrival struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Session optionally names the session; empty derives the replay
 	// default "<app>#<trace-index>". Effective names, explicit or
-	// default, must be unique across the trace (DecodeTrace rejects
-	// duplicates — session names key the fleet's active-session
-	// tracking and must be fleet-unique).
+	// default, must be unique across the trace (DecodeTrace and
+	// ReplayWith reject duplicates — session names key the fleet's
+	// active-session tracking and must be fleet-unique).
 	Session string `json:"session,omitempty"`
 	// Deadline is the session's SLO budget in virtual seconds of modeled
 	// execution time. 0 attaches no per-arrival deadline (the replay-wide
@@ -44,6 +44,26 @@ func sessionName(a Arrival, i int) string {
 		return a.Session
 	}
 	return fmt.Sprintf("%s#%d", a.App, i)
+}
+
+// sessionNames returns every arrival's effective session name, or an
+// error naming the first two arrivals that share one.
+func sessionNames(arrivals []Arrival) ([]string, error) {
+	names := make([]string, len(arrivals))
+	seen := make(map[string]int, len(arrivals))
+	for i, a := range arrivals {
+		name := sessionName(a, i)
+		if j, dup := seen[name]; dup {
+			hint := ""
+			if a.Session == "" || arrivals[j].Session == "" {
+				hint = " (an arrival without a session is named <app>#<index>)"
+			}
+			return nil, fmt.Errorf("arrival %d reuses session ID %q already used by arrival %d%s", i, name, j, hint)
+		}
+		seen[name] = i
+		names[i] = name
+	}
+	return names, nil
 }
 
 // Trace is a replayable arrival sequence, ordered by At.
@@ -164,7 +184,6 @@ func DecodeTrace(r io.Reader) (Trace, error) {
 		return Trace{}, fmt.Errorf("fleet: decode trace: %w", err)
 	}
 	prev := 0.0
-	sessions := map[string]int{}
 	for i, a := range t.Arrivals {
 		if a.App == "" {
 			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has no app", i)
@@ -181,16 +200,10 @@ func DecodeTrace(r io.Reader) (Trace, error) {
 		if a.Deadline < 0 {
 			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has negative deadline=%v", i, a.Deadline)
 		}
-		name := sessionName(a, i)
-		if j, dup := sessions[name]; dup {
-			hint := ""
-			if a.Session == "" || t.Arrivals[j].Session == "" {
-				hint = " (an arrival without a session is named <app>#<index>)"
-			}
-			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d reuses session ID %q already used by arrival %d%s", i, name, j, hint)
-		}
-		sessions[name] = i
 		prev = a.At
+	}
+	if _, err := sessionNames(t.Arrivals); err != nil {
+		return Trace{}, fmt.Errorf("fleet: decode trace: %w", err)
 	}
 	return t, nil
 }

@@ -32,6 +32,29 @@ func TestDecodeTraceRejectsDefaultNameCollision(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsSessionNameCollision pins the same rule for a trace
+// built in code, which never passes through DecodeTrace: ReplayWith
+// refuses it before placing anything, naming both arrivals.
+func TestReplayRejectsSessionNameCollision(t *testing.T) {
+	f := mustFleet(t, Config{Nodes: []NodeSpec{{Device: "pixel7a", Count: 2}}})
+	tr := Trace{Arrivals: []Arrival{
+		{At: 0, App: "octree", Dwell: 10, Tasks: 2},
+		{At: 1, App: "octree", Dwell: 1, Tasks: 2, Session: "octree#0"},
+	}}
+	_, err := f.ReplayWith(tr, ReplayOptions{})
+	if err == nil {
+		t.Fatal("ReplayWith accepted two arrivals named octree#0")
+	}
+	for _, want := range []string{"arrival 1 reuses", "by arrival 0", "<app>#<index>"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if st := f.Stats(); st.Arrivals != 0 {
+		t.Errorf("rejected trace still placed %d arrivals", st.Arrivals)
+	}
+}
+
 // FuzzDecodeTrace checks every trace DecodeTrace accepts against the
 // replay's preconditions: arrival times >= 0 and non-decreasing, dwells
 // and deadlines >= 0, effective session names unique, and a lossless

@@ -183,6 +183,12 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 	if opts.SLODeadline < 0 {
 		return ReplayResult{}, fmt.Errorf("fleet: replay: negative SLO deadline %v", opts.SLODeadline)
 	}
+	// Session names key the fleet's active sessions: a repeated name
+	// would replace an earlier held session that then never runs.
+	names, err := sessionNames(t.Arrivals)
+	if err != nil {
+		return ReplayResult{}, fmt.Errorf("fleet: replay: %w", err)
+	}
 
 	res := ReplayResult{
 		Arrivals: len(t.Arrivals),
@@ -225,7 +231,7 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 				return
 			}
 			f.cfg.Trace.AdvanceTo(a.At)
-			fail(f.replayArrival(&res, apps, i, a, deadline))
+			fail(f.replayArrival(&res, apps, i, a, names[i], deadline))
 		})
 		eng.AtPrio(a.At+a.Dwell, prioDepart, func() {
 			if failed != nil {
@@ -320,14 +326,14 @@ func summarizeSLO(records []PlacementRecord) *SLOSummary {
 }
 
 // replayArrival handles one arrival event: resolve the application
-// (through the replay's apps memo), place it held (carrying its
-// resolved SLO deadline), and record the outcome.
-func (f *Fleet) replayArrival(res *ReplayResult, apps map[string]*core.Application, i int, a Arrival, deadline float64) error {
+// (through the replay's apps memo), place it held under its session
+// name (carrying its resolved SLO deadline), and record the outcome.
+func (f *Fleet) replayArrival(res *ReplayResult, apps map[string]*core.Application, i int, a Arrival, name string, deadline float64) error {
 	rec := &res.Records[i]
 	rec.Seq = i
 	rec.At = a.At
 	rec.App = a.App
-	rec.Session = sessionName(a, i)
+	rec.Session = name
 	if deadline > 0 {
 		rec.Deadline = deadline
 	}
