@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race determinism bench bench-suite bench-churn bench-fleet drift-smoke
+.PHONY: all check vet build test race determinism bench bench-suite drift-smoke
 
 all: check
 
@@ -53,34 +53,6 @@ bench-suite:
 	 t1=$$(date +%s%N); echo "parallel: $$(( (t1 - t0) / 1000000 )) ms"
 	@cmp .bench/serial.txt .bench/parallel.txt && echo "outputs identical" || \
 	 { echo "FAIL: parallel output diverges from serial golden output"; exit 1; }
-
-# bench-churn runs the admission-churn benchmark (schedule cache off vs
-# on), requires the cache to deliver at least a 5x admission speedup,
-# writes the fresh samples to .bench/BENCH_6.json, and — when a baseline
-# BENCH_6.json is committed at the repo root — gates against it with a
-# 10% regression tolerance. It then reports (without a gate) the sampled
-# span hot path and one autotuning-sized simulated run.
-CHURN_MIN_SPEEDUP ?= 5
-CHURN_GATE := $(wildcard BENCH_6.json)
-bench-churn:
-	@mkdir -p .bench
-	$(GO) build -o .bench/btbench ./cmd/btbench
-	.bench/btbench -exp churn -churn-min-speedup $(CHURN_MIN_SPEEDUP) \
-	  -bench-json .bench/BENCH_6.json \
-	  $(if $(CHURN_GATE),-bench-gate $(CHURN_GATE) -gate-tolerance 10,)
-	$(GO) test -run - -bench BenchmarkSpanHotPath -benchmem ./internal/obs/sessiontrace/
-	$(GO) test -run - -bench BenchmarkSimEngineRun -benchmem ./internal/pipeline/
-
-# bench-fleet runs the fleet placement-throughput scaling sweep (banded
-# headroom index vs exhaustive ranking over 10/100/1000-node fleets) and
-# writes the samples to .bench/BENCH_9.json. Pure wall-clock throughput,
-# so the rows record the trajectory without a regression gate; the
-# banded/exhaustive *outcome* equivalence is pinned by the fleet
-# package's tests instead.
-bench-fleet:
-	@mkdir -p .bench
-	$(GO) build -o .bench/btbench ./cmd/btbench
-	.bench/btbench -exp fleetscale -bench-json .bench/BENCH_9.json
 
 # drift-smoke runs the online-profiling drift-convergence experiment
 # twice. btbench itself gates the feedback contract (oracle run quiet,

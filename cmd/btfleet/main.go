@@ -10,7 +10,6 @@
 //	btfleet -emit-trace trace.json                # save the generated trace
 //	btfleet -trace trace.json                     # replay a saved trace
 //	btfleet -drain-node jetson/0 -drain-at 20     # cordon a node mid-replay, migrate its held sessions
-//	btfleet -index-bands -1                       # exhaustive placement ranking (no banded index)
 //	btfleet -json                                 # machine-readable replay result
 //	btfleet -cpuprofile c.out -memprofile m.out   # profile the replay (go tool pprof)
 //
@@ -36,7 +35,7 @@ import (
 )
 
 func main() {
-	nodes := flag.String("nodes", "pixel7a,oneplus11,jetson", "registry spec: comma-separated <device> or <device>=<count> entries")
+	nodes := flag.String("nodes", "pixel7a,oneplus11,jetson", "registry spec: comma-separated <device> or <device>=<count> entries, each device once")
 	pattern := flag.String("pattern", fleet.PatternBursty, "arrival pattern: poisson or bursty")
 	arrivals := flag.Int("arrivals", 12, "trace length (generated traces)")
 	rate := flag.Float64("rate", 1.0, "poisson arrival rate per virtual second")
@@ -51,7 +50,6 @@ func main() {
 	affinity := flag.String("affinity", "", "placement affinity: comma-separated <app>=<device> pairs")
 	bwHeadroom := flag.Float64("bw-headroom", 0, "per-node DRAM bandwidth headroom factor (0 = runtime default)")
 	coreHeadroom := flag.Float64("core-headroom", 0, "per-node PU core headroom factor (0 = runtime default)")
-	indexBands := flag.Int("index-bands", 0, "headroom bands in the placement index (0 = default, negative = exhaustive ranking)")
 	drainNode := flag.String("drain-node", "", "drain this node mid-replay, migrating its held sessions (requires -drain-at)")
 	drainAt := flag.Float64("drain-at", -1, "logical time of the -drain-node drain, virtual seconds")
 	planner := cli.AddPlannerFlags(flag.CommandLine)
@@ -63,8 +61,8 @@ func main() {
 	maxRejections := flag.Int("max-rejections", -1, "exit 1 when more than this many arrivals are rejected (-1 = no gate)")
 	flag.Parse()
 
-	// Shared fail-fast knob validation with btrun and btbench: negative
-	// or non-finite values would silently select a different policy than
+	// Shared fail-fast knob validation with btrun: negative or
+	// non-finite values would silently select a different policy than
 	// the user asked for.
 	cli.FatalIf("btfleet", planner.Validate())
 	cli.FatalIf("btfleet", tracing.Validate())
@@ -111,7 +109,6 @@ func main() {
 		CacheCapacity: planner.CacheCapacity,
 		CacheBucket:   planner.CacheBucket,
 		Affinity:      aff,
-		IndexBands:    *indexBands,
 		OnlineProf:    planner.OnlineProf(),
 		Trace:         tracing.Tracer(*seed),
 	}

@@ -81,6 +81,17 @@ func TestRejectsZeroGeneratorFlags(t *testing.T) {
 	}
 }
 
+// TestRejectsRepeatedDevice pins that a device named twice in -nodes
+// exits non-zero: both entries would register a node jetson/0.
+func TestRejectsRepeatedDevice(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-nodes", "jetson=1,jetson=1", "-arrivals", "2")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "jetson=<count>") {
+		t.Errorf("btfleet -nodes jetson=1,jetson=1: err %v, output %q; want a failure naming jetson=<count>", err, out)
+	}
+}
+
 // smokeArgs is a short heterogeneous trace that routes without a single
 // rejection: vision overflows the jetson's unscaled bandwidth and spills
 // to the pixel, so it also exercises spillover.

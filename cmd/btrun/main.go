@@ -93,8 +93,8 @@ func main() {
 	tracing := cli.AddTraceFlags(flag.CommandLine)
 	flag.Parse()
 
-	// One shared validation path for the planner knobs (cache, re-plan
-	// delta, online profiling) across btrun, btfleet and btbench.
+	// The planner knobs (cache, re-plan delta, online profiling) share
+	// one validation path with btfleet.
 	cli.FatalIf("btrun", planner.Validate())
 	cli.FatalIf("btrun", tracing.Validate())
 

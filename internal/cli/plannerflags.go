@@ -11,12 +11,11 @@ import (
 	"bettertogether/internal/schedcache"
 )
 
-// PlannerFlags bundles the planner-tuning flags shared by every command
-// that builds runtimes — the schedule cache, the re-plan delta filter,
-// and the online-profiling feedback loop. btrun, btfleet and btbench
-// used to declare and validate these independently; declaring them here
-// keeps the flag names, defaults, help text and fail-fast validation in
-// one place.
+// PlannerFlags bundles the planner-tuning flags shared by btrun and
+// btfleet, the commands that build runtimes — the schedule cache, the
+// re-plan delta filter, and the online-profiling feedback loop.
+// Declaring them here keeps the flag names, defaults, help text and
+// fail-fast validation in one place.
 type PlannerFlags struct {
 	// CacheCapacity sizes the schedule cache (0 disables it).
 	CacheCapacity int
@@ -35,23 +34,15 @@ type PlannerFlags struct {
 	DriftThreshold float64
 }
 
-// AddCacheFlags declares only the schedule-cache flags, -sched-cache
-// and -cache-bucket, for commands that build no runtime re-planner; the
-// other PlannerFlags fields stay zero. Call Validate after fs.Parse.
-func AddCacheFlags(fs *flag.FlagSet) *PlannerFlags {
+// AddPlannerFlags declares the shared planner flags on fs and returns
+// the struct their parsed values land in. Call Validate after
+// fs.Parse.
+func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
 	p := &PlannerFlags{}
 	fs.IntVar(&p.CacheCapacity, "sched-cache", 0,
 		"memoize planning results in a schedule cache of this capacity (0 = off)")
 	fs.Float64Var(&p.CacheBucket, "cache-bucket", 0,
 		"schedule-cache Env quantization bucket width (0 = default)")
-	return p
-}
-
-// AddPlannerFlags declares the shared planner flags on fs and returns
-// the struct their parsed values land in. Call Validate after
-// fs.Parse.
-func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
-	p := AddCacheFlags(fs)
 	fs.Float64Var(&p.ReplanDelta, "replan-delta", 0,
 		"skip re-planning a resident whose Env moved less than this since its last solve (0 = always re-plan)")
 	fs.BoolVar(&p.OnlineProfile, "online-profile", false,

@@ -76,13 +76,6 @@ type Config struct {
 	// crosses into non-preferred classes only when every preferred node
 	// refuses. Unlisted applications rank purely by headroom.
 	Affinity map[string]string
-	// IndexBands sizes the banded placement index: scores quantize into
-	// this many headroom bands so an arrival sweeps best-band-first
-	// instead of scoring the whole registry. 0 selects
-	// DefaultIndexBands; negative disables the index entirely and every
-	// arrival falls back to the exhaustive O(nodes) rank — the reference
-	// order the index is equivalence-tested against.
-	IndexBands int
 	// Events, when non-nil, receives every node runtime's events plus the
 	// fleet's own KindPlace placement decisions and KindReject fleet-wide
 	// rejections.
@@ -98,6 +91,11 @@ type Config struct {
 	// re-plan, and completion spans to the same per-session trace
 	// (session names are fleet-unique, so one tracer serves all nodes).
 	Trace *sessiontrace.Tracer
+
+	// exhaustive builds no banded index: every arrival scores the whole
+	// registry with rank, the reference order the package's tests check
+	// the index against.
+	exhaustive bool
 }
 
 // nodeSeedStride separates node noise streams; a large odd prime so
@@ -107,7 +105,8 @@ const nodeSeedStride = 1_000_003
 
 // ParseNodeSpecs parses the CLI registry syntax: a comma-separated list
 // of "<device>" or "<device>=<count>" entries, e.g.
-// "pixel7a=2,jetson". Device validity is checked at New, not here.
+// "pixel7a=2,jetson". A device may appear once; whether the catalog
+// knows it is checked at New, not here.
 func ParseNodeSpecs(s string) ([]NodeSpec, error) {
 	var specs []NodeSpec
 	for _, part := range strings.Split(s, ",") {
@@ -128,7 +127,30 @@ func ParseNodeSpecs(s string) ([]NodeSpec, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("fleet: node spec %q declares no nodes", s)
 	}
+	if err := checkSpecs(specs); err != nil {
+		return nil, err
+	}
 	return specs, nil
+}
+
+// checkSpecs refuses an empty device name, a non-positive count and a
+// device named in two specs. Each spec numbers its nodes from
+// <device>/0, so a repeated device would register two nodes under one
+// ID, and the ID is placement's final tie-break.
+func checkSpecs(specs []NodeSpec) error {
+	seen := make(map[string]bool, len(specs))
+	for _, spec := range specs {
+		switch {
+		case spec.Device == "":
+			return fmt.Errorf("fleet: node spec with count %d names no device", spec.Count)
+		case spec.Count <= 0:
+			return fmt.Errorf("fleet: node spec %q has count %d", spec.Device, spec.Count)
+		case seen[spec.Device]:
+			return fmt.Errorf("fleet: device %q is named in more than one node spec; declare it once as %s=<count>", spec.Device, spec.Device)
+		}
+		seen[spec.Device] = true
+	}
+	return nil
 }
 
 // ParseAffinity parses the CLI affinity syntax: a comma-separated list
@@ -186,7 +208,8 @@ type Fleet struct {
 	cache *schedcache.Cache
 
 	mu         sync.Mutex
-	index      *bandIndex // nil when Config.IndexBands < 0
+	index      *bandIndex // nil on an exhaustive reference fleet
+	reads      int        // node headroom reads by score
 	active     map[string]*activeSession
 	seq        int // placement sequence, names sessions fleet-uniquely
 	arrivals   int
@@ -203,14 +226,14 @@ func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("fleet: config declares no nodes")
 	}
+	if err := checkSpecs(cfg.Nodes); err != nil {
+		return nil, err
+	}
 	f := &Fleet{cfg: cfg, active: map[string]*activeSession{}}
 	if cfg.CacheCapacity > 0 {
 		f.cache = schedcache.New(cfg.CacheCapacity, cfg.CacheBucket)
 	}
 	for _, spec := range cfg.Nodes {
-		if spec.Count <= 0 {
-			return nil, fmt.Errorf("fleet: node spec %q has count %d", spec.Device, spec.Count)
-		}
 		for k := 0; k < spec.Count; k++ {
 			dev, err := soc.DeviceByName(spec.Device)
 			if err != nil {
@@ -227,17 +250,21 @@ func New(cfg Config) (*Fleet, error) {
 			})
 		}
 	}
-	if cfg.IndexBands >= 0 {
-		bands := cfg.IndexBands
-		if bands == 0 {
-			bands = DefaultIndexBands
-		}
-		f.index = newBandIndex(bands)
+	if !cfg.exhaustive {
+		f.index = newBandIndex()
 		for _, n := range f.nodes {
-			f.index.update(n, headroomScore(n.RT.AdmissionHeadroom()))
+			f.index.update(n, f.score(n))
 		}
 	}
 	return f, nil
+}
+
+// score reads one node's live headroom score. Every placement read of a
+// node runtime's headroom goes through here, so reads counts them;
+// callers hold f.mu, except New before the fleet is shared.
+func (f *Fleet) score(n *Node) float64 {
+	f.reads++
+	return headroomScore(n.RT.AdmissionHeadroom())
 }
 
 // nodeByIDLocked resolves a node ID; nil when unknown.
@@ -263,7 +290,7 @@ func (f *Fleet) refileLocked(n *Node) {
 	if f.index == nil || n.drained {
 		return
 	}
-	f.index.update(n, headroomScore(n.RT.AdmissionHeadroom()))
+	f.index.update(n, f.score(n))
 }
 
 // departed unfiles a completed session and refreshes its node's index

@@ -70,6 +70,63 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsRepeatedDevice pins that a device named in two specs is
+// refused, by New and by ParseNodeSpecs, with the <device>=<count> form
+// to use instead: both specs would number their nodes from jetson/0.
+func TestNewRejectsRepeatedDevice(t *testing.T) {
+	specs := []NodeSpec{{Device: "jetson", Count: 1}, {Device: "pixel7a", Count: 1}, {Device: "jetson", Count: 1}}
+	if _, err := New(Config{Nodes: specs}); err == nil || !strings.Contains(err.Error(), "jetson=<count>") {
+		t.Errorf("New with jetson twice: err %v, want a refusal naming jetson=<count>", err)
+	}
+	if _, err := ParseNodeSpecs("jetson=1,jetson=1"); err == nil || !strings.Contains(err.Error(), "jetson=<count>") {
+		t.Errorf("ParseNodeSpecs(jetson=1,jetson=1): err %v, want a refusal naming jetson=<count>", err)
+	}
+}
+
+// FuzzParseNodeSpecs checks every registry spec ParseNodeSpecs accepts:
+// at least one spec, each device name non-empty and trimmed and named
+// once, each count positive.
+func FuzzParseNodeSpecs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		specs, err := ParseNodeSpecs(s)
+		if err != nil {
+			return
+		}
+		if len(specs) == 0 {
+			t.Fatalf("%q: accepted with no specs", s)
+		}
+		seen := map[string]bool{}
+		for _, spec := range specs {
+			if spec.Device == "" || spec.Device != strings.TrimSpace(spec.Device) {
+				t.Fatalf("%q: device name %q is empty or untrimmed", s, spec.Device)
+			}
+			if spec.Count <= 0 {
+				t.Fatalf("%q: device %q has count %d", s, spec.Device, spec.Count)
+			}
+			if seen[spec.Device] {
+				t.Fatalf("%q: device %q named twice", s, spec.Device)
+			}
+			seen[spec.Device] = true
+		}
+	})
+}
+
+// FuzzParseAffinity checks every affinity ParseAffinity accepts: each
+// app and device name non-empty and trimmed.
+func FuzzParseAffinity(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		aff, err := ParseAffinity(s)
+		if err != nil {
+			return
+		}
+		for app, dev := range aff {
+			if app == "" || app != strings.TrimSpace(app) || dev == "" || dev != strings.TrimSpace(dev) {
+				t.Fatalf("%q: pair %q=%q has an empty or untrimmed name", s, app, dev)
+			}
+		}
+	})
+}
+
 func TestRegistryShape(t *testing.T) {
 	f := mustFleet(t, Config{Nodes: []NodeSpec{
 		{Device: "pixel7a", Count: 2},

@@ -5,12 +5,11 @@ import (
 	"sort"
 )
 
-// DefaultIndexBands is the headroom-band count placement quantizes
-// scores into when Config.IndexBands is zero. 32 bands over the [0, 1]
-// slack range keeps a band's score spread at ~3% — small enough that a
-// typical arrival sorts only the handful of nodes in the top band
-// instead of the whole registry.
-const DefaultIndexBands = 32
+// indexBands is the headroom-band count placement quantizes scores
+// into. 32 bands over the [0, 1] slack range keeps a band's score
+// spread at ~3% — small enough that a typical arrival sorts only the
+// handful of nodes in the top band instead of the whole registry.
+const indexBands = 32
 
 // bandEntry is one node's filed position in the index.
 type bandEntry struct {
@@ -42,10 +41,10 @@ type bandIndex struct {
 	info  map[*Node]bandEntry
 }
 
-// newBandIndex builds an empty index with the given band count.
-func newBandIndex(bands int) *bandIndex {
+// newBandIndex builds an empty index of indexBands bands.
+func newBandIndex() *bandIndex {
 	return &bandIndex{
-		width: 1 / float64(bands),
+		width: 1.0 / indexBands,
 		bands: map[int]map[*Node]struct{}{},
 		info:  map[*Node]bandEntry{},
 	}
@@ -97,9 +96,6 @@ func (ix *bandIndex) unfile(n *Node, band int) {
 		delete(ix.bands, band)
 	}
 }
-
-// size returns how many nodes are filed.
-func (ix *bandIndex) size() int { return len(ix.info) }
 
 // sweep yields indexed nodes in exhaustive-rank order — affinity-class
 // nodes first (when affinity is non-empty), then descending exact score,

@@ -101,9 +101,8 @@ func headroomScore(h obs.Headroom) float64 {
 
 // rank orders the registry for one arrival by exhaustively scoring
 // every placeable node. It reads every node runtime's headroom — O(n)
-// per arrival — so placement only uses it when the banded index is
-// disabled (Config.IndexBands < 0); it remains the reference order the
-// index is checked against.
+// per arrival — so placement uses it only on an exhaustive reference
+// fleet, the order the banded index is checked against.
 func (f *Fleet) rank(app string) []candidate {
 	affinity := f.cfg.Affinity[app]
 	cands := make([]candidate, 0, len(f.nodes))
@@ -114,7 +113,7 @@ func (f *Fleet) rank(app string) []candidate {
 		cands = append(cands, candidate{
 			node:      n,
 			preferred: affinity != "" && n.Device.Name == affinity,
-			score:     headroomScore(n.RT.AdmissionHeadroom()),
+			score:     f.score(n),
 		})
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].less(cands[b]) })
@@ -123,9 +122,8 @@ func (f *Fleet) rank(app string) []candidate {
 
 // sweepLocked yields placement candidates for one application in rank
 // order until yield returns false, skipping exclude (the migration
-// source). With the index enabled only visited bands are scored and
-// sorted; otherwise it falls back to the exhaustive rank. Callers hold
-// f.mu.
+// source). With the index only visited bands are sorted; an exhaustive
+// reference fleet ranks the whole registry. Callers hold f.mu.
 func (f *Fleet) sweepLocked(app string, exclude *Node, yield func(candidate) bool) {
 	if f.index != nil {
 		f.index.sweep(f.cfg.Affinity[app], func(c candidate) bool {
@@ -169,12 +167,11 @@ func (f *Fleet) tryAdmitLocked(c candidate, app *core.Application, opts runtime.
 }
 
 // Place routes one arrival onto the fleet: candidates are ranked by
-// affinity and projected interference headroom (via the banded index
-// unless disabled), and the application is admitted on the first node
-// that accepts it. A node's typed *runtime.AdmissionError is a
-// spillover, not a failure — placement moves on to the next-ranked
-// candidate and only returns *PlacementError once every node has
-// refused. Any other admission error (a planning failure, a closed
+// affinity and projected interference headroom (via the banded index),
+// and the application is admitted on the first node that accepts it.
+// A node's typed *runtime.AdmissionError is a spillover, not a failure
+// — placement moves on to the next-ranked candidate and only returns
+// *PlacementError once every node has refused. Any other admission error (a planning failure, a closed
 // runtime) aborts the sweep and is returned as-is. Drained nodes are
 // invisible to the sweep.
 //

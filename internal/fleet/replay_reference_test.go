@@ -133,7 +133,7 @@ func TestPlacementErrorRefusalOrder(t *testing.T) {
 // pinnedSchedule builds an all-big-core schedule for an application —
 // valid on every catalog device — so Admit skips the planning pipeline
 // and tests exercise placement, not the optimizer.
-func pinnedSchedule(t *testing.T, app *core.Application) *core.Schedule {
+func pinnedSchedule(t testing.TB, app *core.Application) *core.Schedule {
 	t.Helper()
 	sc := core.Schedule{Assign: make([]core.PUClass, len(app.Stages))}
 	for i := range sc.Assign {
@@ -144,7 +144,7 @@ func pinnedSchedule(t *testing.T, app *core.Application) *core.Schedule {
 
 // TestBandedMatchesExhaustive is the banded-index equivalence pin: on
 // randomized fleets of >= 500 nodes, a banded fleet and an exhaustive
-// (IndexBands < 0) fleet driven through an identical randomized
+// reference fleet driven through an identical randomized
 // place/depart/drain/uncordon sequence make byte-for-byte identical
 // placement decisions.
 func TestBandedMatchesExhaustive(t *testing.T) {
@@ -161,7 +161,7 @@ func TestBandedMatchesExhaustive(t *testing.T) {
 				{Device: "jetson", Count: 170},
 			}
 			banded := mustFleet(t, Config{Nodes: nodes, Seed: seed})
-			exhaustive := mustFleet(t, Config{Nodes: nodes, Seed: seed, IndexBands: -1})
+			exhaustive := mustFleet(t, Config{Nodes: nodes, Seed: seed, exhaustive: true})
 			if banded.index == nil || exhaustive.index != nil {
 				t.Fatal("index enablement wired backwards")
 			}
@@ -255,7 +255,7 @@ func refusalNodes(perr *PlacementError) []string {
 // lockstepReplay is the historical hand-rolled replay loop, kept here
 // as the reference semantics the DES-backed ReplayWith must reproduce
 // byte-for-byte (TestReplayMatchesLockstepReference). It predates the
-// banded index, so run it only on IndexBands < 0 fleets.
+// banded index, so run it only on exhaustive reference fleets.
 func lockstepReplay(t *testing.T, f *Fleet, tr Trace) ReplayResult {
 	t.Helper()
 	type replayEvent struct {
@@ -387,7 +387,7 @@ func TestReplayMatchesLockstepReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			refCfg := tc.cfg
-			refCfg.IndexBands = -1
+			refCfg.exhaustive = true
 			ref := lockstepReplay(t, mustFleet(t, refCfg), tr)
 			des, err := mustFleet(t, tc.cfg).Replay(tr)
 			if err != nil {

@@ -9,7 +9,7 @@ import (
 // session the sampler skips — the common case at low rates. The
 // decision is a hash and a compare with no lock and no allocation, so
 // instrumented code paths pay almost nothing for sessions they never
-// trace. Run with the churn suite: make bench-churn.
+// trace. TestUnsampledHooksDoNotAllocate gates the zero allocations.
 func BenchmarkSpanHotPathUnsampled(b *testing.B) {
 	tr := New(Config{SampleRate: 0.25, Seed: 1})
 	name := ""

@@ -37,8 +37,9 @@ func benchChurnRound(b *testing.B, rt *Runtime, apps []*core.Application, round 
 }
 
 // BenchmarkAdmitChurn measures the admission-to-plan-landed path under
-// churn, cache off vs on — the pinned form of the btbench churn
-// scenario (cmd/btbench -exp churn produces the committed BENCH_6.json).
+// churn, cache off vs on. It reports wall-clock only; the cache's
+// promise, that a warm admission runs no planning, is pinned in exact
+// counts by TestCacheHitSchedulesByteIdentical.
 func BenchmarkAdmitChurn(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

@@ -147,6 +147,7 @@ type Runtime struct {
 	rejected     int
 	skipped      int
 	driftReplans int
+	solves       int // planLocked passes that profiled, solved and autotuned
 	closed       bool
 
 	// Deadline-attainment counters over completed deadline-carrying
@@ -426,6 +427,7 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 			return pipeline.NewPlan(app, rt.dev, sc)
 		}
 	}
+	rt.solves++
 	tables := profiler.ProfileBoth(app, rt.dev, profiler.Config{
 		Reps:    rt.cfg.ProfileReps,
 		Seed:    rt.cfg.Seed + opts.Seed,
