@@ -34,15 +34,22 @@ type PlannerFlags struct {
 	DriftThreshold float64
 }
 
-// AddPlannerFlags declares the shared planner flags on fs and returns
-// the struct their parsed values land in. Call Validate after
-// fs.Parse.
-func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
+// addCacheFlags declares only the schedule-cache flags, -sched-cache
+// and -cache-bucket; the other PlannerFlags fields stay zero.
+func addCacheFlags(fs *flag.FlagSet) *PlannerFlags {
 	p := &PlannerFlags{}
 	fs.IntVar(&p.CacheCapacity, "sched-cache", 0,
 		"memoize planning results in a schedule cache of this capacity (0 = off)")
 	fs.Float64Var(&p.CacheBucket, "cache-bucket", 0,
 		"schedule-cache Env quantization bucket width (0 = default)")
+	return p
+}
+
+// AddPlannerFlags declares the shared planner flags on fs and returns
+// the struct their parsed values land in. Call Validate after
+// fs.Parse.
+func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
+	p := addCacheFlags(fs)
 	fs.Float64Var(&p.ReplanDelta, "replan-delta", 0,
 		"skip re-planning a resident whose Env moved less than this since its last solve (0 = always re-plan)")
 	fs.BoolVar(&p.OnlineProfile, "online-profile", false,
