@@ -228,7 +228,7 @@ type outcome struct {
 }
 
 // replay draws the trace from gen when one is given (else replays
-// trace), builds the fleet, replays the trace on the discrete-event
+// trace), builds the fleet, replays the trace on its sorted event
 // timeline, and tears the fleet down. The same inputs yield a
 // byte-identical outcome on every run.
 func replay(cfg fleet.Config, gen *fleet.GenConfig, trace fleet.Trace, opts fleet.ReplayOptions) (outcome, error) {

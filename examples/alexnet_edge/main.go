@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				r := bt.Simulate(plan, bt.RunOptions{Tasks: 30, Warmup: 5, Seed: 3})
+				r := bt.SimEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 30, Warmup: 5, Seed: 3})
 				errPct := (r.PerTask - top.Predicted) / top.Predicted * 100
 				fmt.Printf("%-14s %-24s %12.3f %12.3f %+8.1f%%\n",
 					dev.Name, strat, top.Predicted*1e3, r.PerTask*1e3, errPct)
@@ -63,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := bt.Execute(plan, bt.RunOptions{Tasks: 8, Warmup: 0})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 8, Warmup: 0})
 	fmt.Printf("real sparse inference on %s with %s: %d batches classified, %.2f ms/batch wall\n",
 		dev.Label, sch, len(r.Completions), r.PerTask*1e3)
 }

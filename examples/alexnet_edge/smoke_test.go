@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"bettertogether/pkg/bt"
@@ -32,7 +33,7 @@ func TestAlexNetEdgeStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %v: %v", strat, err)
 		}
-		if r := bt.Simulate(plan, bt.RunOptions{Tasks: 10, Warmup: 2, Seed: 3}); r.PerTask <= 0 {
+		if r := (bt.SimEngine{}).Run(context.Background(), plan, bt.RunOptions{Tasks: 10, Warmup: 2, Seed: 3}); r.PerTask <= 0 {
 			t.Fatalf("strategy %v: simulated per-task %v", strat, r.PerTask)
 		}
 	}
@@ -47,7 +48,7 @@ func TestAlexNetEdgeStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tasks = 3
-	r := bt.Execute(plan, bt.RunOptions{Tasks: tasks, Warmup: 0})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: tasks, Warmup: 0})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -93,7 +94,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return bt.Simulate(plan, opts).PerTask
+		return bt.SimEngine{}.Run(context.Background(), plan, opts).PerTask
 	}
 	btLat := tune.Measured[tune.BestIndex]
 	gpu := measure(bt.NewUniformSchedule(len(app.Stages), bt.ClassGPU))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"bettertogether/pkg/bt"
@@ -42,7 +43,7 @@ func TestEdgeBoardSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := bt.Simulate(plan, opts); r.PerTask <= 0 {
+	if r := (bt.SimEngine{}).Run(context.Background(), plan, opts); r.PerTask <= 0 {
 		t.Fatalf("simulated per-task latency = %v", r.PerTask)
 	}
 }

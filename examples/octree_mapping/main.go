@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			return bt.Simulate(plan, opts).PerTask
+			return bt.SimEngine{}.Run(context.Background(), plan, opts).PerTask
 		}
 		gpu := measure(bt.NewUniformSchedule(len(app.Stages), bt.ClassGPU))
 		cpu := measure(bt.NewUniformSchedule(len(app.Stages), bt.ClassBig))
@@ -74,7 +75,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r := bt.Execute(plan, bt.RunOptions{Tasks: 10, Warmup: 2})
+		r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 10, Warmup: 2})
 		fmt.Printf("  real run: %d octrees built, %.2f ms/frame wall time\n\n",
 			len(r.Completions), r.PerTask*1e3)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"bettertogether/pkg/bt"
@@ -44,7 +45,7 @@ func TestOctreeMappingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tasks = 3
-	r := bt.Execute(plan, bt.RunOptions{Tasks: tasks, Warmup: 1})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: tasks, Warmup: 1})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

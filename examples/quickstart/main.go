@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -159,7 +160,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r := bt.Simulate(plan, opts)
+		r := bt.SimEngine{}.Run(context.Background(), plan, opts)
 		fmt.Printf("  %-14s %8.3f ms/task (simulated)\n", s.name, r.PerTask*1e3)
 	}
 
@@ -169,12 +170,12 @@ func main() {
 		log.Fatal(err)
 	}
 	tl := &bt.Timeline{}
-	bt.Simulate(plan, bt.RunOptions{Tasks: 8, Warmup: 1, Seed: 1, Trace: tl})
+	bt.SimEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 8, Warmup: 1, Seed: 1, Trace: tl})
 	fmt.Println()
 	fmt.Print(tl.Gantt(72))
 
 	// And run the real kernels through the concurrent pipeline.
-	r := bt.Execute(plan, bt.RunOptions{Tasks: 50, Warmup: 10})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 50, Warmup: 10})
 	if r.Err != nil {
 		log.Fatal(r.Err)
 	}

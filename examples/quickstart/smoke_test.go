@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestQuickstartEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if r := bt.Simulate(plan, bt.RunOptions{Tasks: 10, Warmup: 2, Seed: 1}); r.PerTask <= 0 {
+	if r := (bt.SimEngine{}).Run(context.Background(), plan, bt.RunOptions{Tasks: 10, Warmup: 2, Seed: 1}); r.PerTask <= 0 {
 		t.Fatalf("simulated per-task latency = %v", r.PerTask)
 	}
 
@@ -58,7 +59,7 @@ func TestQuickstartEndToEnd(t *testing.T) {
 	app.Stages[last].GPU = check
 
 	const tasks = 5
-	r := bt.Execute(plan, bt.RunOptions{Tasks: tasks, Warmup: 1})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: tasks, Warmup: 1})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

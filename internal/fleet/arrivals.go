@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -66,9 +67,36 @@ func sessionNames(arrivals []Arrival) ([]string, error) {
 	return names, nil
 }
 
-// Trace is a replayable arrival sequence, ordered by At.
+// checkTimes refuses an arrival whose time, dwell or deadline is
+// negative or not finite: its events would sort out of place on the
+// replay timeline. DecodeTrace and ReplayWith share it, so a trace built
+// in code meets the rule a decoded one does.
+func checkTimes(arrivals []Arrival) error {
+	for i, a := range arrivals {
+		for _, v := range [...]struct {
+			name string
+			val  float64
+		}{{"time at", a.At}, {"dwell", a.Dwell}, {"deadline", a.Deadline}} {
+			if v.val < 0 {
+				return fmt.Errorf("arrival %d has negative %s=%v", i, v.name, v.val)
+			}
+			if !finiteTime(v.val) {
+				return fmt.Errorf("arrival %d has non-finite %s=%v", i, v.name, v.val)
+			}
+		}
+	}
+	return nil
+}
+
+// finiteTime reports whether v is usable as a logical time or budget:
+// non-negative and finite, which NaN is not.
+func finiteTime(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// Trace is a replayable arrival sequence.
 type Trace struct {
-	// Arrivals in non-decreasing At order.
+	// Arrivals in non-decreasing At order. DecodeTrace requires that
+	// order; ReplayWith runs arrivals in time order whatever their order
+	// here, breaking ties by position.
 	Arrivals []Arrival `json:"arrivals"`
 }
 
@@ -171,7 +199,7 @@ func (t Trace) Encode(w io.Writer) error {
 }
 
 // DecodeTrace reads a JSON trace and validates it for replay: known
-// shape, non-negative times, dwells and deadlines, non-decreasing
+// shape, non-negative finite times, dwells and deadlines, non-decreasing
 // arrival order, and unique effective session names (explicit or
 // default). Each violation gets its own descriptive error naming the
 // offending arrival and values, so a hand-edited trace fails with a
@@ -183,22 +211,16 @@ func DecodeTrace(r io.Reader) (Trace, error) {
 	if err := dec.Decode(&t); err != nil {
 		return Trace{}, fmt.Errorf("fleet: decode trace: %w", err)
 	}
+	if err := checkTimes(t.Arrivals); err != nil {
+		return Trace{}, fmt.Errorf("fleet: decode trace: %w", err)
+	}
 	prev := 0.0
 	for i, a := range t.Arrivals {
 		if a.App == "" {
 			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has no app", i)
 		}
-		if a.At < 0 {
-			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has negative time at=%v", i, a.At)
-		}
 		if a.At < prev {
 			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d at=%v is non-monotonic: earlier than arrival %d at=%v", i, a.At, i-1, prev)
-		}
-		if a.Dwell < 0 {
-			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has negative dwell=%v", i, a.Dwell)
-		}
-		if a.Deadline < 0 {
-			return Trace{}, fmt.Errorf("fleet: decode trace: arrival %d has negative deadline=%v", i, a.Deadline)
 		}
 		prev = a.At
 	}

@@ -65,6 +65,12 @@ func FuzzDecodeTrace(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// ReplayWith applies the same time rule to code-built traces; a
+		// decoded trace that failed it would replay differently from one
+		// built in code.
+		if err := checkTimes(tr.Arrivals); err != nil {
+			t.Fatalf("DecodeTrace accepted a trace the replay refuses: %v", err)
+		}
 		names := map[string]int{}
 		prev := 0.0
 		for i, a := range tr.Arrivals {

@@ -154,7 +154,8 @@ func checkSpecs(specs []NodeSpec) error {
 }
 
 // ParseAffinity parses the CLI affinity syntax: a comma-separated list
-// of "<app>=<device>" pairs, e.g. "vision=jetson,octree=pixel7a".
+// of "<app>=<device>" pairs, e.g. "vision=jetson,octree=pixel7a". An
+// app may appear once: a second pair would silently replace the first.
 func ParseAffinity(s string) (map[string]string, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -169,6 +170,9 @@ func ParseAffinity(s string) (map[string]string, error) {
 		app, dev = strings.TrimSpace(app), strings.TrimSpace(dev)
 		if !ok || app == "" || dev == "" {
 			return nil, fmt.Errorf("fleet: affinity %q: want <app>=<device>", part)
+		}
+		if prev, dup := out[app]; dup {
+			return nil, fmt.Errorf("fleet: affinity names app %q twice (%s and %s); give it one device", app, prev, dev)
 		}
 		out[app] = dev
 	}

@@ -51,7 +51,7 @@ func TestParseAffinity(t *testing.T) {
 	if aff, err := ParseAffinity("  "); err != nil || aff != nil {
 		t.Fatalf("blank affinity = %v, %v; want nil, nil", aff, err)
 	}
-	for _, bad := range []string{"vision", "=jetson", "vision="} {
+	for _, bad := range []string{"vision", "=jetson", "vision=", "vision=jetson,vision=pixel7a", "vision=jetson, vision =jetson"} {
 		if _, err := ParseAffinity(bad); err == nil {
 			t.Errorf("ParseAffinity(%q) accepted", bad)
 		}
@@ -112,7 +112,7 @@ func FuzzParseNodeSpecs(f *testing.F) {
 }
 
 // FuzzParseAffinity checks every affinity ParseAffinity accepts: each
-// app and device name non-empty and trimmed.
+// app and device name non-empty and trimmed, and no app named twice.
 func FuzzParseAffinity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		aff, err := ParseAffinity(s)
@@ -123,6 +123,17 @@ func FuzzParseAffinity(f *testing.F) {
 			if app == "" || app != strings.TrimSpace(app) || dev == "" || dev != strings.TrimSpace(dev) {
 				t.Fatalf("%q: pair %q=%q has an empty or untrimmed name", s, app, dev)
 			}
+		}
+		// Every non-blank pair must survive as its own entry: an app
+		// named twice would collapse two pairs into one.
+		pairs := 0
+		for _, part := range strings.Split(s, ",") {
+			if strings.TrimSpace(part) != "" {
+				pairs++
+			}
+		}
+		if len(aff) != pairs {
+			t.Fatalf("%q: %d pairs parsed into %d entries %v", s, pairs, len(aff), aff)
 		}
 	})
 }
@@ -422,7 +433,7 @@ func replayOnce(t *testing.T) ([]byte, ReplayResult, *Fleet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Replay(tr)
+	res, err := f.ReplayWith(tr, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}

@@ -1,13 +1,14 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
 	"bettertogether/internal/core"
-	"bettertogether/internal/des"
 	"bettertogether/internal/metrics"
 	"bettertogether/internal/runtime"
 	"bettertogether/pkg/btapps"
@@ -148,25 +149,26 @@ const (
 	prioSample
 )
 
-// Replay runs a trace through the fleet in logical time with no
-// control-plane events scheduled. It is a thin wrapper over ReplayWith;
-// its output is byte-identical to the historical lockstep replay loop
-// (pinned by TestReplayDeterministic and TestReplayMatchesLockstepReference).
-func (f *Fleet) Replay(t Trace) (ReplayResult, error) {
-	return f.ReplayWith(t, ReplayOptions{})
+// replayEvent is one entry on a replay's timeline: fn runs at logical
+// time at, and prio orders it among events sharing that time.
+type replayEvent struct {
+	at   float64
+	prio int
+	fn   func() error
 }
 
-// ReplayWith replays a trace on a dedicated discrete-event engine:
-// every temporal behavior — arrivals, dwell-expiry departures, drain
-// and rebalance sweeps, stats sampling — is a scheduled event on one
-// priority-ordered timeline rather than a hand-rolled merge loop.
+// ReplayWith replays a trace on one timeline: every temporal behavior —
+// arrivals, dwell-expiry departures, drain and rebalance sweeps, stats
+// sampling — is an event in a single list sorted by (time, priority,
+// trace order). No event creates another, so the whole list is known
+// before the first one runs.
 //
 //   - An arrival is placed with runtime.AdmitOptions.Hold — planned,
 //     admitted, and reserving headroom, but not executing. The
 //     reservation immediately shapes every co-resident's interference
 //     environment, exactly like a running session would.
 //   - A departure starts the (possibly migrated) held session and waits
-//     for it to run to completion before the event loop advances.
+//     for it to run to completion before the next event runs.
 //   - Control events (drain, rebalance) move reservations between
 //     nodes; a migrated session departs from wherever it lives when its
 //     dwell expires.
@@ -177,11 +179,14 @@ func (f *Fleet) Replay(t Trace) (ReplayResult, error) {
 // deterministic: one trace, one seed, one byte-identical result, every
 // run.
 func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
-	if opts.DrainNode != "" && opts.DrainAt < 0 {
-		return ReplayResult{}, fmt.Errorf("fleet: replay: negative drain time %v", opts.DrainAt)
+	if opts.DrainNode != "" && !finiteTime(opts.DrainAt) {
+		return ReplayResult{}, fmt.Errorf("fleet: replay: drain time %v is negative or not finite", opts.DrainAt)
 	}
-	if opts.SLODeadline < 0 {
-		return ReplayResult{}, fmt.Errorf("fleet: replay: negative SLO deadline %v", opts.SLODeadline)
+	if !finiteTime(opts.SLODeadline) {
+		return ReplayResult{}, fmt.Errorf("fleet: replay: SLO deadline %v is negative or not finite", opts.SLODeadline)
+	}
+	if err := checkTimes(t.Arrivals); err != nil {
+		return ReplayResult{}, fmt.Errorf("fleet: replay: %w", err)
 	}
 	// Session names key the fleet's active sessions: a repeated name
 	// would replace an earlier held session that then never runs.
@@ -200,22 +205,14 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 	// immutable, and sessions only draw fresh tasks from them.
 	apps := map[string]*core.Application{}
 
-	eng := des.New()
-	var failed error
-	fail := func(err error) {
-		if failed == nil {
-			failed = err
-		}
-	}
-
-	// Schedule the trace in order: within a timestamp and priority, seq
-	// order equals trace order, reproducing the lockstep loop's stable
-	// sort exactly — including the zero-dwell edge where an arrival's
-	// own departure fires first and finds no session.
+	// Append the trace in order: the stable sort below keeps trace order
+	// within a timestamp and priority, reproducing the lockstep loop's
+	// order exactly — including the zero-dwell edge where an arrival's
+	// own departure runs first and finds no session.
+	events := make([]replayEvent, 0, 2*len(t.Arrivals)+1)
 	horizon := 0.0
 	sloEnabled := opts.SLODeadline > 0
 	for i, a := range t.Arrivals {
-		i, a := i, a
 		if a.Deadline > 0 {
 			sloEnabled = true
 		}
@@ -226,67 +223,55 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 		if end := a.At + a.Dwell; end > horizon {
 			horizon = end
 		}
-		eng.AtPrio(a.At, prioArrival, func() {
-			if failed != nil {
-				return
-			}
-			f.cfg.Trace.AdvanceTo(a.At)
-			fail(f.replayArrival(&res, apps, i, a, names[i], deadline))
-		})
-		eng.AtPrio(a.At+a.Dwell, prioDepart, func() {
-			if failed != nil {
-				return
-			}
-			f.cfg.Trace.AdvanceTo(a.At + a.Dwell)
-			fail(f.replayDeparture(&res.Records[i]))
-		})
+		events = append(events,
+			replayEvent{a.At, prioArrival, func() error {
+				return f.replayArrival(&res, apps, i, a, names[i], deadline)
+			}},
+			replayEvent{a.At + a.Dwell, prioDepart, func() error {
+				return f.replayDeparture(&res.Records[i])
+			}})
 	}
 
 	if opts.DrainNode != "" {
 		at := opts.DrainAt
-		eng.AtPrio(at, prioControl, func() {
-			if failed != nil {
-				return
-			}
-			f.cfg.Trace.AdvanceTo(at)
+		events = append(events, replayEvent{at, prioControl, func() error {
 			moved, err := f.Drain(opts.DrainNode)
 			if err != nil {
-				fail(fmt.Errorf("fleet: replay: %w", err))
-				return
+				return fmt.Errorf("fleet: replay: %w", err)
 			}
 			res.Drains = append(res.Drains, DrainRecord{At: at, Node: opts.DrainNode, Migrated: moved})
-		})
+			return nil
+		}})
 	}
 	if opts.RebalanceEvery > 0 {
 		for at := opts.RebalanceEvery; at <= horizon; at += opts.RebalanceEvery {
-			at := at
-			eng.AtPrio(at, prioControl, func() {
-				if failed != nil {
-					return
-				}
-				f.cfg.Trace.AdvanceTo(at)
+			events = append(events, replayEvent{at, prioControl, func() error {
 				if _, err := f.Rebalance(); err != nil {
-					fail(fmt.Errorf("fleet: replay: rebalance: %w", err))
+					return fmt.Errorf("fleet: replay: rebalance: %w", err)
 				}
-			})
+				return nil
+			}})
 		}
 	}
 	if opts.SampleEvery > 0 {
 		for at := opts.SampleEvery; at <= horizon; at += opts.SampleEvery {
-			at := at
-			eng.AtPrio(at, prioSample, func() {
-				if failed != nil {
-					return
-				}
+			events = append(events, replayEvent{at, prioSample, func() error {
 				res.Samples = append(res.Samples, f.sample(at))
-			})
+				return nil
+			}})
 		}
 	}
 
-	eng.Run()
+	sortEvents(events)
+	for _, e := range events {
+		f.cfg.Trace.AdvanceTo(e.at)
+		if err = e.fn(); err != nil {
+			break
+		}
+	}
 	res.Migrated = f.migrationCount() - startMigrations
-	if failed != nil {
-		return res, failed
+	if err != nil {
+		return res, err
 	}
 	res.P50 = f.latency.Quantile(0.50).Seconds()
 	res.P99 = f.latency.Quantile(0.99).Seconds()
@@ -294,6 +279,17 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 		res.SLO = summarizeSLO(res.Records)
 	}
 	return res, nil
+}
+
+// sortEvents orders a replay's timeline by (time, priority); the sort
+// is stable, so events sharing both keep the order they were appended.
+func sortEvents(events []replayEvent) {
+	slices.SortStableFunc(events, func(x, y replayEvent) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.prio, y.prio)
+	})
 }
 
 // summarizeSLO folds the replay records' per-session verdicts into the

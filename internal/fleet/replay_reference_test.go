@@ -253,7 +253,7 @@ func refusalNodes(perr *PlacementError) []string {
 }
 
 // lockstepReplay is the historical hand-rolled replay loop, kept here
-// as the reference semantics the DES-backed ReplayWith must reproduce
+// as the reference semantics the sorted-event ReplayWith must reproduce
 // byte-for-byte (TestReplayMatchesLockstepReference). It predates the
 // banded index, so run it only on exhaustive reference fleets.
 func lockstepReplay(t *testing.T, f *Fleet, tr Trace) ReplayResult {
@@ -339,7 +339,7 @@ func lockstepReplay(t *testing.T, f *Fleet, tr Trace) ReplayResult {
 }
 
 // TestReplayMatchesLockstepReference is the refactor's acceptance pin:
-// the DES-backed Replay (with the banded index on, its default) is
+// ReplayWith (with the banded index on, its default) is
 // byte-identical to the historical lockstep loop over an exhaustive
 // fleet, on both the canonical bursty trace and btfleet's smoke workload.
 func TestReplayMatchesLockstepReference(t *testing.T) {
@@ -389,7 +389,7 @@ func TestReplayMatchesLockstepReference(t *testing.T) {
 			refCfg := tc.cfg
 			refCfg.exhaustive = true
 			ref := lockstepReplay(t, mustFleet(t, refCfg), tr)
-			des, err := mustFleet(t, tc.cfg).Replay(tr)
+			des, err := mustFleet(t, tc.cfg).ReplayWith(tr, ReplayOptions{})
 			if err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
@@ -412,7 +412,7 @@ func TestReplayZeroDwell(t *testing.T) {
 		{At: 0, App: "octree", Dwell: 0, Tasks: 2},
 		{At: 1, App: "octree", Dwell: 1, Tasks: 2},
 	}}
-	res, err := f.Replay(tr)
+	res, err := f.ReplayWith(tr, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -585,7 +585,7 @@ func TestDrainUnknownNode(t *testing.T) {
 }
 
 // TestReplayWithDrainDeterministic pins the control-plane events on the
-// DES timeline: a drain mid-replay (with rebalance sweeps and stats
+// replay timeline: a drain mid-replay (with rebalance sweeps and stats
 // sampling scheduled) replays byte-identically, records the drain, and
 // keeps every arrival accounted for.
 func TestReplayWithDrainDeterministic(t *testing.T) {

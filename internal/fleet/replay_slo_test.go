@@ -112,7 +112,7 @@ func TestReplayZeroDeadlineOutputUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mustFleet(t, cfg).Replay(tr)
+	res, err := mustFleet(t, cfg).ReplayWith(tr, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestSampledReplaySubset(t *testing.T) {
 		tracer := sessiontrace.New(sessiontrace.Config{SampleRate: 0.5, Seed: cfg.Seed})
 		c := cfg
 		c.Trace = tracer
-		if _, err := mustFleet(t, c).Replay(tr); err != nil {
+		if _, err := mustFleet(t, c).ReplayWith(tr, ReplayOptions{}); err != nil {
 			t.Fatalf("Replay: %v", err)
 		}
 		var names []string

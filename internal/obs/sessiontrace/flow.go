@@ -9,40 +9,14 @@ import "bettertogether/internal/obs"
 const flowEpsilonUs = 1.0
 
 // ChromeFlow renders one trace as a Chrome trace_event document whose
-// spans are connected by flow events ("s" → "t" → "f"), so Perfetto
-// draws causality arrows from arrival through placement, admission,
-// waves, and any re-plan or migration to completion.
+// spans are "X" slices connected by flow events ("s" → "t" → "f"), so
+// Perfetto draws causality arrows from arrival through placement,
+// admission, waves, and any re-plan or migration to completion.
 func ChromeFlow(doc TraceDoc) obs.ChromeTraceDoc {
-	out := obs.ChromeTraceDoc{TraceEvents: []obs.ChromeTraceEvent{}, DisplayTimeUnit: "ms"}
-	out.TraceEvents = append(out.TraceEvents, obs.ChromeTraceEvent{
-		Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
-		Args: map[string]any{"name": "bettertogether sessions"},
-	})
-	appendFlowTrace(&out, doc, 0)
-	return out
-}
-
-// ChromeFlowAll merges every trace into one document, one thread track
-// per session.
-func ChromeFlowAll(docs []TraceDoc) obs.ChromeTraceDoc {
-	out := obs.ChromeTraceDoc{TraceEvents: []obs.ChromeTraceEvent{}, DisplayTimeUnit: "ms"}
-	out.TraceEvents = append(out.TraceEvents, obs.ChromeTraceEvent{
-		Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
-		Args: map[string]any{"name": "bettertogether sessions"},
-	})
-	for i, d := range docs {
-		appendFlowTrace(&out, d, i)
-	}
-	return out
-}
-
-// appendFlowTrace emits doc's spans as "X" slices on thread tid plus a
-// flow chain threading every span in lifecycle order.
-func appendFlowTrace(out *obs.ChromeTraceDoc, doc TraceDoc, tid int) {
-	out.TraceEvents = append(out.TraceEvents, obs.ChromeTraceEvent{
-		Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-		Args: map[string]any{"name": doc.Session},
-	})
+	out := obs.ChromeTraceDoc{DisplayTimeUnit: "ms", TraceEvents: []obs.ChromeTraceEvent{
+		{Name: "process_name", Ph: "M", Pid: 1, Args: map[string]any{"name": "bettertogether sessions"}},
+		{Name: "thread_name", Ph: "M", Pid: 1, Args: map[string]any{"name": doc.Session}},
+	}}
 	for _, s := range doc.Spans {
 		name := s.Kind
 		if s.Name != "" {
@@ -62,19 +36,19 @@ func appendFlowTrace(out *obs.ChromeTraceDoc, doc TraceDoc, tid int) {
 		out.TraceEvents = append(out.TraceEvents, obs.ChromeTraceEvent{
 			Name: name, Cat: "session", Ph: "X",
 			Ts: s.Start * 1e6, Dur: durUs,
-			Pid: 1, Tid: tid, Args: args,
+			Pid: 1, Args: args,
 		})
 	}
 	// The flow chain: one arrow sequence per trace, bound to each span's
 	// start inside its slice ("e" binds the finish to the enclosing
 	// slice). A single span gets no arrows — there is nothing to link.
 	if len(doc.Spans) < 2 {
-		return
+		return out
 	}
 	for i, s := range doc.Spans {
 		ev := obs.ChromeTraceEvent{
 			Name: "lifecycle", Cat: "flow", Ts: s.Start * 1e6,
-			Pid: 1, Tid: tid, ID: doc.TraceID,
+			Pid: 1, ID: doc.TraceID,
 		}
 		switch i {
 		case 0:
@@ -87,4 +61,5 @@ func appendFlowTrace(out *obs.ChromeTraceDoc, doc TraceDoc, tid int) {
 		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}
+	return out
 }

@@ -47,29 +47,6 @@ func TestChromeFlowLinksSpans(t *testing.T) {
 	}
 }
 
-func TestChromeFlowAllSeparatesTracks(t *testing.T) {
-	tr := all()
-	spill(tr, "a", 1, 0)
-	spill(tr, "b", 1, 0)
-	out := ChromeFlowAll(tr.Snapshot())
-	tids := map[float64]bool{}
-	names := map[string]bool{}
-	for _, ev := range out.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			names[ev.Args["name"].(string)] = true
-		}
-		if ev.Ph == "X" {
-			tids[float64(ev.Tid)] = true
-		}
-	}
-	if !names["a"] || !names["b"] {
-		t.Fatalf("thread names %v", names)
-	}
-	if len(tids) != 2 {
-		t.Fatalf("sessions share a track: tids %v", tids)
-	}
-}
-
 func TestHandlerServesIndexTreeAndChrome(t *testing.T) {
 	tr := all()
 	spill(tr, "octree#1", 2.0, 5.0)

@@ -10,7 +10,7 @@
 // Every hook is safe on a nil *Tracer, so call sites need no guards.
 //
 // Determinism: spans carry only logical times (virtual seconds,
-// advanced by AdvanceTo from the replay's DES closures and by wave
+// advanced by AdvanceTo from the replay's event loop and by wave
 // durations), and head-sampling is a pure function of (seed, session
 // name) — the same seed and the same fleet trace produce a
 // byte-identical sampled span set on every replay.
@@ -163,7 +163,7 @@ func (t *Tracer) sampled(session string) (uint64, bool) {
 }
 
 // AdvanceTo moves the logical clock forward to at (never backward).
-// Replay closures call it with the DES event time before touching the
+// The replay loop calls it with each event's time before touching the
 // fleet, so spans line up with the replay timeline.
 func (t *Tracer) AdvanceTo(at float64) {
 	if t == nil {

@@ -46,10 +46,31 @@ func (SimEngine) Run(ctx context.Context, p *Plan, opts Options) Result {
 	return drive(ctx, p, opts, simRun)
 }
 
-// RealEngine executes plans with the application's actual kernels. Run
-// honors ctx throughout: cancellation drains in-flight tasks, joins
-// every dispatcher, and reports ctx.Err() in Result.Err (see the
-// lifecycle contract on ExecuteContext).
+// RealEngine executes plans with the application's actual kernels
+// concurrently: one long-lived dispatcher goroutine per chunk, SPSC
+// queues between chunks, TaskObjects recycled through the closing edge
+// of the ring (paper Sec. 3.4). Wall times are host times — useful for
+// functional validation and relative comparison, not for reproducing
+// device numbers (that is SimEngine's job). Run keeps a lifecycle
+// contract:
+//
+//   - Cancellation: when ctx is canceled the ring closes, in-flight
+//     tasks drain (no new tasks are issued), every dispatcher joins, and
+//     Result.Err carries ctx.Err(). Completions recorded before the
+//     cancel are preserved.
+//   - Panic isolation: a panicking kernel — on a dispatcher or on any
+//     pool worker lane — shuts the pipeline down instead of crashing the
+//     process; Result.Err is a *PanicError attributing the panic to its
+//     chunk, stage, and task, with the original stack.
+//   - Bounded join: dispatchers are joined with a deadline
+//     (Options.ShutdownTimeout). If a kernel never returns, Result.Err
+//     is a *ShutdownTimeoutError and the stalled goroutines are leaked
+//     loudly rather than deadlocking the caller.
+//
+// When Options.Metrics is set, the dispatchers additionally record
+// per-stage dispatch counts and service times, per-edge waits, stalls and
+// occupancy, and per-pool utilization; recording is lock-free and
+// allocation-free.
 type RealEngine struct{}
 
 // Name implements Engine.

@@ -25,30 +25,6 @@ func TestByNameResolvesEngines(t *testing.T) {
 	}
 }
 
-// TestSimEngineMatchesSimulate pins the compatibility contract: the
-// deprecated Simulate wrapper and SimEngine.Run are the same code path,
-// so their results must be identical field by field.
-func TestSimEngineMatchesSimulate(t *testing.T) {
-	app, _ := testApp(4, 1e7)
-	dev := soc.NewPixel7a()
-	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"little", "big", "gpu", "gpu"}})
-	opts := Options{Tasks: 25, Warmup: 3, Seed: 42}
-
-	a := Simulate(p, opts)
-	b := SimEngine{}.Run(context.Background(), p, opts)
-	if len(a.Completions) != len(b.Completions) {
-		t.Fatalf("completion counts differ: %d vs %d", len(a.Completions), len(b.Completions))
-	}
-	for i := range a.Completions {
-		if a.Completions[i] != b.Completions[i] {
-			t.Fatalf("completion %d differs: %v vs %v", i, a.Completions[i], b.Completions[i])
-		}
-	}
-	if a.PerTask != b.PerTask || a.Elapsed != b.Elapsed || a.EnergyJ != b.EnergyJ {
-		t.Errorf("aggregates differ: %+v vs %+v", a, b)
-	}
-}
-
 func TestRealEngineRunsKernels(t *testing.T) {
 	app, runs := testApp(3, 1e5)
 	dev := soc.NewPixel7a()
@@ -122,12 +98,12 @@ func TestBaseEnvSlowsSim(t *testing.T) {
 	app, _ := testApp(3, 1e8)
 	dev := soc.NewPixel7a()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "big", "big"}})
-	base := Simulate(p, Options{Tasks: 20, Warmup: 2, Seed: 7})
+	base := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 2, Seed: 7})
 	env := soc.Env{}
 	for _, pu := range dev.PUs {
 		env.Add(pu.Class, soc.Load{MemIntensity: 1})
 	}
-	loaded := Simulate(p, Options{Tasks: 20, Warmup: 2, Seed: 7, BaseEnv: env})
+	loaded := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 2, Seed: 7, BaseEnv: env})
 	if !(loaded.PerTask > base.PerTask) || math.IsNaN(loaded.PerTask) {
 		t.Errorf("BaseEnv did not slow the run: isolated %.6f, loaded %.6f",
 			base.PerTask, loaded.PerTask)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -30,9 +31,9 @@ func TestSimulateEventsDoNotPerturb(t *testing.T) {
 	dev := soc.NewPixel7a()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu", "little"}})
 
-	bare := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 7})
+	bare := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 7})
 	stream := obs.NewStream(4096)
-	evented := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 7, Events: stream})
+	evented := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 7, Events: stream})
 
 	// Golden pin: render both results and compare bytes.
 	if a, b := fmt.Sprintf("%+v", bare), fmt.Sprintf("%+v", evented); a != b {
@@ -61,7 +62,7 @@ func TestExecuteEmitsLifecycleEvents(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "big", "gpu"}})
 	stream := obs.NewStream(1024)
-	r := Execute(p, Options{Tasks: 8, Warmup: 2, Events: stream})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 8, Warmup: 2, Events: stream})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -158,7 +159,9 @@ func TestExecuteEmitsPanicRecovered(t *testing.T) {
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
 	stream := obs.NewStream(256)
 	done := make(chan Result, 1)
-	go func() { done <- Execute(p, Options{Tasks: 10, Warmup: 0, Events: stream}) }()
+	go func() {
+		done <- RealEngine{}.Run(context.Background(), p, Options{Tasks: 10, Warmup: 0, Events: stream})
+	}()
 	select {
 	case r := <-done:
 		if r.Err == nil {
@@ -192,7 +195,7 @@ func TestExecuteEventsUnderConcurrency(t *testing.T) {
 			dev := soc.NewPixel7a()
 			p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu", "little"}})
 			sink := obs.WithSession(stream, fmt.Sprintf("run#%d", i))
-			r := Execute(p, Options{Tasks: 6, Warmup: 0, Events: sink})
+			r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 6, Warmup: 0, Events: sink})
 			if r.Err != nil {
 				t.Errorf("run %d: %v", i, r.Err)
 			}
@@ -242,7 +245,7 @@ func BenchmarkExecuteBare(b *testing.B) {
 	p := benchPlan(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Execute(p, Options{Tasks: 50, Warmup: 0})
+		RealEngine{}.Run(context.Background(), p, Options{Tasks: 50, Warmup: 0})
 	}
 }
 
@@ -251,6 +254,6 @@ func BenchmarkExecuteEvented(b *testing.B) {
 	s := obs.NewStream(obs.DefaultStreamCapacity)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Execute(p, Options{Tasks: 50, Warmup: 0, Events: s})
+		RealEngine{}.Run(context.Background(), p, Options{Tasks: 50, Warmup: 0, Events: s})
 	}
 }

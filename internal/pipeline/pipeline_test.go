@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -118,12 +119,12 @@ func TestSimulateDeterministic(t *testing.T) {
 	dev := soc.NewPixel7a()
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu", "gpu", "little"}}
 	p := mustPlan(t, app, dev, s)
-	a := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 42})
-	b := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 42})
+	a := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 42})
+	b := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 42})
 	if a.PerTask != b.PerTask || a.Elapsed != b.Elapsed {
 		t.Errorf("same seed, different results: %v vs %v", a, b)
 	}
-	c := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 43})
+	c := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 43})
 	if a.PerTask == c.PerTask {
 		t.Error("different seeds should perturb noise")
 	}
@@ -134,7 +135,7 @@ func TestSimulateCompletionCountAndMonotonicity(t *testing.T) {
 	dev := soc.NewJetson()
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "big", "gpu", "gpu"}}
 	p := mustPlan(t, app, dev, s)
-	r := Simulate(p, Options{Tasks: 30, Warmup: 3, Seed: 1})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 30, Warmup: 3, Seed: 1})
 	if len(r.Completions) != 30 {
 		t.Fatalf("completions = %d, want 30", len(r.Completions))
 	}
@@ -167,7 +168,7 @@ func TestSimulateSteadyStatePeriodBounds(t *testing.T) {
 	dev.NoiseSigma = 0
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu"}}
 	p := mustPlan(t, app, dev, s)
-	r := Simulate(p, Options{Tasks: 40, Warmup: 10, Seed: 1})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 40, Warmup: 10, Seed: 1})
 
 	cost := app.Stages[0].Cost
 	envB := soc.Env{core.ClassGPU: {MemIntensity: dev.Intensity(cost, core.ClassGPU)}}
@@ -207,7 +208,7 @@ func TestSimulateExtremeImbalanceRunsBottleneckIsolated(t *testing.T) {
 	dev := soc.NewJetson()
 	dev.NoiseSigma = 0
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
-	r := Simulate(p, Options{Tasks: 40, Warmup: 10, Seed: 1})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 40, Warmup: 10, Seed: 1})
 	iso := dev.Estimate(heavy, core.ClassBig, nil)
 	if rel := math.Abs(r.PerTask-iso) / iso; rel > 0.02 {
 		t.Errorf("period %.4gms vs isolated bottleneck %.4gms (rel %.3f)",
@@ -219,7 +220,7 @@ func TestSimulateSingleChunk(t *testing.T) {
 	app, _ := testApp(3, 1e6)
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.NewUniformSchedule(3, core.ClassGPU))
-	r := Simulate(p, Options{Tasks: 10, Warmup: 2, Seed: 9})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 10, Warmup: 2, Seed: 9})
 	if len(r.Completions) != 10 {
 		t.Fatalf("completions = %d", len(r.Completions))
 	}
@@ -238,7 +239,7 @@ func TestSimulateIsolatedChunkSlowerThanPredictedByIsolatedTable(t *testing.T) {
 	dev.NoiseSigma = 0
 	s := core.Schedule{Assign: []core.PUClass{"big", "gpu"}}
 	p := mustPlan(t, app, dev, s)
-	r := Simulate(p, Options{Tasks: 30, Warmup: 5, Seed: 1})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 30, Warmup: 5, Seed: 1})
 	cost := app.Stages[0].Cost
 	isoBig := dev.Estimate(cost, core.ClassBig, nil)
 	isoGPU := dev.Estimate(cost, core.ClassGPU, nil)
@@ -254,7 +255,7 @@ func TestExecuteRealEngine(t *testing.T) {
 	dev := soc.NewPixel7a()
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "little"}}
 	p := mustPlan(t, app, dev, s)
-	r := Execute(p, Options{Tasks: 12, Warmup: 3})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 12, Warmup: 3})
 	if len(r.Completions) != 12 {
 		t.Fatalf("completions = %d, want 12", len(r.Completions))
 	}
@@ -273,7 +274,7 @@ func TestExecuteSingleChunk(t *testing.T) {
 	app, runs := testApp(2, 1e3)
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.NewUniformSchedule(2, core.ClassBig))
-	r := Execute(p, Options{Tasks: 5, Warmup: 0})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 5, Warmup: 0})
 	if len(r.Completions) != 5 || runs.Load() != 10 {
 		t.Fatalf("completions=%d runs=%d", len(r.Completions), runs.Load())
 	}
@@ -300,7 +301,7 @@ func TestExecutePreservesTaskSequence(t *testing.T) {
 	}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.NewUniformSchedule(1, core.ClassBig))
-	Execute(p, Options{Tasks: 8, Warmup: 0, Buffers: 3})
+	RealEngine{}.Run(context.Background(), p, Options{Tasks: 8, Warmup: 0, Buffers: 3})
 	if len(seqs) != 8 {
 		t.Fatalf("executed %d tasks", len(seqs))
 	}
@@ -368,7 +369,7 @@ func TestSimulateTraceRecording(t *testing.T) {
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu"}}
 	p := mustPlan(t, app, dev, s)
 	tl := &trace.Timeline{}
-	r := Simulate(p, Options{Tasks: 6, Warmup: 0, Seed: 1, Trace: tl})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 6, Warmup: 0, Seed: 1, Trace: tl})
 	// Every (task, stage) pair appears exactly once: (6 tasks + fill) ×
 	// 4 stages; buffers default to chunks+1=3 in-flight so total tasks
 	// processed is exactly Tasks here (warmup 0).
@@ -416,7 +417,7 @@ func TestSimulateEnergyAccounting(t *testing.T) {
 	dev := soc.NewJetson()
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu"}}
 	p := mustPlan(t, app, dev, s)
-	r := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 2})
+	r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 2})
 	if r.EnergyJ <= 0 || r.EnergyPerTaskJ <= 0 {
 		t.Fatalf("no energy accounted: %+v", r)
 	}
@@ -432,9 +433,9 @@ func TestSimulateEnergyAccounting(t *testing.T) {
 	// idling must draw less average power than saturating the GPU
 	// (12 W busy) with the CPU idling.
 	pBig := mustPlan(t, app, dev, core.NewUniformSchedule(4, core.ClassBig))
-	rBig := Simulate(pBig, Options{Tasks: 20, Warmup: 5, Seed: 2})
+	rBig := SimEngine{}.Run(context.Background(), pBig, Options{Tasks: 20, Warmup: 5, Seed: 2})
 	pGPU := mustPlan(t, app, dev, core.NewUniformSchedule(4, core.ClassGPU))
-	rGPU := Simulate(pGPU, Options{Tasks: 20, Warmup: 5, Seed: 2})
+	rGPU := SimEngine{}.Run(context.Background(), pGPU, Options{Tasks: 20, Warmup: 5, Seed: 2})
 	if rBig.AvgWatts >= rGPU.AvgWatts {
 		t.Errorf("big-only avg %v W !< GPU-only %v W", rBig.AvgWatts, rGPU.AvgWatts)
 	}
@@ -462,7 +463,7 @@ func TestExecuteSurvivesKernelPanic(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
 	done := make(chan Result, 1)
-	go func() { done <- Execute(p, Options{Tasks: 10, Warmup: 0}) }()
+	go func() { done <- RealEngine{}.Run(context.Background(), p, Options{Tasks: 10, Warmup: 0}) }()
 	select {
 	case r := <-done:
 		if r.Err == nil {
@@ -478,7 +479,7 @@ func TestExecuteTraceRecording(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "big", "gpu"}})
 	tl := &trace.Timeline{}
-	r := Execute(p, Options{Tasks: 5, Warmup: 0, Trace: tl})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 5, Warmup: 0, Trace: tl})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -548,7 +549,7 @@ func TestSimulatePeriodEnvelopeFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		r := Simulate(p, Options{Tasks: 25, Warmup: 8, Seed: int64(trial)})
+		r := SimEngine{}.Run(context.Background(), p, Options{Tasks: 25, Warmup: 8, Seed: int64(trial)})
 
 		lower, upper := 0.0, 0.0
 		for _, ch := range sch.Chunks() {

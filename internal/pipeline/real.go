@@ -19,49 +19,9 @@ import (
 // dispatcher goroutines to join after the run completes or is canceled.
 const defaultShutdownTimeout = 30 * time.Second
 
-// Execute runs the plan's actual kernels concurrently: one long-lived
-// dispatcher goroutine per chunk, SPSC queues between chunks, TaskObjects
-// recycled through the closing edge of the ring (paper Sec. 3.4). Wall
-// times are host times — useful for functional validation and relative
-// comparison, not for reproducing device numbers (that is the Sim
-// engine's job). Execute is ExecuteContext with a background context.
-//
-// Deprecated: use RealEngine{}.Run, which routes through the shared
-// engine driver. Execute delegates there and its output is unchanged.
-func Execute(p *Plan, opts Options) Result {
-	return ExecuteContext(context.Background(), p, opts)
-}
-
-// ExecuteContext is Execute with a lifecycle contract:
-//
-//   - Cancellation: when ctx is canceled the ring closes, in-flight
-//     tasks drain (no new tasks are issued), every dispatcher joins, and
-//     Result.Err carries ctx.Err(). Completions recorded before the
-//     cancel are preserved.
-//   - Panic isolation: a panicking kernel — on a dispatcher or on any
-//     pool worker lane — shuts the pipeline down instead of crashing the
-//     process; Result.Err is a *PanicError attributing the panic to its
-//     chunk, stage, and task, with the original stack.
-//   - Bounded join: dispatchers are joined with a deadline
-//     (Options.ShutdownTimeout). If a kernel never returns, Result.Err
-//     is a *ShutdownTimeoutError and the stalled goroutines are leaked
-//     loudly rather than deadlocking the caller.
-//
-// When Options.Metrics is set, the dispatchers additionally record
-// per-stage dispatch counts and service times, per-edge waits, stalls and
-// occupancy, and per-pool utilization; recording is lock-free and
-// allocation-free.
-//
-// Deprecated: use RealEngine{}.Run, which routes through the shared
-// engine driver. ExecuteContext delegates there and its output is
-// unchanged.
-func ExecuteContext(ctx context.Context, p *Plan, opts Options) Result {
-	return RealEngine{}.Run(ctx, p, opts)
-}
-
 // realRun is the Real engine's executor: the dispatcher/queue machinery
 // over an already validated plan and resolved options. The lifecycle
-// contract is documented on ExecuteContext.
+// contract is documented on RealEngine.
 func realRun(ctx context.Context, p *Plan, opts Options) runOutcome {
 	total := opts.Warmup + opts.Tasks
 	m := opts.Metrics

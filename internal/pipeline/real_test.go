@@ -52,7 +52,7 @@ func TestExecuteContextCancelMidFlight(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	r := ExecuteContext(ctx, p, Options{Tasks: 10000, Warmup: 0})
+	r := RealEngine{}.Run(ctx, p, Options{Tasks: 10000, Warmup: 0})
 	if !errors.Is(r.Err, context.Canceled) {
 		t.Fatalf("Err = %v, want context.Canceled", r.Err)
 	}
@@ -74,7 +74,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := runtime.NumGoroutine()
-	r := ExecuteContext(ctx, p, Options{Tasks: 50, Warmup: 0})
+	r := RealEngine{}.Run(ctx, p, Options{Tasks: 50, Warmup: 0})
 	if !errors.Is(r.Err, context.Canceled) {
 		t.Fatalf("Err = %v, want context.Canceled", r.Err)
 	}
@@ -82,7 +82,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 }
 
 func TestExecuteShutdownTimeout(t *testing.T) {
-	// A kernel that never returns must not hang ExecuteContext: the join
+	// A kernel that never returns must not hang RealEngine.Run: the join
 	// deadline expires and the stalled dispatcher is reported. The gate
 	// is released at test end so the goroutine actually exits.
 	gate := make(chan struct{})
@@ -97,7 +97,7 @@ func TestExecuteShutdownTimeout(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.NewUniformSchedule(1, core.ClassBig))
 	t0 := time.Now()
-	r := Execute(p, Options{Tasks: 3, Warmup: 0, ShutdownTimeout: 50 * time.Millisecond})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 3, Warmup: 0, ShutdownTimeout: 50 * time.Millisecond})
 	if elapsed := time.Since(t0); elapsed > 5*time.Second {
 		t.Fatalf("bounded join took %v", elapsed)
 	}
@@ -137,7 +137,7 @@ func TestExecutePanicAttributionFromWorkerBand(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
 	before := runtime.NumGoroutine()
-	r := Execute(p, Options{Tasks: 10, Warmup: 0})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 10, Warmup: 0})
 	var perr *PanicError
 	if !errors.As(r.Err, &perr) {
 		t.Fatalf("Err = %v, want *PanicError", r.Err)
@@ -189,7 +189,7 @@ func TestExecuteRecordsMetrics(t *testing.T) {
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "little"}}
 	p := mustPlan(t, app, dev, s)
 	m := NewMetrics(p)
-	r := Execute(p, Options{Tasks: 12, Warmup: 3, Metrics: m})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 12, Warmup: 3, Metrics: m})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -231,9 +231,9 @@ func TestSimulateRecordsMetricsWithoutPerturbing(t *testing.T) {
 	s := core.Schedule{Assign: []core.PUClass{"big", "big", "gpu", "gpu", "little"}}
 	p := mustPlan(t, app, dev, s)
 
-	bare := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 7})
+	bare := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 7})
 	m := NewMetrics(p)
-	instrumented := Simulate(p, Options{Tasks: 20, Warmup: 5, Seed: 7, Metrics: m})
+	instrumented := SimEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 5, Seed: 7, Metrics: m})
 
 	// Bit-identical: attaching a collector must not perturb the DES.
 	if bare.PerTask != instrumented.PerTask || bare.Elapsed != instrumented.Elapsed ||
@@ -288,7 +288,7 @@ func TestExecuteMetricsBackpressureVisible(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
 	m := NewMetrics(p)
-	r := Execute(p, Options{Tasks: 20, Warmup: 0, Buffers: 6, Metrics: m})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 20, Warmup: 0, Buffers: 6, Metrics: m})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -311,7 +311,7 @@ func TestExecuteJoinsAllGoroutines(t *testing.T) {
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu", "little"}})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		r := Execute(p, Options{Tasks: 8, Warmup: 2})
+		r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 8, Warmup: 2})
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

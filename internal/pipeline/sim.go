@@ -73,14 +73,6 @@ func simSeconds(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// Simulate executes the plan on the discrete-event simulator.
-//
-// Deprecated: use SimEngine{}.Run, which routes through the shared
-// engine driver. Simulate delegates there and its output is unchanged.
-func Simulate(p *Plan, opts Options) Result {
-	return SimEngine{}.Run(context.Background(), p, opts)
-}
-
 // simMemoCap is the most (chunk, chunk-state vector) keys a run memoizes
 // estimates for; a plan with more estimates every reprice directly. The
 // paper's apps and devices need at most a few hundred.

@@ -139,7 +139,7 @@ func TestStressConcurrentRandomChunkings(t *testing.T) {
 			}
 			m := bt.NewMetrics(plan)
 			tasks := 4
-			r := bt.Execute(plan, bt.RunOptions{Tasks: tasks, Warmup: 1, Metrics: m})
+			r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: tasks, Warmup: 1, Metrics: m})
 			if r.Err != nil {
 				errs <- r.Err
 				return
@@ -195,7 +195,7 @@ func TestStressCancellationMidFlight(t *testing.T) {
 			cancel()
 		}()
 		done := make(chan bt.RunResult, 1)
-		go func() { done <- bt.ExecuteContext(ctx, plan, bt.RunOptions{Tasks: 200, Warmup: 0}) }()
+		go func() { done <- bt.RealEngine{}.Run(ctx, plan, bt.RunOptions{Tasks: 200, Warmup: 0}) }()
 		select {
 		case r := <-done:
 			if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
@@ -265,7 +265,7 @@ func TestStressInjectedPanics(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := bt.Execute(plan, bt.RunOptions{Tasks: 8, Warmup: 0})
+			r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 8, Warmup: 0})
 			results <- result{app.Name, name, r.Err}
 		}()
 	}

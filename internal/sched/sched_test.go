@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -306,7 +307,7 @@ func TestBetterTogetherBeatsHomogeneousOnOctreePixel(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, _ := pipeline.NewPlan(o.App, o.Device, best.Schedule)
-	bt := pipeline.Simulate(plan, opts).PerTask
+	bt := pipeline.SimEngine{}.Run(context.Background(), plan, opts).PerTask
 
 	gpu, err := MeasureUniform(o.App, o.Device, core.ClassGPU, opts)
 	if err != nil {

@@ -10,22 +10,20 @@
 //	opt  := bt.NewOptimizer(app, dev, tabs)              // BT-Optimizer (4)
 //	cands, tune, best, _ := opt.Optimize(bt.StrategyBetterTogether, bt.RunOptions{Tasks: 30})
 //	plan, _ := bt.NewPlan(app, dev, best.Schedule)       // BT-Implementer (5)
-//	result := bt.Execute(plan, bt.RunOptions{Tasks: 30}) // real concurrent run
+//	result := bt.RealEngine{}.Run(ctx, plan, bt.RunOptions{Tasks: 30}) // real concurrent run
 //
 // or simply:
 //
 //	schedule, _ := bt.AutoSchedule(app, dev)
 //
 // Physical SoCs are unavailable in this environment, so devices are
-// simulated (see DESIGN.md): Simulate runs a schedule on a
+// simulated (see DESIGN.md): SimEngine runs a schedule on a
 // discrete-event model of the device with interference-aware service
-// times, while Execute runs the application's real Go kernels
+// times, while RealEngine runs the application's real Go kernels
 // concurrently through the dispatcher/queue machinery of Sec. 3.4.
 package bt
 
 import (
-	"context"
-
 	"bettertogether/internal/core"
 	"bettertogether/internal/metrics"
 	"bettertogether/internal/pipeline"
@@ -204,32 +202,21 @@ func NewPlan(app *Application, dev *Device, s Schedule) (*Plan, error) {
 	return pipeline.NewPlan(app, dev, s)
 }
 
-// Simulate executes the plan on the device's discrete-event model
-// (virtual time, deterministic) — the paper's measurement path.
-func Simulate(p *Plan, opts RunOptions) RunResult { return pipeline.Simulate(p, opts) }
-
-// Execute runs the application's real kernels concurrently through
-// dispatcher goroutines and lock-free SPSC queues (wall time).
-func Execute(p *Plan, opts RunOptions) RunResult { return pipeline.Execute(p, opts) }
-
-// ExecuteContext is Execute with a lifecycle contract: canceling ctx
-// drains the pipeline and joins every dispatcher (RunResult.Err carries
-// ctx.Err()); kernel panics surface as *PanicError; dispatchers that
-// fail to join within RunOptions.ShutdownTimeout surface as
-// *ShutdownTimeoutError instead of hanging the caller.
-func ExecuteContext(ctx context.Context, p *Plan, opts RunOptions) RunResult {
-	return pipeline.ExecuteContext(ctx, p, opts)
-}
-
 // Engine abstraction: both execution paths behind one interface.
 type (
 	// Engine is the uniform execution surface over the Sim and Real
-	// paths; SimEngine and RealEngine implement it. Simulate, Execute,
-	// and ExecuteContext remain as convenience wrappers over it.
+	// paths; SimEngine and RealEngine implement it.
 	Engine = pipeline.Engine
-	// SimEngine executes plans on the discrete-event device model.
+	// SimEngine executes plans on the device's discrete-event model
+	// (virtual time, deterministic) — the paper's measurement path.
 	SimEngine = pipeline.SimEngine
-	// RealEngine executes plans with the application's actual kernels.
+	// RealEngine runs the application's real kernels concurrently
+	// through dispatcher goroutines and lock-free SPSC queues (wall
+	// time). Canceling the run's context drains the pipeline and joins
+	// every dispatcher (RunResult.Err carries ctx.Err()); kernel panics
+	// surface as *PanicError; dispatchers that fail to join within
+	// RunOptions.ShutdownTimeout surface as *ShutdownTimeoutError
+	// instead of hanging the caller.
 	RealEngine = pipeline.RealEngine
 )
 

@@ -1,6 +1,7 @@
 package bt_test
 
 import (
+	"context"
 	"testing"
 
 	"bettertogether/pkg/bt"
@@ -52,11 +53,11 @@ func TestPublicEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := bt.Simulate(plan, bt.RunOptions{Tasks: 10, Warmup: 2, Seed: 1})
+	sim := bt.SimEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 10, Warmup: 2, Seed: 1})
 	if sim.PerTask <= 0 || len(sim.Completions) != 10 {
 		t.Errorf("sim result %+v", sim)
 	}
-	real := bt.Execute(plan, bt.RunOptions{Tasks: 5, Warmup: 1})
+	real := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 5, Warmup: 1})
 	if len(real.Completions) != 5 {
 		t.Errorf("real completions %d", len(real.Completions))
 	}
@@ -159,7 +160,7 @@ func TestBtappsScheduleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bt.Execute(plan, bt.RunOptions{Tasks: 3, Warmup: 0})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 3, Warmup: 0})
 	if len(r.Completions) != 3 {
 		t.Errorf("real run completions %d", len(r.Completions))
 	}
@@ -179,7 +180,7 @@ func TestVisionAppSchedulable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bt.Execute(plan, bt.RunOptions{Tasks: 4, Warmup: 1})
+	r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: 4, Warmup: 1})
 	if len(r.Completions) != 4 {
 		t.Errorf("vision real run completions %d", len(r.Completions))
 	}

@@ -1,6 +1,7 @@
 package btapps
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ func TestAppsEndToEndRealRun(t *testing.T) {
 			if b.name == "alexnet-dense" {
 				tasks = 2 // heaviest workload
 			}
-			r := bt.Execute(plan, bt.RunOptions{Tasks: tasks, Warmup: 0})
+			r := bt.RealEngine{}.Run(context.Background(), plan, bt.RunOptions{Tasks: tasks, Warmup: 0})
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
