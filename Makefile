@@ -24,9 +24,10 @@ test:
 # result caching. The experiments and sched packages cover the parallel
 # experiment grids, the autotune worker pool, and the profiling cache's
 # singleflight. onlineprof and runtime cover concurrent event ingestion
-# during admit/exit churn and on the Real engine's dispatchers.
+# during admit/exit churn and on the Real engine's dispatchers. cmd/btrun
+# serves a live multi-session runtime over -listen while it runs.
 race:
-	$(GO) test -race -count=1 ./internal/pipeline/... ./internal/queue/... ./internal/metrics/... ./internal/runtime/... ./internal/obs/... ./internal/schedcache/... ./internal/fleet/... ./internal/onlineprof/...
+	$(GO) test -race -count=1 ./internal/pipeline/... ./internal/queue/... ./internal/metrics/... ./internal/runtime/... ./internal/obs/... ./internal/schedcache/... ./internal/fleet/... ./internal/onlineprof/... ./cmd/btrun/...
 	$(GO) test -race -count=1 -run 'Parallel|Concurrent|ForEach' ./internal/experiments/... ./internal/sched/...
 
 # determinism runs every test that claims a run-to-run identical result

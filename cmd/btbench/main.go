@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -44,7 +45,10 @@ func main() {
 	var stream *obs.Stream
 	if *listen != "" {
 		stream = obs.NewStream(obs.DefaultStreamCapacity)
-		srv, err := obs.Serve(*listen, obs.ServerConfig{Stream: stream})
+		srv, err := obs.Serve(*listen, obs.ServerConfig{
+			Stream:  stream,
+			Metrics: []func(io.Writer) error{stream.PromEvents},
+		})
 		cli.FatalIf("btbench", err)
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "btbench: observability server on http://%s/\n", srv.Addr())

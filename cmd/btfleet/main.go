@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -163,14 +164,14 @@ func main() {
 		// The fleet is torn down after the replay, so serve the final
 		// stats snapshot: scrapers and CI probes read the completed run.
 		srvCfg := obs.ServerConfig{
-			Stream: stream,
-			Fleet:  func() obs.FleetStats { return out.stats },
+			Stream:  stream,
+			Metrics: []func(io.Writer) error{stream.PromEvents, out.stats.PromFleet},
 		}
 		if out.onlineProfOn {
-			srvCfg.OnlineProf = func() obs.OnlineProfStats { return out.onlineProf }
+			srvCfg.Metrics = append(srvCfg.Metrics, out.onlineProf.PromOnlineProf)
 		}
 		if out.sloOn {
-			srvCfg.SLO = func() obs.SLOStats { return out.slo }
+			srvCfg.Metrics = append(srvCfg.Metrics, out.slo.PromSLO)
 		}
 		if cfg.Trace != nil {
 			srvCfg.Traces = cfg.Trace.Handler()

@@ -297,7 +297,35 @@ func TestListenSmoke(t *testing.T) {
 	if _, body := get("/traces"); !strings.Contains(body, `"trace_id"`) {
 		t.Errorf("/traces served no traces:\n%s", body)
 	}
-	if _, body := get("/metrics"); !regexp.MustCompile(`(?m)^bt_slo_attained_total`).MatchString(body) {
+	_, body := get("/metrics")
+	if !regexp.MustCompile(`(?m)^bt_slo_attained_total`).MatchString(body) {
 		t.Errorf("/metrics lacks the bt_slo_* families")
+	}
+	checkExposition(t, body)
+}
+
+// checkExposition fails t when a /metrics body is not well formed: a
+// # HELP or # TYPE line repeats, or a sample's family (its name, or a
+// summary's name without _sum/_count) has no earlier # TYPE.
+func checkExposition(t *testing.T, body string) {
+	t.Helper()
+	seen := map[string]bool{}
+	typed := map[string]string{}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[0] == "#" {
+			if seen[f[1]+" "+f[2]] {
+				t.Errorf("repeated # %s line for %s", f[1], f[2])
+			}
+			seen[f[1]+" "+f[2]] = true
+			if f[1] == "TYPE" {
+				typed[f[2]] = f[3]
+			}
+			continue
+		}
+		name := line[:max(strings.IndexAny(line, "{ "), 0)]
+		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		if typed[name] == "" && typed[base] != "summary" {
+			t.Errorf("sample %q precedes its family's # TYPE", line)
+		}
 	}
 }

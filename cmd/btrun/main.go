@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -193,8 +194,11 @@ func runSingle(appName string, dev *bt.Device, eng bt.Engine, schedule, engineNa
 		stream := obs.NewStream(obs.DefaultStreamCapacity)
 		opts.Events = stream
 		srv = serveObs(listen, obs.ServerConfig{
-			Stream:  stream,
-			Sources: func() []obs.PromSource { return []obs.PromSource{{Metrics: m}} },
+			Stream: stream,
+			Metrics: []func(io.Writer) error{
+				func(w io.Writer) error { return obs.PromText(w, obs.PromSource{Metrics: m}) },
+				stream.PromEvents,
+			},
 			Timeline: func() *trace.Timeline {
 				tlMu.Lock()
 				defer tlMu.Unlock()
@@ -284,28 +288,26 @@ func runMulti(apps []string, delays []time.Duration, dev *bt.Device, eng bt.Engi
 	collectTrace := wantTrace || listen != "" || chromeTrace != ""
 	var srv *obs.Server
 	if listen != "" {
-		srvCfg := obs.ServerConfig{Inspector: rt, Stream: stream}
-		if _, ok := rt.OnlineProfStats(); ok {
-			srvCfg.OnlineProf = func() obs.OnlineProfStats {
-				s, _ := rt.OnlineProfStats()
-				return s
-			}
+		srvCfg := obs.ServerConfig{
+			Inspector: rt,
+			Stream:    stream,
+			Metrics:   []func(io.Writer) error{stream.PromEvents},
+			Timeline:  rt.Timeline,
 		}
 		if c := rt.Cache(); c != nil {
-			srvCfg.Cache = func() obs.CacheStats {
-				s := c.Stats()
-				return obs.CacheStats{
-					Hits: s.Hits, Misses: s.Misses,
-					Stores: s.Stores, Evictions: s.Evictions,
-					Size: s.Size, Capacity: s.Capacity,
-				}
-			}
+			srvCfg.Metrics = append(srvCfg.Metrics, func(w io.Writer) error { return obs.PromCache(w, c.Stats()) })
+		}
+		if _, ok := rt.OnlineProfStats(); ok {
+			srvCfg.Metrics = append(srvCfg.Metrics, func(w io.Writer) error {
+				s, _ := rt.OnlineProfStats()
+				return s.PromOnlineProf(w)
+			})
 		}
 		if tracing.SLODeadline > 0 {
-			srvCfg.SLO = func() obs.SLOStats {
+			srvCfg.Metrics = append(srvCfg.Metrics, func(w io.Writer) error {
 				s, _ := rt.SLOStats()
-				return s
-			}
+				return s.PromSLO(w)
+			})
 		}
 		if tracer != nil {
 			srvCfg.Traces = tracer.Handler()
@@ -360,11 +362,7 @@ func runMulti(apps []string, delays []time.Duration, dev *bt.Device, eng bt.Engi
 		}
 	}
 	if chromeTrace != "" {
-		parts := make([]trace.SessionTrace, 0, len(rt.Sessions()))
-		for _, s := range rt.Sessions() {
-			parts = append(parts, trace.SessionTrace{Name: s.Name(), Timeline: s.Timeline()})
-		}
-		writeChromeTrace(chromeTrace, trace.MergeSessions(parts...))
+		writeChromeTrace(chromeTrace, rt.Timeline())
 	}
 	holdAndClose(srv, hold)
 	if failed {

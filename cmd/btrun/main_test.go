@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -24,12 +25,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestListenSmoke runs a short real-engine pipeline with -listen on an
-// ephemeral port and, once the run has finished and the server is
-// holding, checks /healthz and the per-stage series on /metrics.
-func TestListenSmoke(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-app", "vision", "-device", "jetson", "-schedule", "gpu",
-		"-engine", "real", "-tasks", "12", "-warmup", "2", "-listen", "127.0.0.1:0", "-hold", "30s")
+// listen re-executes btrun with args plus -listen on an ephemeral port
+// and -hold, waits until the run has finished and the server is holding,
+// and returns a GET helper against the server.
+func listen(t *testing.T, args ...string) func(path string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append(args, "-listen", "127.0.0.1:0", "-hold", "30s")...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	cmd.Stdout = io.Discard
 	stderr, err := cmd.StderrPipe()
@@ -45,7 +46,7 @@ func TestListenSmoke(t *testing.T) {
 	})
 
 	// The server is announced before the run; the hold line follows the
-	// run, so the metrics read below see every dispatch.
+	// run, so the reads below see every dispatch.
 	addrRe := regexp.MustCompile(`observability server on http://(\S+)/`)
 	var addr string
 	held := false
@@ -63,7 +64,7 @@ func TestListenSmoke(t *testing.T) {
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	get := func(path string) (int, string) {
+	return func(path string) (int, string) {
 		t.Helper()
 		resp, err := client.Get("http://" + addr + path)
 		if err != nil {
@@ -76,6 +77,13 @@ func TestListenSmoke(t *testing.T) {
 		}
 		return resp.StatusCode, string(b)
 	}
+}
+
+// TestListenSmoke runs a short real-engine pipeline with -listen and
+// checks /healthz and the per-stage series on /metrics.
+func TestListenSmoke(t *testing.T) {
+	get := listen(t, "-app", "vision", "-device", "jetson", "-schedule", "gpu",
+		"-engine", "real", "-tasks", "12", "-warmup", "2")
 	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz answered %d", code)
 	}
@@ -85,5 +93,78 @@ func TestListenSmoke(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^bt_stage_dispatches_total`).MatchString(body) {
 		t.Errorf("/metrics lacks the bt_stage_* series:\n%s", body)
+	}
+	checkExposition(t, body)
+}
+
+// TestListenMultiAppSmoke serves a two-session runtime with the schedule
+// cache, online profiling, SLO deadlines and lifecycle tracing on, and
+// checks every family set on /metrics, the merged /trace, and /traces.
+func TestListenMultiAppSmoke(t *testing.T) {
+	get := listen(t, "-app", "octree", "-app", "vision", "-sched-cache", "64",
+		"-online-profile", "-slo-deadline", "3", "-trace-sample", "1")
+	code, body := get("/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics answered %d", code)
+	}
+	for _, family := range []string{"bt_session_", "bt_schedcache_", "bt_onlineprof_", "bt_slo_"} {
+		if !regexp.MustCompile(`(?m)^` + family).MatchString(body) {
+			t.Errorf("/metrics lacks the %s* families", family)
+		}
+	}
+	checkExposition(t, body)
+
+	_, body = get("/trace")
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/trace JSON: %v", err)
+	}
+	threads := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Name == "thread_name" {
+			name, _ := e.Args["name"].(string)
+			threads[name[:max(strings.IndexByte(name, '/'), 0)]] = true
+		}
+	}
+	if !threads["octree-uniform#0"] || !threads["vision#1"] {
+		t.Errorf("/trace threads are not qualified by both sessions: %v", threads)
+	}
+
+	_, body = get("/traces")
+	for _, session := range []string{`"octree-uniform#0"`, `"vision#1"`} {
+		if !strings.Contains(body, session) {
+			t.Errorf("/traces does not list %s:\n%s", session, body)
+		}
+	}
+}
+
+// checkExposition fails t when a /metrics body is not well formed: a
+// # HELP or # TYPE line repeats, or a sample's family (its name, or a
+// summary's name without _sum/_count) has no earlier # TYPE.
+func checkExposition(t *testing.T, body string) {
+	t.Helper()
+	seen := map[string]bool{}
+	typed := map[string]string{}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[0] == "#" {
+			if seen[f[1]+" "+f[2]] {
+				t.Errorf("repeated # %s line for %s", f[1], f[2])
+			}
+			seen[f[1]+" "+f[2]] = true
+			if f[1] == "TYPE" {
+				typed[f[2]] = f[3]
+			}
+			continue
+		}
+		name := line[:max(strings.IndexAny(line, "{ "), 0)]
+		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		if typed[name] == "" && typed[base] != "summary" {
+			t.Errorf("sample %q precedes its family's # TYPE", line)
+		}
 	}
 }

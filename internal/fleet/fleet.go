@@ -404,7 +404,7 @@ func (f *Fleet) observeLatency(elapsedSec float64) {
 }
 
 // Stats snapshots the fleet's placement counters and every node's
-// admission headroom for export (obs.PromFleet, /metrics).
+// admission headroom for export (FleetStats.PromFleet on /metrics).
 func (f *Fleet) Stats() obs.FleetStats {
 	f.mu.Lock()
 	s := obs.FleetStats{

@@ -1,24 +1,16 @@
 package obs
 
-import "io"
+import (
+	"io"
 
-// CacheStats is a point-in-time view of a schedule-cache's counters,
-// decoupled from the cache implementation so the server can export any
-// memoization layer. internal/schedcache's Stats converts 1:1.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Stores    uint64 `json:"stores"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	Capacity  int    `json:"capacity"`
-}
+	"bettertogether/internal/schedcache"
+)
 
 // PromCache writes the schedule-cache counter families as Prometheus
 // text exposition — the planning-hot-path health signal: a high
 // bt_schedcache_hits_total over misses means replans are being served
 // from memory instead of re-running the profiler and solver.
-func PromCache(w io.Writer, s CacheStats) error {
+func PromCache(w io.Writer, s schedcache.Stats) error {
 	pw := &promWriter{w: w}
 	pw.family("bt_schedcache_hits_total", "counter",
 		"Planning lookups served from the schedule cache.")

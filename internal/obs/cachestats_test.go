@@ -1,22 +1,26 @@
 package obs
 
 import (
+	"io"
 	"strings"
 	"testing"
+
+	"bettertogether/internal/schedcache"
 )
 
-// TestServerMetricsIncludeCache wires the Cache hook into the server
+// TestServerMetricsIncludeCache lists PromCache among the server's writers
 // and checks the schedule-cache families land on /metrics alongside the
 // rest of the exposition.
 func TestServerMetricsIncludeCache(t *testing.T) {
 	cfg := testServerConfig()
-	cfg.Cache = func() CacheStats {
-		return CacheStats{Hits: 3, Misses: 1, Stores: 1, Size: 1, Capacity: 16}
-	}
+	cfg.Metrics = append(cfg.Metrics, func(w io.Writer) error {
+		return PromCache(w, schedcache.Stats{Hits: 3, Misses: 1, Stores: 1, Size: 1, Capacity: 16})
+	})
 	code, body := get(t, NewHandler(cfg), "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics → %d", code)
 	}
+	checkExposition(t, body)
 	for _, want := range []string{
 		"bt_schedcache_hits_total 3",
 		"bt_schedcache_misses_total 1",
@@ -26,15 +30,15 @@ func TestServerMetricsIncludeCache(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Without the hook the families must stay absent.
+	// Without the writer the families must stay absent.
 	if _, plain := get(t, NewHandler(testServerConfig()), "/metrics"); strings.Contains(plain, "bt_schedcache") {
-		t.Error("schedcache families exported without a Cache hook")
+		t.Error("schedcache families exported without a PromCache writer")
 	}
 }
 
 func TestPromCacheExposition(t *testing.T) {
 	var b strings.Builder
-	err := PromCache(&b, CacheStats{
+	err := PromCache(&b, schedcache.Stats{
 		Hits: 42, Misses: 7, Stores: 7, Evictions: 2,
 		Size: 5, Capacity: 64,
 	})
@@ -57,14 +61,5 @@ func TestPromCacheExposition(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)
 		}
 	}
-	// Every sample line must satisfy the exposition line format the
-	// package's other exporters are pinned to.
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sampleLine.MatchString(line) {
-			t.Errorf("malformed sample line %q", line)
-		}
-	}
+	checkExposition(t, out)
 }

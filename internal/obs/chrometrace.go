@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"bettertogether/internal/trace"
@@ -55,53 +54,30 @@ const chromePid = 1
 // session-qualified track names. A nil or empty timeline writes a valid
 // document with no span events.
 func ChromeTrace(w io.Writer, tl *trace.Timeline) error {
-	doc := BuildChromeTrace(tl)
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
-// BuildChromeTrace renders the timeline into an in-memory document —
-// ChromeTrace without the serialization, for callers that post-process.
-func BuildChromeTrace(tl *trace.Timeline) ChromeTraceDoc {
 	doc := ChromeTraceDoc{TraceEvents: []ChromeTraceEvent{}, DisplayTimeUnit: "ms"}
-	if tl == nil {
-		return doc
-	}
-	rows := tl.Chunks()
-	// Track names: explicit labels win, otherwise "chunk N (pu)" from the
-	// spans, mirroring the Gantt's row labeling.
-	names := make([]string, rows)
-	for _, s := range tl.Spans {
-		if names[s.Chunk] == "" {
-			names[s.Chunk] = fmt.Sprintf("chunk %d (%s)", s.Chunk, s.PU)
+	if tl != nil {
+		doc.TraceEvents = append(doc.TraceEvents, ChromeTraceEvent{
+			Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
+			Args: map[string]any{"name": "bettertogether"},
+		})
+		for r, name := range tl.RowLabels() {
+			doc.TraceEvents = append(doc.TraceEvents, ChromeTraceEvent{
+				Name: "thread_name", Ph: "M", Pid: chromePid, Tid: r,
+				Args: map[string]any{"name": name},
+			})
+		}
+		for _, s := range tl.Spans {
+			doc.TraceEvents = append(doc.TraceEvents, ChromeTraceEvent{
+				Name: s.Stage, Cat: "stage", Ph: "X",
+				Ts: s.Start * 1e6, Dur: s.Duration() * 1e6,
+				Pid: chromePid, Tid: s.Chunk,
+				Args: map[string]any{
+					"task":       s.Task,
+					"stageIndex": s.StageIndex,
+					"pu":         string(s.PU),
+				},
+			})
 		}
 	}
-	for r := 0; r < rows && r < len(tl.Labels); r++ {
-		if tl.Labels[r] != "" {
-			names[r] = tl.Labels[r]
-		}
-	}
-	doc.TraceEvents = append(doc.TraceEvents, ChromeTraceEvent{
-		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
-		Args: map[string]any{"name": "bettertogether"},
-	})
-	for r := 0; r < rows; r++ {
-		doc.TraceEvents = append(doc.TraceEvents, ChromeTraceEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: r,
-			Args: map[string]any{"name": names[r]},
-		})
-	}
-	for _, s := range tl.Spans {
-		doc.TraceEvents = append(doc.TraceEvents, ChromeTraceEvent{
-			Name: s.Stage, Cat: "stage", Ph: "X",
-			Ts: s.Start * 1e6, Dur: s.Duration() * 1e6,
-			Pid: chromePid, Tid: s.Chunk,
-			Args: map[string]any{
-				"task":       s.Task,
-				"stageIndex": s.StageIndex,
-				"pu":         string(s.PU),
-			},
-		})
-	}
-	return doc
+	return json.NewEncoder(w).Encode(doc)
 }

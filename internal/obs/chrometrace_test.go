@@ -94,7 +94,14 @@ func TestChromeTraceValidatesAndRoundTrips(t *testing.T) {
 func TestChromeTraceUsesTimelineLabels(t *testing.T) {
 	tl := testTimeline()
 	tl.Labels = []string{"vision#0/chunk 0 (big)", ""}
-	doc := BuildChromeTrace(tl)
+	var buf bytes.Buffer
+	if err := ChromeTrace(&buf, tl); err != nil {
+		t.Fatalf("ChromeTrace: %v", err)
+	}
+	var doc ChromeTraceDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace JSON: %v", err)
+	}
 	var names []string
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "M" && e.Name == "thread_name" {

@@ -3,9 +3,9 @@
 // and execution timelines (internal/trace) stay the recording surfaces,
 // and this package makes what they capture visible outside the process —
 // as a bounded typed event stream, as Prometheus text exposition, as
-// Chrome trace_event JSON loadable in Perfetto/chrome://tracing, as a
-// JSON metrics snapshot, and through an opt-in introspection HTTP server
-// (Serve) that cmd/btrun mounts with -listen.
+// Chrome trace_event JSON loadable in Perfetto/chrome://tracing, and
+// through an opt-in introspection HTTP server (Serve) that the commands
+// mount with -listen.
 //
 // The design constraint throughout is non-perturbation: everything here
 // is pull-only or opt-in. Exporters read quiescent (or atomically
@@ -16,6 +16,7 @@
 package obs
 
 import (
+	"io"
 	"sync"
 	"time"
 )
@@ -241,6 +242,15 @@ func (s *Stream) Recent(n int) []Event {
 		out = append(out, s.ring[int(i%uint64(len(s.ring)))])
 	}
 	return out
+}
+
+// PromEvents writes the stream's bt_events_emitted_total counter as
+// Prometheus text exposition.
+func (s *Stream) PromEvents(w io.Writer) error {
+	pw := &promWriter{w: w}
+	pw.family("bt_events_emitted_total", "counter", "Events emitted into the observability stream.")
+	pw.sample("bt_events_emitted_total", nil, float64(s.Total()))
+	return pw.err
 }
 
 var _ Sink = (*Stream)(nil)

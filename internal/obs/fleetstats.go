@@ -27,8 +27,8 @@ type FleetNodeStats struct {
 }
 
 // FleetStats is a point-in-time view of a fleet's placement counters,
-// decoupled from the fleet implementation the same way CacheStats is
-// from schedcache.
+// decoupled from the fleet implementation so internal/fleet can build
+// it without obs importing the fleet.
 type FleetStats struct {
 	// Nodes is the registry size.
 	Nodes int `json:"nodes"`
@@ -57,7 +57,7 @@ type FleetStats struct {
 // bt_admission_* families these make fleet routing health scrapeable —
 // a rising bt_fleet_rejections_total with headroom left on some node
 // means the placement ranking, not capacity, is the bottleneck.
-func PromFleet(w io.Writer, s FleetStats) error {
+func (s FleetStats) PromFleet(w io.Writer) error {
 	pw := &promWriter{w: w}
 	pw.family("bt_fleet_nodes", "gauge", "Registry size of the device fleet.")
 	pw.sample("bt_fleet_nodes", nil, float64(s.Nodes))

@@ -30,7 +30,7 @@ func sampleFleetStats() FleetStats {
 
 func TestPromFleetExposition(t *testing.T) {
 	var b strings.Builder
-	if err := PromFleet(&b, sampleFleetStats()); err != nil {
+	if err := sampleFleetStats().PromFleet(&b); err != nil {
 		t.Fatalf("PromFleet: %v", err)
 	}
 	out := b.String()
@@ -55,14 +55,7 @@ func TestPromFleetExposition(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)
 		}
 	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sampleLine.MatchString(line) {
-			t.Errorf("malformed sample line %q", line)
-		}
-	}
+	checkExposition(t, out)
 }
 
 // TestPromFleetNilLatencyOmitsSummary pins that an unset histogram drops
@@ -72,7 +65,7 @@ func TestPromFleetNilLatencyOmitsSummary(t *testing.T) {
 	s.Latency = nil
 	s.PerNode = nil
 	var b strings.Builder
-	if err := PromFleet(&b, s); err != nil {
+	if err := s.PromFleet(&b); err != nil {
 		t.Fatalf("PromFleet: %v", err)
 	}
 	out := b.String()
@@ -93,16 +86,17 @@ func TestFleetRejectionRate(t *testing.T) {
 	}
 }
 
-// TestServerMetricsIncludeFleet wires the Fleet hook into the server and
-// checks the fleet families land on /metrics; without the hook they must
-// stay absent.
+// TestServerMetricsIncludeFleet lists PromFleet among the server's
+// writers and checks the fleet families land on /metrics; without the
+// writer they must stay absent.
 func TestServerMetricsIncludeFleet(t *testing.T) {
 	cfg := testServerConfig()
-	cfg.Fleet = func() FleetStats { return sampleFleetStats() }
+	cfg.Metrics = append(cfg.Metrics, sampleFleetStats().PromFleet)
 	code, body := get(t, NewHandler(cfg), "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics → %d", code)
 	}
+	checkExposition(t, body)
 	for _, want := range []string{
 		"bt_fleet_nodes 2",
 		"bt_fleet_rejections_total 2",
@@ -113,6 +107,6 @@ func TestServerMetricsIncludeFleet(t *testing.T) {
 		}
 	}
 	if _, plain := get(t, NewHandler(testServerConfig()), "/metrics"); strings.Contains(plain, "bt_fleet") {
-		t.Error("fleet families exported without a Fleet hook")
+		t.Error("fleet families exported without a PromFleet writer")
 	}
 }

@@ -24,7 +24,7 @@ type OnlineProfStats struct {
 // Prometheus text exposition — the feedback-loop health signal: a
 // rising bt_onlineprof_drifts_total means the offline profile no
 // longer matches what the runtime observes.
-func PromOnlineProf(w io.Writer, s OnlineProfStats) error {
+func (s OnlineProfStats) PromOnlineProf(w io.Writer) error {
 	pw := &promWriter{w: w}
 	pw.family("bt_onlineprof_observations_total", "counter",
 		"Stage service times folded into online EWMA estimates.")

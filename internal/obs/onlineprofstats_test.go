@@ -5,20 +5,20 @@ import (
 	"testing"
 )
 
-// TestServerMetricsIncludeOnlineProf wires the OnlineProf hook into the
-// server and checks the bt_onlineprof_* families land on /metrics.
+// TestServerMetricsIncludeOnlineProf lists PromOnlineProf among the
+// server's writers and checks the bt_onlineprof_* families land on
+// /metrics.
 func TestServerMetricsIncludeOnlineProf(t *testing.T) {
 	cfg := testServerConfig()
-	cfg.OnlineProf = func() OnlineProfStats {
-		return OnlineProfStats{
-			Observations: 120, Cells: 7, LatchedCells: 1,
-			DriftsTriggered: 2, DriftReplans: 2,
-		}
-	}
+	cfg.Metrics = append(cfg.Metrics, OnlineProfStats{
+		Observations: 120, Cells: 7, LatchedCells: 1,
+		DriftsTriggered: 2, DriftReplans: 2,
+	}.PromOnlineProf)
 	code, body := get(t, NewHandler(cfg), "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics → %d", code)
 	}
+	checkExposition(t, body)
 	for _, want := range []string{
 		"bt_onlineprof_observations_total 120",
 		"bt_onlineprof_cells 7",
@@ -29,18 +29,18 @@ func TestServerMetricsIncludeOnlineProf(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Without the hook the families must stay absent.
+	// Without the writer the families must stay absent.
 	if _, plain := get(t, NewHandler(testServerConfig()), "/metrics"); strings.Contains(plain, "bt_onlineprof") {
-		t.Error("onlineprof families exported without an OnlineProf hook")
+		t.Error("onlineprof families exported without a PromOnlineProf writer")
 	}
 }
 
 func TestPromOnlineProfExposition(t *testing.T) {
 	var b strings.Builder
-	err := PromOnlineProf(&b, OnlineProfStats{
+	err := OnlineProfStats{
 		Observations: 9, Cells: 3, LatchedCells: 2,
 		DriftsTriggered: 1, DriftReplans: 1,
-	})
+	}.PromOnlineProf(&b)
 	if err != nil {
 		t.Fatalf("PromOnlineProf: %v", err)
 	}
@@ -58,12 +58,5 @@ func TestPromOnlineProfExposition(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)
 		}
 	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sampleLine.MatchString(line) {
-			t.Errorf("malformed sample line %q", line)
-		}
-	}
+	checkExposition(t, out)
 }

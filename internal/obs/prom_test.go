@@ -16,6 +16,46 @@ import (
 var sampleLine = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]?Inf|[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?)( [0-9]+)?$`)
 
+// checkExposition fails t when a /metrics body is not well formed: a
+// # HELP or # TYPE line repeats (a family written twice), a sample's
+// family has no earlier # TYPE (the name itself, or a summary's name
+// without its _sum/_count suffix), or a sample line fails sampleLine.
+func checkExposition(t *testing.T, body string) {
+	t.Helper()
+	seen := map[string]bool{}
+	typed := map[string]string{}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			f := strings.Fields(line)
+			if len(f) < 4 {
+				t.Errorf("malformed header %q", line)
+				continue
+			}
+			key := f[1] + " " + f[2]
+			if seen[key] {
+				t.Errorf("repeated # %s line for %s", f[1], f[2])
+			}
+			seen[key] = true
+			if f[1] == "TYPE" {
+				typed[f[2]] = f[3]
+			}
+			continue
+		}
+		if !sampleLine.MatchString(line) {
+			t.Errorf("malformed sample %q", line)
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if _, ok := typed[name]; ok {
+			continue
+		}
+		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		if typed[base] != "summary" {
+			t.Errorf("sample %q precedes its family's # TYPE", line)
+		}
+	}
+}
+
 // testCollector builds a small labeled collector with deterministic
 // observations.
 func testCollector() *metrics.Pipeline {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -65,30 +66,19 @@ type Inspector interface {
 // ServerConfig wires the introspection handler's data sources. Every
 // field is optional; endpoints degrade to empty-but-valid responses.
 type ServerConfig struct {
-	// Inspector serves /sessions, per-session /metrics series, and
+	// Inspector serves /sessions, the per-session /metrics families, and
 	// /trace?session=.
 	Inspector Inspector
-	// Stream serves /events and the event counters on /metrics.
+	// Stream serves /events.
 	Stream *Stream
-	// Sources supplies additional Prometheus sources — the single-run
-	// path hands the run's live collector here.
-	Sources func() []PromSource
+	// Metrics are the /metrics writers after the Inspector's families,
+	// called in order on every scrape: each writes its own complete
+	// families (PromText over a single run's collector,
+	// (*Stream).PromEvents, PromCache, FleetStats.PromFleet, ...).
+	Metrics []func(io.Writer) error
 	// Timeline supplies the /trace document when no session is selected
-	// and no Inspector is set (single-run mode). With an Inspector, the
-	// no-session /trace merges every session timeline instead.
+	// (a single run's timeline, or (*runtime.Runtime).Timeline's merge).
 	Timeline func() *trace.Timeline
-	// Cache supplies schedule-cache counters for /metrics (the
-	// bt_schedcache_* families). Nil omits the families.
-	Cache func() CacheStats
-	// Fleet supplies fleet-placement counters for /metrics (the
-	// bt_fleet_* families). Nil omits the families.
-	Fleet func() FleetStats
-	// OnlineProf supplies online-profiler counters for /metrics (the
-	// bt_onlineprof_* families). Nil omits the families.
-	OnlineProf func() OnlineProfStats
-	// SLO supplies deadline-attainment counters for /metrics (the
-	// bt_slo_* families). Nil omits the families.
-	SLO func() SLOStats
 	// Traces serves the /traces endpoints (the session-lifecycle tracer's
 	// Handler). Nil leaves /traces unmounted.
 	Traces http.Handler
@@ -145,79 +135,70 @@ func NewHandler(cfg ServerConfig) http.Handler {
 	return mux
 }
 
-// handleMetrics renders the full Prometheus exposition: caller-supplied
-// sources, one namespaced source per inspected session, session-level
-// gauges, admission headroom, and event-stream counters.
+// handleMetrics renders the full Prometheus exposition: the Inspector's
+// per-session and admission families, then every Metrics writer in order.
 func (cfg ServerConfig) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var sources []PromSource
-	if cfg.Sources != nil {
-		sources = append(sources, cfg.Sources()...)
-	}
-	var infos []SessionInfo
 	if cfg.Inspector != nil {
-		infos = cfg.Inspector.SessionInfos()
-		for _, info := range infos {
-			if m := cfg.Inspector.SessionMetrics(info.Name); m != nil {
-				sources = append(sources, PromSource{Session: info.Name, Metrics: m})
-			}
+		if err := promInspector(w, cfg.Inspector); err != nil {
+			return
+		}
+	}
+	for _, write := range cfg.Metrics {
+		if err := write(w); err != nil {
+			return
+		}
+	}
+}
+
+// promInspector writes one namespaced source per inspected session, the
+// session-level gauges, and the admission headroom.
+func promInspector(w io.Writer, insp Inspector) error {
+	infos := insp.SessionInfos()
+	var sources []PromSource
+	for _, info := range infos {
+		if m := insp.SessionMetrics(info.Name); m != nil {
+			sources = append(sources, PromSource{Session: info.Name, Metrics: m})
 		}
 	}
 	if err := PromText(w, sources...); err != nil {
-		return
+		return err
 	}
 	pw := &promWriter{w: w}
-	if cfg.Inspector != nil {
-		pw.family("bt_session_tasks_total", "counter", "Completed stream tasks per session.")
-		for _, info := range infos {
-			pw.sample("bt_session_tasks_total", []label{{"session", info.Name}, {"app", info.App}}, float64(info.Tasks))
+	pw.family("bt_session_tasks_total", "counter", "Completed stream tasks per session.")
+	for _, info := range infos {
+		pw.sample("bt_session_tasks_total", []label{{"session", info.Name}, {"app", info.App}}, float64(info.Tasks))
+	}
+	pw.family("bt_session_replans_total", "counter", "Schedule changes from admission churn per session.")
+	for _, info := range infos {
+		pw.sample("bt_session_replans_total", []label{{"session", info.Name}, {"app", info.App}}, float64(info.Replans))
+	}
+	pw.family("bt_session_per_task_seconds", "gauge", "Completion-weighted mean per-task latency per session.")
+	for _, info := range infos {
+		pw.sample("bt_session_per_task_seconds", []label{{"session", info.Name}, {"app", info.App}}, info.PerTaskSec)
+	}
+	pw.family("bt_session_resident", "gauge", "1 while the session occupies admission capacity.")
+	for _, info := range infos {
+		v := 0.0
+		if info.Resident {
+			v = 1
 		}
-		pw.family("bt_session_replans_total", "counter", "Schedule changes from admission churn per session.")
-		for _, info := range infos {
-			pw.sample("bt_session_replans_total", []label{{"session", info.Name}, {"app", info.App}}, float64(info.Replans))
-		}
-		pw.family("bt_session_per_task_seconds", "gauge", "Completion-weighted mean per-task latency per session.")
-		for _, info := range infos {
-			pw.sample("bt_session_per_task_seconds", []label{{"session", info.Name}, {"app", info.App}}, info.PerTaskSec)
-		}
-		pw.family("bt_session_resident", "gauge", "1 while the session occupies admission capacity.")
-		for _, info := range infos {
-			v := 0.0
-			if info.Resident {
-				v = 1
-			}
-			pw.sample("bt_session_resident", []label{{"session", info.Name}, {"app", info.App}}, v)
-		}
-		h := cfg.Inspector.AdmissionHeadroom()
-		pw.family("bt_admission_bandwidth_gbs", "gauge", "Projected DRAM bandwidth demand and headroom capacity.")
-		pw.sample("bt_admission_bandwidth_gbs", []label{{"side", "demand"}}, h.BWDemandGBs)
-		pw.sample("bt_admission_bandwidth_gbs", []label{{"side", "capacity"}}, h.BWCapacityGBs)
-		pw.family("bt_admission_cores", "gauge", "Projected PU-core demand and headroom capacity.")
-		pw.sample("bt_admission_cores", []label{{"side", "demand"}}, h.CoresDemand)
-		pw.sample("bt_admission_cores", []label{{"side", "capacity"}}, h.CoresCapacity)
-		pw.family("bt_sessions_resident", "gauge", "Sessions currently occupying admission capacity.")
-		pw.sample("bt_sessions_resident", nil, float64(h.ResidentCount))
-		pw.family("bt_admissions_total", "counter", "Admissions accepted since runtime start.")
-		pw.sample("bt_admissions_total", nil, float64(h.AdmittedTotal))
-		pw.family("bt_admission_rejections_total", "counter", "Admissions rejected since runtime start.")
-		pw.sample("bt_admission_rejections_total", nil, float64(h.RejectedTotal))
+		pw.sample("bt_session_resident", []label{{"session", info.Name}, {"app", info.App}}, v)
 	}
-	if cfg.Stream != nil {
-		pw.family("bt_events_emitted_total", "counter", "Events emitted into the observability stream.")
-		pw.sample("bt_events_emitted_total", nil, float64(cfg.Stream.Total()))
-	}
-	if cfg.Cache != nil {
-		_ = PromCache(w, cfg.Cache())
-	}
-	if cfg.Fleet != nil {
-		_ = PromFleet(w, cfg.Fleet())
-	}
-	if cfg.OnlineProf != nil {
-		_ = PromOnlineProf(w, cfg.OnlineProf())
-	}
-	if cfg.SLO != nil {
-		_ = PromSLO(w, cfg.SLO())
-	}
+	h := insp.AdmissionHeadroom()
+	pw.family("bt_admission_bandwidth_gbs", "gauge", "Projected DRAM bandwidth demand and headroom capacity.")
+	pw.sample("bt_admission_bandwidth_gbs", []label{{"side", "demand"}}, h.BWDemandGBs)
+	pw.sample("bt_admission_bandwidth_gbs", []label{{"side", "capacity"}}, h.BWCapacityGBs)
+	pw.family("bt_admission_cores", "gauge", "Projected PU-core demand and headroom capacity.")
+	pw.sample("bt_admission_cores", []label{{"side", "demand"}}, h.CoresDemand)
+	pw.sample("bt_admission_cores", []label{{"side", "capacity"}}, h.CoresCapacity)
+	pw.family("bt_sessions_resident", "gauge", "Sessions currently occupying admission capacity.")
+	pw.sample("bt_sessions_resident", nil, float64(h.ResidentCount))
+	pw.family("bt_admissions_total", "counter", "Admissions accepted since runtime start.")
+	pw.sample("bt_admissions_total", nil, float64(h.AdmittedTotal))
+	pw.family("bt_admission_rejections_total", "counter", "Admissions rejected since runtime start.")
+	pw.sample("bt_admission_rejections_total", nil, float64(h.RejectedTotal))
+	return pw.err
 }
 
 // sessionsDoc is the /sessions response body.
@@ -239,8 +220,7 @@ func (cfg ServerConfig) handleSessions(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleTrace serves Chrome trace_event JSON: one session's timeline
-// with ?session=, otherwise the merged multi-session timeline (or the
-// configured single-run timeline).
+// with ?session=, otherwise the configured Timeline.
 func (cfg ServerConfig) handleTrace(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("session")
 	var tl *trace.Timeline
@@ -254,14 +234,6 @@ func (cfg ServerConfig) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case name != "":
 		http.Error(w, "no session inspector mounted", http.StatusNotFound)
 		return
-	case cfg.Inspector != nil:
-		var parts []trace.SessionTrace
-		for _, info := range cfg.Inspector.SessionInfos() {
-			if stl := cfg.Inspector.SessionTimeline(info.Name); stl != nil && len(stl.Spans) > 0 {
-				parts = append(parts, trace.SessionTrace{Name: info.Name, Timeline: stl})
-			}
-		}
-		tl = trace.MergeSessions(parts...)
 	case cfg.Timeline != nil:
 		tl = cfg.Timeline()
 	}

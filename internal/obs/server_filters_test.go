@@ -53,7 +53,7 @@ func TestServerMountsTracesAndSLO(t *testing.T) {
 	cfg.Traces = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("[]"))
 	})
-	cfg.SLO = func() SLOStats { return SLOStats{Sessions: 2, Attained: 1, Missed: 1} }
+	cfg.Metrics = append(cfg.Metrics, SLOStats{Sessions: 2, Attained: 1, Missed: 1}.PromSLO)
 	h := NewHandler(cfg)
 
 	if code, body := get(t, h, "/traces"); code != http.StatusOK || body != "[]" {
@@ -65,9 +65,11 @@ func TestServerMountsTracesAndSLO(t *testing.T) {
 	if _, body := get(t, h, "/"); !strings.Contains(body, "/traces") {
 		t.Fatal("index omits /traces while mounted")
 	}
-	if _, body := get(t, h, "/metrics"); !strings.Contains(body, "bt_slo_attained_total 1") {
+	_, body := get(t, h, "/metrics")
+	if !strings.Contains(body, "bt_slo_attained_total 1") {
 		t.Fatal("metrics omit bt_slo_* families")
 	}
+	checkExposition(t, body)
 
 	// Without a tracer neither surface appears — the default exposition
 	// stays byte-identical.
@@ -78,9 +80,11 @@ func TestServerMountsTracesAndSLO(t *testing.T) {
 	if _, body := get(t, h, "/"); strings.Contains(body, "/traces") {
 		t.Fatal("index lists /traces without a tracer")
 	}
-	if _, body := get(t, h, "/metrics"); strings.Contains(body, "bt_slo_") {
+	_, body = get(t, h, "/metrics")
+	if strings.Contains(body, "bt_slo_") {
 		t.Fatal("metrics carry bt_slo_* without an SLO source")
 	}
+	checkExposition(t, body)
 }
 
 func TestCloseBoundedBySlowHandler(t *testing.T) {

@@ -1,12 +1,14 @@
 package obs
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"bettertogether/internal/metrics"
+	"bettertogether/internal/schedcache"
 	"bettertogether/internal/trace"
 )
 
@@ -49,14 +51,21 @@ func goldenServerConfig() ServerConfig {
 	return ServerConfig{
 		Inspector: insp,
 		Stream:    stream,
-		Cache: func() CacheStats {
-			return CacheStats{Hits: 42, Misses: 7, Stores: 7, Evictions: 2, Size: 5, Capacity: 64}
+		Metrics: []func(io.Writer) error{
+			stream.PromEvents,
+			func(w io.Writer) error {
+				return PromCache(w, schedcache.Stats{Hits: 42, Misses: 7, Stores: 7, Evictions: 2, Size: 5, Capacity: 64})
+			},
+			sampleFleetStats().PromFleet,
+			OnlineProfStats{Observations: 120, Cells: 7, LatchedCells: 1, DriftsTriggered: 2, DriftReplans: 2}.PromOnlineProf,
+			SLOStats{Sessions: 2, Attained: 1, Missed: 1, Latency: slo}.PromSLO,
 		},
-		Fleet: sampleFleetStats,
-		OnlineProf: func() OnlineProfStats {
-			return OnlineProfStats{Observations: 120, Cells: 7, LatchedCells: 1, DriftsTriggered: 2, DriftReplans: 2}
+		Timeline: func() *trace.Timeline {
+			return trace.MergeSessions(
+				trace.SessionTrace{Name: "octree#0", Timeline: insp.timelines["octree#0"]},
+				trace.SessionTrace{Name: "vision#1", Timeline: insp.timelines["vision#1"]},
+			)
 		},
-		SLO: func() SLOStats { return SLOStats{Sessions: 2, Attained: 1, Missed: 1, Latency: slo} },
 	}
 }
 

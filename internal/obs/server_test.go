@@ -50,7 +50,14 @@ func testServerConfig() ServerConfig {
 	e := NewEvent(KindStageDone)
 	e.Session, e.Stage, e.Chunk, e.Task = "octree#0", "sort", 0, 3
 	stream.Emit(e)
-	return ServerConfig{Inspector: insp, Stream: stream}
+	return ServerConfig{
+		Inspector: insp,
+		Stream:    stream,
+		Metrics:   []func(io.Writer) error{stream.PromEvents},
+		Timeline: func() *trace.Timeline {
+			return trace.MergeSessions(trace.SessionTrace{Name: "octree#0", Timeline: insp.timelines["octree#0"]})
+		},
+	}
 }
 
 // get performs a request against the handler and returns status + body.
@@ -106,15 +113,7 @@ func TestServerMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Every line must still pass the exposition format check.
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sampleLine.MatchString(line) {
-			t.Errorf("malformed sample: %q", line)
-		}
-	}
+	checkExposition(t, body)
 }
 
 func TestServerSessions(t *testing.T) {

@@ -176,6 +176,25 @@ func (t *Tracer) AdvanceTo(at float64) {
 	t.mu.Unlock()
 }
 
+// lock is the guard of every hook that acts on an open trace: it returns
+// nil on a nil tracer or an unsampled session without locking, else it
+// takes t.mu and returns the session's open record with the lock held
+// (the caller unlocks), or unlocks and returns nil when none is open.
+func (t *Tracer) lock(session string) *record {
+	if t == nil {
+		return nil
+	}
+	if _, ok := t.sampled(session); !ok {
+		return nil
+	}
+	t.mu.Lock()
+	r := t.get(session)
+	if r == nil {
+		t.mu.Unlock()
+	}
+	return r
+}
+
 // get returns the live record for session, or nil. Callers hold t.mu.
 func (t *Tracer) get(session string) *record {
 	r := t.recs[session]
@@ -274,18 +293,11 @@ func (t *Tracer) Arrived(session, app string) {
 // Attempt records one per-candidate admission refusal during
 // placement: node is the candidate, refusal the typed admission error.
 func (t *Tracer) Attempt(session, node, refusal string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	parent := r.placement
 	if parent == 0 {
 		parent = 1
@@ -298,18 +310,11 @@ func (t *Tracer) Attempt(session, node, refusal string) {
 // choice is the 1-based rank of the admitting candidate (choice > 1 is
 // a spillover).
 func (t *Tracer) Placed(session, node string, choice int) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	now := t.tick(r)
 	if r.placement != 0 {
 		s := &r.doc.Spans[r.placement-1]
@@ -325,18 +330,11 @@ func (t *Tracer) Placed(session, node string, choice int) {
 // Rejected closes the trace with a rejected verdict: no node admitted
 // the arrival. detail is the aggregated placement error.
 func (t *Tracer) Rejected(session, detail string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	now := t.tick(r)
 	if r.placement != 0 {
 		s := &r.doc.Spans[r.placement-1]
@@ -376,18 +374,11 @@ func (t *Tracer) Admitted(session, app, schedule string, hold bool) {
 
 // Started records a held session's launch.
 func (t *Tracer) Started(session string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	now := t.tick(r)
 	r.span(1, KindStart, "", now, now, "")
 }
@@ -395,18 +386,11 @@ func (t *Tracer) Started(session string) {
 // WaveStart opens a wave span: wave is the wave index, tasks the
 // number of pipelined tasks, schedule the assignment string.
 func (t *Tracer) WaveStart(session string, wave, tasks int, schedule string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	now := t.tick(r)
 	r.wave = r.span(1, KindWave, fmt.Sprintf("wave %d", wave), now, now,
 		fmt.Sprintf("%d tasks on %s", tasks, schedule))
@@ -415,16 +399,12 @@ func (t *Tracer) WaveStart(session string, wave, tasks int, schedule string) {
 // WaveEnd closes the open wave span, advancing the trace's logical
 // clock by the wave's virtual duration.
 func (t *Tracer) WaveEnd(session string, wave int, elapsed float64) {
-	if t == nil {
+	r := t.lock(session)
+	if r == nil {
 		return
 	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := t.get(session)
-	if r == nil || r.wave == 0 {
+	if r.wave == 0 {
 		return
 	}
 	s := &r.doc.Spans[r.wave-1]
@@ -449,15 +429,8 @@ func (t *Tracer) instant(r *record, kind, name, detail string) {
 
 // Replanned records a churn-triggered re-plan taking effect.
 func (t *Tracer) Replanned(session, detail string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.get(session); r != nil {
+	if r := t.lock(session); r != nil {
+		defer t.mu.Unlock()
 		t.instant(r, KindReplan, "", detail)
 	}
 }
@@ -465,30 +438,16 @@ func (t *Tracer) Replanned(session, detail string) {
 // DriftDetected records the online profiler latching a drift for this
 // session's stage on pu (observed/modeled ratio).
 func (t *Tracer) DriftDetected(session, stage, pu string, ratio float64) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.get(session); r != nil {
+	if r := t.lock(session); r != nil {
+		defer t.mu.Unlock()
 		t.instant(r, KindDrift, stage, fmt.Sprintf("observed %.3gx modeled on %s", ratio, pu))
 	}
 }
 
 // DriftReplanned records a drift-triggered re-plan taking effect.
 func (t *Tracer) DriftReplanned(session, detail string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.get(session); r != nil {
+	if r := t.lock(session); r != nil {
+		defer t.mu.Unlock()
 		t.instant(r, KindDriftReplan, "", detail)
 	}
 }
@@ -496,18 +455,11 @@ func (t *Tracer) DriftReplanned(session, detail string) {
 // BeginMigration opens a migration span: the drain controller is
 // moving this held session off from.
 func (t *Tracer) BeginMigration(session, from string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	now := t.tick(r)
 	r.migration = r.span(1, KindMigration, from, now, now, "")
 }
@@ -515,18 +467,11 @@ func (t *Tracer) BeginMigration(session, from string) {
 // Migrated closes the open migration span: the session now holds a
 // reservation on to.
 func (t *Tracer) Migrated(session, from, to string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	now := t.tick(r)
 	if r.migration != 0 {
 		s := &r.doc.Spans[r.migration-1]
@@ -543,18 +488,11 @@ func (t *Tracer) Migrated(session, from, to string) {
 // source of a moved session): it records a released marker but leaves
 // the trace open, because the same-named session continues elsewhere.
 func (t *Tracer) SessionEnd(session string, elapsed, deadline float64, tasks int, canceled bool, errDetail string) {
-	if t == nil {
-		return
-	}
-	if _, ok := t.sampled(session); !ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.get(session)
+	r := t.lock(session)
 	if r == nil {
 		return
 	}
+	defer t.mu.Unlock()
 	if canceled && tasks == 0 {
 		t.instant(r, KindReleased, "", "reservation released before launch")
 		return

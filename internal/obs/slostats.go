@@ -47,7 +47,7 @@ func (s *SLOStats) Merge(other SLOStats) {
 // exposition. A falling bt_slo_attained_total/bt_slo_sessions_total
 // ratio under load is the fleet-level signal that interference, not
 // capacity, is eating the deadline budget.
-func PromSLO(w io.Writer, s SLOStats) error {
+func (s SLOStats) PromSLO(w io.Writer) error {
 	pw := &promWriter{w: w}
 	pw.family("bt_slo_sessions_total", "counter",
 		"Completed sessions that carried an SLO deadline.")

@@ -33,7 +33,7 @@ func TestPromSLO(t *testing.T) {
 	h.Observe(1500 * time.Millisecond)
 	h.Observe(4 * time.Second)
 	var b strings.Builder
-	err := PromSLO(&b, SLOStats{Sessions: 2, Attained: 1, Missed: 1, Latency: h})
+	err := SLOStats{Sessions: 2, Attained: 1, Missed: 1, Latency: h}.PromSLO(&b)
 	if err != nil {
 		t.Fatalf("PromSLO: %v", err)
 	}
@@ -50,10 +50,11 @@ func TestPromSLO(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	checkExposition(t, out)
 
 	// No latency histogram: the summary family is omitted entirely.
 	b.Reset()
-	_ = PromSLO(&b, SLOStats{Sessions: 1, Attained: 1})
+	_ = SLOStats{Sessions: 1, Attained: 1}.PromSLO(&b)
 	if strings.Contains(b.String(), "bt_slo_latency_seconds") {
 		t.Fatal("latency summary written without observations")
 	}

@@ -8,9 +8,10 @@ import (
 
 // Runtime implements obs.Inspector, so cmd/btrun can mount the
 // introspection server directly over a live runtime: the session table,
-// per-session metrics exposition, per-session (and merged) Chrome
-// traces, and the admission-headroom gauges all read the same state the
-// admission path maintains, under the same lock discipline.
+// per-session metrics exposition, per-session Chrome traces, and the
+// admission-headroom gauges all read the same state the admission path
+// maintains, under the same lock discipline. The merged no-session
+// /trace is (*Runtime).Timeline, wired as obs.ServerConfig.Timeline.
 var _ obs.Inspector = (*Runtime)(nil)
 
 // SessionInfos implements obs.Inspector: every session ever admitted in

@@ -596,7 +596,6 @@ func (rt *Runtime) Close() {
 func (rt *Runtime) Report(ganttWidth int) string {
 	sessions := rt.Sessions()
 	rows := make([]report.SessionRow, len(sessions))
-	var parts []trace.SessionTrace
 	for i, s := range sessions {
 		res := s.Snapshot()
 		rows[i] = report.SessionRow{
@@ -610,17 +609,27 @@ func (rt *Runtime) Report(ganttWidth int) string {
 			EnergyJ:  res.EnergyPerTaskJ,
 			Err:      errString(res.Err),
 		}
-		if tl := s.Timeline(); tl != nil && len(tl.Spans) > 0 {
-			parts = append(parts, trace.SessionTrace{Name: res.Name, Timeline: tl})
-		}
 	}
 	var b strings.Builder
 	b.WriteString(report.Sessions(fmt.Sprintf("runtime sessions on %s", rt.dev.Label), rows))
-	if len(parts) > 0 {
+	if tl := rt.Timeline(); len(tl.Spans) > 0 {
 		b.WriteByte('\n')
-		b.WriteString(trace.MergeSessions(parts...).Gantt(ganttWidth))
+		b.WriteString(tl.Gantt(ganttWidth))
 	}
 	return b.String()
+}
+
+// Timeline merges every session's collected timeline, in admission
+// order, into one session-qualified timeline (trace.MergeSessions).
+// Sessions that collect no trace contribute nothing.
+func (rt *Runtime) Timeline() *trace.Timeline {
+	var parts []trace.SessionTrace
+	for _, s := range rt.Sessions() {
+		if tl := s.Timeline(); tl != nil {
+			parts = append(parts, trace.SessionTrace{Name: s.Name(), Timeline: tl})
+		}
+	}
+	return trace.MergeSessions(parts...)
 }
 
 // errString renders an error for a report cell.

@@ -6,11 +6,8 @@ import "fmt"
 type SessionTrace struct {
 	// Name qualifies the session's rows and stages in the merged output.
 	Name string
-	// Timeline holds the session's spans on its session-local clock.
+	// Timeline holds the session's spans; they keep their times.
 	Timeline *Timeline
-	// Offset shifts every span by this many seconds onto the merged
-	// clock (e.g. the session's admission time).
-	Offset float64
 }
 
 // MergeSessions combines per-session timelines into one renderable
@@ -45,8 +42,6 @@ func MergeSessions(parts ...SessionTrace) *Timeline {
 			ns := s
 			ns.Chunk += rowBase
 			ns.StageIndex += stageBase
-			ns.Start += part.Offset
-			ns.End += part.Offset
 			ns.Stage = name + ":" + s.Stage
 			if labels[s.Chunk] == "" {
 				labels[s.Chunk] = fmt.Sprintf("%s/chunk %d (%s)", name, s.Chunk, s.PU)

@@ -6,16 +6,16 @@ import (
 )
 
 // mergedSample merges two small session timelines: session A with two
-// chunks on [0,2], session B with one chunk shifted by Offset 2.
+// chunks on [0,2], session B with one chunk on [2,4].
 func mergedSample() *Timeline {
 	a := &Timeline{}
 	a.Add(Span{Chunk: 0, PU: "big", Stage: "m", StageIndex: 0, Task: 0, Start: 0, End: 1})
 	a.Add(Span{Chunk: 1, PU: "gpu", Stage: "s", StageIndex: 1, Task: 0, Start: 1, End: 2})
 	b := &Timeline{}
-	b.Add(Span{Chunk: 0, PU: "gpu", Stage: "conv", StageIndex: 0, Task: 0, Start: 0, End: 2})
+	b.Add(Span{Chunk: 0, PU: "gpu", Stage: "conv", StageIndex: 0, Task: 0, Start: 2, End: 4})
 	return MergeSessions(
 		SessionTrace{Name: "octree#0", Timeline: a},
-		SessionTrace{Name: "alex#1", Timeline: b, Offset: 2},
+		SessionTrace{Name: "alex#1", Timeline: b},
 	)
 }
 
@@ -31,7 +31,7 @@ func TestMergeSessionsRebases(t *testing.T) {
 		t.Errorf("B span not re-based: chunk %d stage %d", bSpan.Chunk, bSpan.StageIndex)
 	}
 	if bSpan.Start != 2 || bSpan.End != 4 {
-		t.Errorf("B span not offset: [%v, %v]", bSpan.Start, bSpan.End)
+		t.Errorf("B span moved: [%v, %v]", bSpan.Start, bSpan.End)
 	}
 	if bSpan.Stage != "alex#1:conv" {
 		t.Errorf("B stage not session-qualified: %q", bSpan.Stage)

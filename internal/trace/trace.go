@@ -36,8 +36,8 @@ func (s Span) Duration() float64 { return s.End - s.Start }
 // Timeline accumulates spans for one execution run.
 type Timeline struct {
 	Spans []Span
-	// Labels optionally overrides the Gantt's row labels: row r uses
-	// Labels[r] when set. Engines leave it nil (rows label themselves
+	// Labels optionally overrides the row labels (see RowLabels): row r
+	// uses Labels[r] when set. Engines leave it nil (rows label themselves
 	// "chunk N (pu)"); MergeSessions fills it with session-qualified
 	// names.
 	Labels []string
@@ -66,6 +66,24 @@ func (t *Timeline) Chunks() int {
 		}
 	}
 	return n
+}
+
+// RowLabels names each chunk row: Labels[r] when set, else
+// "chunk N (pu)" from the row's first span. Gantt and the Chrome trace
+// exporter both label their rows with it.
+func (t *Timeline) RowLabels() []string {
+	labels := make([]string, t.Chunks())
+	for _, s := range t.Spans {
+		if labels[s.Chunk] == "" {
+			labels[s.Chunk] = fmt.Sprintf("chunk %d (%s)", s.Chunk, s.PU)
+		}
+	}
+	for r := range labels {
+		if r < len(t.Labels) && t.Labels[r] != "" {
+			labels[r] = t.Labels[r]
+		}
+	}
+	return labels
 }
 
 // BusyFractions returns each chunk's busy time divided by the horizon.
@@ -132,16 +150,7 @@ func (t *Timeline) Gantt(width int) string {
 			grid[s.Chunk][c][s.StageIndex] += hi - lo
 		}
 	}
-	// Row labels: chunk index + PU class, unless overridden.
-	labels := make([]string, n)
-	for _, s := range t.Spans {
-		labels[s.Chunk] = fmt.Sprintf("chunk %d (%s)", s.Chunk, s.PU)
-	}
-	for r := 0; r < n && r < len(t.Labels); r++ {
-		if t.Labels[r] != "" {
-			labels[r] = t.Labels[r]
-		}
-	}
+	labels := t.RowLabels()
 	labelW := 0
 	for _, l := range labels {
 		if len(l) > labelW {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -136,5 +137,22 @@ func TestGanttZeroHorizonGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRowLabelsFirstSpanAndOverride pins the one row-label rule Gantt
+// and the Chrome exporter share: an explicit label wins, otherwise the
+// row's first span names it, even when a later span ran on another PU.
+func TestRowLabelsFirstSpanAndOverride(t *testing.T) {
+	tl := &Timeline{Labels: []string{"", "custom"}}
+	tl.Add(Span{Chunk: 0, PU: "big", Stage: "a", Start: 0, End: 1})
+	tl.Add(Span{Chunk: 0, PU: "gpu", Stage: "a", Start: 1, End: 2})
+	tl.Add(Span{Chunk: 1, PU: "little", Stage: "b", StageIndex: 1, Start: 0, End: 2})
+	got := tl.RowLabels()
+	if want := []string{"chunk 0 (big)", "custom"}; !slices.Equal(got, want) {
+		t.Fatalf("RowLabels = %q, want %q", got, want)
+	}
+	if g := tl.Gantt(10); !strings.HasPrefix(g, "chunk 0 (big) |") || !strings.Contains(g, "\ncustom        |") {
+		t.Fatalf("Gantt rows not labeled by RowLabels:\n%s", g)
 	}
 }
