@@ -128,7 +128,8 @@ func TestListenMultiAppSmoke(t *testing.T) {
 	for _, e := range doc.TraceEvents {
 		if e.Name == "thread_name" {
 			name, _ := e.Args["name"].(string)
-			threads[name[:max(strings.IndexByte(name, '/'), 0)]] = true
+			session, _, _ := strings.Cut(name, "/")
+			threads[session] = true
 		}
 	}
 	if !threads["octree-uniform#0"] || !threads["vision#1"] {
