@@ -113,11 +113,14 @@ func main() {
 			planner, tracing)
 		return
 	}
-	// The lifecycle tracer and SLO accounting live in the session runtime,
-	// which only multi-app mode drives; failing fast beats silently
-	// ignoring the flags.
+	// The planner knobs, the lifecycle tracer and SLO accounting live in
+	// the session runtime, which only multi-app mode drives; failing fast
+	// beats silently ignoring the flags.
 	if tracing.SLODeadline > 0 || tracing.TraceSample > 0 {
 		cli.Fatalf("btrun", "-slo-deadline and -trace-sample require multi-app mode (repeat -app)")
+	}
+	if *planner != (cli.PlannerFlags{}) {
+		cli.Fatalf("btrun", "-sched-cache, -cache-bucket, -replan-delta, -online-profile and -drift-threshold require multi-app mode (repeat -app)")
 	}
 	runSingle(apps[0], dev, eng, *schedule, *engine, *tasks, *warmup, *seed,
 		*gantt || *traceFlag, *metricsFlag, *timeout, *listen, *hold, *chromeTrace)
@@ -265,20 +268,22 @@ func runMulti(apps []string, delays []time.Duration, dev *bt.Device, eng bt.Engi
 	if schedule != "auto" {
 		cli.Fatalf("btrun", "multi-app mode plans each session itself; drop -schedule (got %q)", schedule)
 	}
-	opts := append([]btruntime.Option{
-		btruntime.WithEngine(eng),
-		btruntime.WithSeed(seed),
-	}, planner.RuntimeOptions()...)
 	tracer := tracing.Tracer(seed)
-	if tracer != nil {
-		opts = append(opts, btruntime.WithSessionTrace(tracer))
+	cfg := btruntime.Config{
+		Device:      dev,
+		Engine:      eng,
+		Seed:        seed,
+		Cache:       planner.Cache(),
+		ReplanDelta: planner.ReplanDelta,
+		OnlineProf:  planner.OnlineProf(),
+		Trace:       tracer,
 	}
 	var stream *obs.Stream
 	if listen != "" {
 		stream = obs.NewStream(obs.DefaultStreamCapacity)
-		opts = append(opts, btruntime.WithEvents(stream))
+		cfg.Events = stream
 	}
-	rt, err := btruntime.New(dev, opts...)
+	rt, err := btruntime.New(cfg)
 	cli.FatalIf("btrun", err)
 	defer rt.Close()
 

@@ -79,6 +79,28 @@ func listen(t *testing.T, args ...string) func(path string) (int, string) {
 	}
 }
 
+// TestSingleAppRefusesRuntimeFlags pins that single-app mode exits
+// non-zero on a flag only the multi-app runtime reads, instead of
+// running as if the flag were absent.
+func TestSingleAppRefusesRuntimeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sched-cache", "8"},
+		{"-cache-bucket", "0.1"},
+		{"-replan-delta", "5"},
+		{"-online-profile"},
+		{"-drift-threshold", "0.4", "-online-profile"},
+		{"-slo-deadline", "3"},
+		{"-trace-sample", "1"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-app", "octree", "-schedule", "big", "-tasks", "4"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), args[0]) || !strings.Contains(string(out), "require multi-app mode") {
+			t.Errorf("btrun %v: err %v, output %q; want a failure naming %s and multi-app mode", args, err, out, args[0])
+		}
+	}
+}
+
 // TestListenSmoke runs a short real-engine pipeline with -listen and
 // checks /healthz and the per-stage series on /metrics.
 func TestListenSmoke(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"bettertogether/internal/obs"
 	"bettertogether/internal/onlineprof"
-	"bettertogether/internal/runtime"
 	"bettertogether/internal/schedcache"
 )
 
@@ -100,30 +99,13 @@ func (p *PlannerFlags) Cache() *schedcache.Cache {
 }
 
 // OnlineProf is the feedback-loop configuration the flags select, nil
-// when online profiling is off — the shape fleet.Config.OnlineProf and
-// runtime.WithOnlineProfiling consume.
+// when online profiling is off — the value runtime.Config.OnlineProf
+// and fleet.Config.OnlineProf take.
 func (p *PlannerFlags) OnlineProf() *onlineprof.Config {
 	if !p.OnlineProfile {
 		return nil
 	}
 	return &onlineprof.Config{DriftThreshold: p.DriftThreshold}
-}
-
-// RuntimeOptions maps the flags onto runtime functional options for a
-// single-runtime command. Unset flags contribute no option, so the
-// runtime's own defaults stay in force.
-func (p *PlannerFlags) RuntimeOptions() []runtime.Option {
-	var opts []runtime.Option
-	if c := p.Cache(); c != nil {
-		opts = append(opts, runtime.WithSchedCache(c))
-	}
-	if p.ReplanDelta > 0 {
-		opts = append(opts, runtime.WithReplanDelta(p.ReplanDelta))
-	}
-	if c := p.OnlineProf(); c != nil {
-		opts = append(opts, runtime.WithOnlineProfiling(*c))
-	}
-	return opts
 }
 
 // OnlineProfSummary renders the post-run feedback-loop summary line the

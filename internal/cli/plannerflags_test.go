@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"bettertogether/internal/onlineprof"
+	"bettertogether/internal/runtime"
+	"bettertogether/internal/soc"
 )
 
 // parsePlanner runs args through a fresh FlagSet carrying the shared
@@ -35,8 +37,8 @@ func TestPlannerFlagsDefaultsValidate(t *testing.T) {
 	if c := p.OnlineProf(); c != nil {
 		t.Errorf("OnlineProf() = %v on defaults, want nil", c)
 	}
-	if opts := p.RuntimeOptions(); len(opts) != 0 {
-		t.Errorf("RuntimeOptions() produced %d options on defaults, want 0", len(opts))
+	if p.ReplanDelta != 0 {
+		t.Errorf("ReplanDelta = %v on defaults, want 0", p.ReplanDelta)
 	}
 }
 
@@ -75,8 +77,8 @@ func TestPlannerFlagsValidateRejects(t *testing.T) {
 
 // TestPlannerFlagsBuildsArtifacts pins the flag-to-config mapping: each
 // flag parses into its own field, a set cache capacity yields a cache of that shape, -online-profile
-// yields an onlineprof config carrying the threshold, and
-// RuntimeOptions reflects exactly the set knobs.
+// yields an onlineprof config carrying the threshold, and a runtime
+// built from them carries exactly the set knobs.
 func TestPlannerFlagsBuildsArtifacts(t *testing.T) {
 	p := parsePlanner(t,
 		"-sched-cache", "32", "-cache-bucket", "0.1",
@@ -109,8 +111,20 @@ func TestPlannerFlagsBuildsArtifacts(t *testing.T) {
 		t.Errorf("defaulted threshold = %v, want %v",
 			got.Config().DriftThreshold, onlineprof.DefaultDriftThreshold)
 	}
-	if opts := p.RuntimeOptions(); len(opts) != 3 {
-		t.Errorf("RuntimeOptions() produced %d options, want 3 (cache, delta, onlineprof)", len(opts))
+	dev, err := soc.DeviceByName("pixel7a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := runtime.New(runtime.Config{Device: dev, Cache: c, ReplanDelta: p.ReplanDelta, OnlineProf: op})
+	if err != nil {
+		t.Fatalf("runtime.New: %v", err)
+	}
+	defer rt.Close()
+	if rt.Cache() != c {
+		t.Error("runtime did not install the flags' cache")
+	}
+	if est := rt.OnlineProfiler(); est == nil || est.Config().DriftThreshold != 0.4 {
+		t.Errorf("runtime estimator %v, want one with threshold 0.4", est)
 	}
 }
 

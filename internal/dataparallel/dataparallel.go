@@ -5,8 +5,8 @@
 // profiled speed. The paper's point is that this forces PUs to execute
 // poorly-suited work — the GPU still handles a slice of sorting — and
 // that stage-to-PU pipelining beats it; this package makes that claim
-// testable by providing both a simulated measurement and a real
-// concurrent execution of the data-parallel strategy.
+// testable with a simulated measurement of the data-parallel strategy,
+// which the data-parallelism ablation sets against the pipeline.
 package dataparallel
 
 import (
@@ -89,22 +89,10 @@ type Options struct {
 	Seed int64
 }
 
-// Predict returns the model's per-task latency: for each stage, every PU
-// processes its slice concurrently under full mutual interference, and
-// the stage completes when the slowest slice does; stages run in
-// sequence (data parallelism does not overlap stages).
-func Predict(app *core.Application, dev *soc.Device, tab *core.ProfileTable) float64 {
-	shares := Shares(tab)
-	total := 0.0
-	for i, stage := range app.Stages {
-		total += stageTime(dev, stage.Cost, tab.PUs, shares[i], nil, nil)
-	}
-	return total
-}
-
-// stageTime computes one stage's data-parallel completion time, sampling
-// noise per PU when rng is non-nil.
-func stageTime(dev *soc.Device, cost core.CostSpec, pus []core.PUClass, shares []float64, rng *rand.Rand, _ []float64) float64 {
+// stageTime samples one stage's data-parallel completion time: every PU
+// runs its slice under the interference of the others' slices, and the
+// stage ends when the slowest slice does.
+func stageTime(dev *soc.Device, cost core.CostSpec, pus []core.PUClass, shares []float64, rng *rand.Rand) float64 {
 	worst := 0.0
 	for j, pu := range pus {
 		if shares[j] <= 0 {
@@ -120,20 +108,15 @@ func stageTime(dev *soc.Device, cost core.CostSpec, pus []core.PUClass, shares [
 				MemIntensity: dev.Intensity(scaleCost(cost, shares[k]), other),
 			}
 		}
-		t := 0.0
-		if rng != nil {
-			t = dev.Sample(scaleCost(cost, shares[j]), pu, env, rng)
-		} else {
-			t = dev.Estimate(scaleCost(cost, shares[j]), pu, env)
-		}
-		worst = math.Max(worst, t)
+		worst = math.Max(worst, dev.Sample(scaleCost(cost, shares[j]), pu, env, rng))
 	}
 	return worst
 }
 
 // Simulate measures the data-parallel strategy on the simulated device:
 // Tasks tasks after Warmup, each executing the stage sequence with all
-// PUs co-running each stage's slices. Returns the mean per-task latency
+// PUs co-running each stage's slices; stages run in sequence, since data
+// parallelism does not overlap them. Returns the mean per-task latency
 // in seconds.
 func Simulate(app *core.Application, dev *soc.Device, tab *core.ProfileTable, opts Options) float64 {
 	if opts.Tasks <= 0 {
@@ -145,7 +128,7 @@ func Simulate(app *core.Application, dev *soc.Device, tab *core.ProfileTable, op
 	for task := 0; task < opts.Warmup+opts.Tasks; task++ {
 		taskTime := 0.0
 		for i, stage := range app.Stages {
-			taskTime += stageTime(dev, stage.Cost, tab.PUs, shares[i], rng, nil)
+			taskTime += stageTime(dev, stage.Cost, tab.PUs, shares[i], rng)
 		}
 		if task >= opts.Warmup {
 			sum += taskTime

@@ -2,10 +2,7 @@ package dataparallel
 
 import (
 	"math"
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"bettertogether/internal/apps/octree"
 	"bettertogether/internal/core"
@@ -49,28 +46,6 @@ func TestSharesNormalizedAndSpeedOrdered(t *testing.T) {
 	}
 }
 
-func TestPredictPositiveAndSumsStages(t *testing.T) {
-	app, dev, tabs := setup(t)
-	p := Predict(app, dev, tabs.Heavy)
-	if p <= 0 {
-		t.Fatalf("prediction %v", p)
-	}
-	// Data parallelism must at least beat the *worst* homogeneous
-	// deployment (the little cluster alone)...
-	littleOnly := tabs.Isolated.ChunkTime(core.ClassLittle, 0, len(app.Stages))
-	if p >= littleOnly {
-		t.Errorf("data-parallel %.4g !< little-only %.4g", p, littleOnly)
-	}
-	// ...but on this mixed-pattern workload it does NOT beat the best
-	// homogeneous baseline: every stage drags its straggler slices and
-	// full mutual interference — exactly the suboptimality the paper's
-	// introduction argues (Sec. 1).
-	bigOnly := tabs.Isolated.ChunkTime(core.ClassBig, 0, len(app.Stages))
-	if p < bigOnly {
-		t.Logf("note: data-parallel %.4g beat big-only %.4g on this configuration", p, bigOnly)
-	}
-}
-
 func TestSimulateDeterministic(t *testing.T) {
 	app, dev, tabs := setup(t)
 	a := Simulate(app, dev, tabs.Heavy, Options{Tasks: 10, Warmup: 2, Seed: 3})
@@ -100,60 +75,6 @@ func TestPipelineBeatsDataParallelOnOctreePixel(t *testing.T) {
 	bt := tune.Measured[tune.BestIndex]
 	if bt >= dp {
 		t.Errorf("BT pipeline %.4gms !< data-parallel %.4gms", bt*1e3, dp*1e3)
-	}
-}
-
-func TestExecuteRealDataParallel(t *testing.T) {
-	// Functional check: the weighted ParallelFor must drive the real
-	// kernels to a correct result (octree task completes, per-task time
-	// positive), exercising simultaneous multi-pool execution.
-	app := octree.NewApplication(2048, octree.UniformGen{})
-	dev := soc.NewPixel7a()
-	tabs := profiler.ProfileBoth(app, dev, profiler.Config{Seed: 1})
-	sec, err := Execute(app, dev, tabs.Heavy, Options{Tasks: 4, Warmup: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sec <= 0 {
-		t.Fatalf("per-task %v", sec)
-	}
-}
-
-func TestExecuteRealDataParallelKernelPanic(t *testing.T) {
-	// A panicking kernel band must surface as an error — with every pool
-	// worker joined on the way out, not stranded behind a dead barrier.
-	app := octree.NewApplication(2048, octree.UniformGen{})
-	boom := app.Stages[1].CPU
-	app.Stages[1].CPU = func(to *core.TaskObject, par core.ParallelFor) {
-		par(128, func(lo, hi int) { panic("band exploded") })
-		boom(to, par)
-	}
-	dev := soc.NewPixel7a()
-	tabs := profiler.ProfileBoth(app, dev, profiler.Config{Seed: 1})
-	before := runtime.NumGoroutine()
-	_, err := Execute(app, dev, tabs.Heavy, Options{Tasks: 2, Warmup: 0})
-	if err == nil {
-		t.Fatal("kernel panic not surfaced as error")
-	}
-	if !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	waitForGoroutines(t, before)
-}
-
-// waitForGoroutines asserts the goroutine count returns to (at most) the
-// pre-run level, allowing the runtime a grace period to unwind.
-func waitForGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -138,24 +138,23 @@ func DriftConvergence(cfg DriftConvergenceConfig) (DriftConvergenceResult, strin
 		if err != nil {
 			return out, err
 		}
-		opts := []btruntime.Option{
-			btruntime.WithSeed(cfg.Seed),
-			btruntime.WithPlanningBudget(btruntime.DefaultProfileReps, btruntime.DefaultAutotuneTasks, cfg.K),
-			btruntime.WithOnlineProfiling(driftEstimatorConfig),
+		rtCfg := btruntime.Config{
+			Device:     dev,
+			Seed:       cfg.Seed,
+			K:          cfg.K,
+			OnlineProf: &driftEstimatorConfig,
 		}
 		if factor != 1 {
 			target := cfg.TargetClass
-			opts = append(opts, btruntime.WithModelAdjust(
-				fmt.Sprintf("inject:%s*%g", target, factor),
-				func(_ string, pu core.PUClass, sec float64) float64 {
-					if pu == target {
-						return sec * factor
-					}
-					return sec
-				},
-			))
+			rtCfg.ModelAdjustDigest = fmt.Sprintf("inject:%s*%g", target, factor)
+			rtCfg.ModelAdjust = func(_ string, pu core.PUClass, sec float64) float64 {
+				if pu == target {
+					return sec * factor
+				}
+				return sec
+			}
 		}
-		rt, err := btruntime.New(dev, opts...)
+		rt, err := btruntime.New(rtCfg)
 		if err != nil {
 			return out, err
 		}

@@ -28,6 +28,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,15 +61,17 @@ type Config struct {
 	// Seed + i*nodeSeedStride, so populations are heterogeneous but
 	// reproducible.
 	Seed int64
-	// BWHeadroom, CoreHeadroom and ReplanDelta forward to every node's
-	// runtime options (zero values select the runtime defaults).
+	// BWHeadroom, CoreHeadroom and ReplanDelta are every node runtime's
+	// runtime.Config values: zero selects the runtime default, and a
+	// negative or non-finite value fails New.
 	BWHeadroom   float64
 	CoreHeadroom float64
 	ReplanDelta  float64
 	// CacheCapacity, when positive, shares one schedule cache across all
 	// node runtimes — recurring (app, device-class, env) tuples then hit
 	// across the whole fleet, not just within a node. CacheBucket is its
-	// Env quantization width (0 selects the schedcache default).
+	// Env quantization width (0 selects the schedcache default). New
+	// refuses a negative capacity and a negative or non-finite bucket.
 	CacheCapacity int
 	CacheBucket   float64
 	// Affinity maps an application name to its preferred device class:
@@ -233,6 +236,12 @@ func New(cfg Config) (*Fleet, error) {
 	if err := checkSpecs(cfg.Nodes); err != nil {
 		return nil, err
 	}
+	if cfg.CacheCapacity < 0 {
+		return nil, fmt.Errorf("fleet: CacheCapacity %d, want >= 0 (0 disables the cache)", cfg.CacheCapacity)
+	}
+	if b := cfg.CacheBucket; b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+		return nil, fmt.Errorf("fleet: CacheBucket %v, want a finite value >= 0 (0 selects the default)", b)
+	}
 	f := &Fleet{cfg: cfg, active: map[string]*activeSession{}}
 	if cfg.CacheCapacity > 0 {
 		f.cache = schedcache.New(cfg.CacheCapacity, cfg.CacheBucket)
@@ -243,7 +252,7 @@ func New(cfg Config) (*Fleet, error) {
 			if err != nil {
 				return nil, err
 			}
-			rt, err := runtime.New(dev, f.nodeOptions(cfg, len(f.nodes))...)
+			rt, err := runtime.New(f.nodeConfig(dev, len(f.nodes)))
 			if err != nil {
 				return nil, fmt.Errorf("fleet: node %s/%d: %w", spec.Device, k, err)
 			}
@@ -310,40 +319,21 @@ func (f *Fleet) departed(name string) {
 	f.refileLocked(e.node)
 }
 
-// nodeOptions maps the fleet configuration onto one node runtime's
-// functional options. Zero-valued fleet fields stay absent, so the
-// runtime's own defaults apply; set fields are validated by the options
-// themselves at New.
-func (f *Fleet) nodeOptions(cfg Config, node int) []runtime.Option {
-	opts := []runtime.Option{
-		runtime.WithSeed(cfg.Seed + int64(node)*nodeSeedStride),
+// nodeConfig is one node runtime's configuration: the fleet's knobs as
+// given, the node's own seed and the shared cache. runtime.New checks
+// every value.
+func (f *Fleet) nodeConfig(dev *soc.Device, node int) runtime.Config {
+	return runtime.Config{
+		Device:       dev,
+		Seed:         f.cfg.Seed + int64(node)*nodeSeedStride,
+		BWHeadroom:   f.cfg.BWHeadroom,
+		CoreHeadroom: f.cfg.CoreHeadroom,
+		ReplanDelta:  f.cfg.ReplanDelta,
+		Events:       f.cfg.Events,
+		Cache:        f.cache,
+		OnlineProf:   f.cfg.OnlineProf,
+		Trace:        f.cfg.Trace,
 	}
-	if cfg.BWHeadroom > 0 || cfg.CoreHeadroom > 0 {
-		bw, cores := cfg.BWHeadroom, cfg.CoreHeadroom
-		if bw <= 0 {
-			bw = runtime.DefaultBWHeadroom
-		}
-		if cores <= 0 {
-			cores = runtime.DefaultCoreHeadroom
-		}
-		opts = append(opts, runtime.WithHeadroom(bw, cores))
-	}
-	if cfg.Events != nil {
-		opts = append(opts, runtime.WithEvents(cfg.Events))
-	}
-	if f.cache != nil {
-		opts = append(opts, runtime.WithSchedCache(f.cache))
-	}
-	if cfg.ReplanDelta > 0 {
-		opts = append(opts, runtime.WithReplanDelta(cfg.ReplanDelta))
-	}
-	if cfg.OnlineProf != nil {
-		opts = append(opts, runtime.WithOnlineProfiling(*cfg.OnlineProf))
-	}
-	if cfg.Trace != nil {
-		opts = append(opts, runtime.WithSessionTrace(cfg.Trace))
-	}
-	return opts
 }
 
 // OnlineProfStats merges every node runtime's feedback-loop counters;

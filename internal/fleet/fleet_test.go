@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,6 +81,42 @@ func TestNewRejectsRepeatedDevice(t *testing.T) {
 	}
 	if _, err := ParseNodeSpecs("jetson=1,jetson=1"); err == nil || !strings.Contains(err.Error(), "jetson=<count>") {
 		t.Errorf("ParseNodeSpecs(jetson=1,jetson=1): err %v, want a refusal naming jetson=<count>", err)
+	}
+}
+
+// TestNewRefusesBadKnobs pins that a negative or non-finite knob fails
+// New with an error naming it, instead of quietly building nodes on the
+// default headroom, re-planning on every pass or running uncached.
+func TestNewRefusesBadKnobs(t *testing.T) {
+	nodes := []NodeSpec{{Device: "pixel7a", Count: 2}}
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"NaN bw headroom", Config{BWHeadroom: math.NaN()}, "BWHeadroom"},
+		{"negative bw headroom", Config{BWHeadroom: -1, CoreHeadroom: 3}, "BWHeadroom"},
+		{"Inf core headroom", Config{CoreHeadroom: math.Inf(1)}, "CoreHeadroom"},
+		{"negative delta", Config{ReplanDelta: -5}, "ReplanDelta"},
+		{"NaN delta", Config{ReplanDelta: math.NaN()}, "ReplanDelta"},
+		{"negative cache", Config{CacheCapacity: -3}, "CacheCapacity"},
+		{"negative bucket", Config{CacheCapacity: 8, CacheBucket: -0.5}, "CacheBucket"},
+		{"NaN bucket", Config{CacheBucket: math.NaN()}, "CacheBucket"},
+		{"Inf bucket", Config{CacheCapacity: 8, CacheBucket: math.Inf(1)}, "CacheBucket"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Nodes = nodes
+			f, err := New(cfg)
+			if err == nil {
+				f.Close()
+				t.Fatalf("New accepted %+v", tc.cfg)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,10 @@ func realRun(ctx context.Context, p *Plan, opts Options) runOutcome {
 		pools[class] = pool
 	}
 
-	ring := newTaskRing(nChunks, opts.Buffers)
+	// The closed cycle of SPSC edges the dispatchers communicate over,
+	// including the recycling edge from the last chunk back to the first;
+	// each edge holds the buffering depth plus one.
+	ring := queue.NewRing[*core.TaskObject](nChunks, opts.Buffers+1)
 
 	// Multi-buffering: pre-allocate the in-flight TaskObjects and prime
 	// the first queue.

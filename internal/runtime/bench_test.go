@@ -61,11 +61,7 @@ func BenchmarkAdmitChurn(b *testing.B) {
 				}
 				apps = append(apps, app)
 			}
-			opts := []Option{WithHeadroom(8, 8)}
-			if mode.cache != nil {
-				opts = append(opts, WithSchedCache(mode.cache))
-			}
-			rt, err := New(dev, opts...)
+			rt, err := New(Config{Device: dev, BWHeadroom: 8, CoreHeadroom: 8, Cache: mode.cache})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,7 +24,7 @@ var feedbackConfig = onlineprof.Config{MinSamples: 3, Hysteresis: 2}
 // re-plan never. A false positive here means the threshold/hysteresis
 // floors are not doing their job.
 func TestZeroErrorZeroDriftReplans(t *testing.T) {
-	rt, err := New(mustDevice(t, "pixel7a"), WithOnlineProfiling(feedbackConfig))
+	rt, err := New(Config{Device: mustDevice(t, "pixel7a"), OnlineProf: &feedbackConfig})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -59,13 +59,15 @@ func TestZeroErrorZeroDriftReplans(t *testing.T) {
 // learned ~2x correction overlaid.
 func TestInjectedErrorTriggersDriftReplan(t *testing.T) {
 	stream := obs.NewStream(obs.DefaultStreamCapacity)
-	rt, err := New(mustDevice(t, "pixel7a"),
-		WithEvents(stream),
-		WithOnlineProfiling(feedbackConfig),
-		WithModelAdjust("half", func(_ string, _ core.PUClass, sec float64) float64 {
+	rt, err := New(Config{
+		Device:            mustDevice(t, "pixel7a"),
+		Events:            stream,
+		OnlineProf:        &feedbackConfig,
+		ModelAdjustDigest: "half",
+		ModelAdjust: func(_ string, _ core.PUClass, sec float64) float64 {
 			return sec * 0.5
-		}),
-	)
+		},
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -117,12 +119,14 @@ func TestInjectedErrorTriggersDriftReplan(t *testing.T) {
 func TestPinnedSessionNeverDriftReplans(t *testing.T) {
 	app := mustApp(t, "octree")
 	pin := core.NewUniformSchedule(len(app.Stages), core.ClassBig)
-	rt, err := New(mustDevice(t, "pixel7a"),
-		WithOnlineProfiling(feedbackConfig),
-		WithModelAdjust("half", func(_ string, _ core.PUClass, sec float64) float64 {
+	rt, err := New(Config{
+		Device:            mustDevice(t, "pixel7a"),
+		OnlineProf:        &feedbackConfig,
+		ModelAdjustDigest: "half",
+		ModelAdjust: func(_ string, _ core.PUClass, sec float64) float64 {
 			return sec * 0.5
-		}),
-	)
+		},
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -148,11 +152,13 @@ func TestPinnedSessionNeverDriftReplans(t *testing.T) {
 // canary for the online-profiling plumbing.
 func TestFeedbackUnderChurn(t *testing.T) {
 	stream := obs.NewStream(obs.DefaultStreamCapacity)
-	rt, err := New(mustDevice(t, "pixel7a"),
-		WithEvents(stream),
-		WithHeadroom(8, 8),
-		WithOnlineProfiling(feedbackConfig),
-	)
+	rt, err := New(Config{
+		Device:       mustDevice(t, "pixel7a"),
+		Events:       stream,
+		BWHeadroom:   8,
+		CoreHeadroom: 8,
+		OnlineProf:   &feedbackConfig,
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -204,13 +210,15 @@ func (c *stageDoneCounter) Emit(e obs.Event) {
 func TestEstimatorCountsEveryStageDone(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		counter := &stageDoneCounter{}
-		rt, err := New(mustDevice(t, "pixel7a"),
-			WithEvents(counter),
-			WithOnlineProfiling(feedbackConfig),
-			WithModelAdjust("half", func(_ string, _ core.PUClass, sec float64) float64 {
+		rt, err := New(Config{
+			Device:            mustDevice(t, "pixel7a"),
+			Events:            counter,
+			OnlineProf:        &feedbackConfig,
+			ModelAdjustDigest: "half",
+			ModelAdjust: func(_ string, _ core.PUClass, sec float64) float64 {
 				return sec * 0.5
-			}),
-		)
+			},
+		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -236,12 +244,14 @@ func TestEstimatorCountsEveryStageDone(t *testing.T) {
 // check for inline ingestion.
 func TestFeedbackOnRealEngine(t *testing.T) {
 	counter := &stageDoneCounter{}
-	rt, err := New(mustDevice(t, "pixel7a"),
-		WithEngine(pipeline.RealEngine{}),
-		WithEvents(counter),
-		WithHeadroom(8, 8),
-		WithOnlineProfiling(feedbackConfig),
-	)
+	rt, err := New(Config{
+		Device:       mustDevice(t, "pixel7a"),
+		Engine:       pipeline.RealEngine{},
+		Events:       counter,
+		BWHeadroom:   8,
+		CoreHeadroom: 8,
+		OnlineProf:   &feedbackConfig,
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -67,19 +67,21 @@ const (
 	DefaultReplanK = 8
 )
 
-// Config is the configuration New's options assemble; New fills the
-// defaults of the fields left at zero.
+// Config configures a Runtime. New validates it and fills the defaults
+// of the fields left at zero; a nil pointer or interface field means
+// unset. Only Device is required, so Config{Device: dev} is a working
+// simulator-backed runtime.
 type Config struct {
 	// Device is the SoC every session shares. Required.
 	Device *soc.Device
 	// Engine executes session waves; nil selects pipeline.SimEngine.
 	Engine pipeline.Engine
-	// BWHeadroom and CoreHeadroom scale the admission capacities
-	// (<= 0 selects the defaults).
+	// BWHeadroom and CoreHeadroom scale the admission capacities (0
+	// selects each one's default; negative or non-finite fails New).
 	BWHeadroom   float64
 	CoreHeadroom float64
 	// ProfileReps, AutotuneTasks, and K bound each (re-)planning pass
-	// (<= 0 selects the defaults).
+	// (0 selects the defaults; negative fails New).
 	ProfileReps   int
 	AutotuneTasks int
 	K             int
@@ -105,7 +107,8 @@ type Config struct {
 	// projected environment moved less than this (L∞ over per-class
 	// MemIntensity) from the environment its current plan was solved
 	// against. The session still picks up the new environment for its
-	// next wave; only the solve is elided. 0 re-plans on every pass.
+	// next wave; only the solve is elided. 0 re-plans on every pass;
+	// negative or non-finite fails New.
 	ReplanDelta float64
 	// OnlineProf, when non-nil, enables feedback-driven replanning: an
 	// online estimator learns per-(stage, PU, quantized Env) service
@@ -117,9 +120,9 @@ type Config struct {
 	OnlineProf *onlineprof.Config
 	// ModelAdjust, when non-nil, rescales every profiled latency before
 	// planning — the error-injection hook drift-convergence experiments
-	// use to simulate a miscalibrated model. ModelAdjustDigest must then
-	// be non-empty: it folds into schedule-cache keys so adjusted solves
-	// never collide with clean ones.
+	// use to simulate a miscalibrated model. ModelAdjustDigest must be
+	// set with it, and only with it: it folds into schedule-cache keys so
+	// adjusted solves never collide with clean ones.
 	ModelAdjust       profiler.Adjust
 	ModelAdjustDigest string
 	// Trace, when non-nil, receives causal session-lifecycle span hooks
@@ -162,34 +165,51 @@ type Runtime struct {
 	floors map[string]demand
 }
 
-// newRuntime validates a Config assembled by New's options, fills its
-// defaults and builds an empty runtime.
-func newRuntime(cfg Config) (*Runtime, error) {
+// New validates cfg, fills the defaults of its zero fields and builds an
+// empty runtime. Every check of a Config value happens here: a bad
+// value fails with an error naming the field, never a silent default.
+func New(cfg Config) (*Runtime, error) {
 	if cfg.Device == nil {
-		return nil, fmt.Errorf("runtime: config has no device")
+		return nil, fmt.Errorf("runtime: Config.Device is required")
 	}
 	if err := cfg.Device.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ModelAdjust != nil && cfg.ModelAdjustDigest == "" {
-		return nil, fmt.Errorf("runtime: ModelAdjust requires ModelAdjustDigest (schedule-cache keying)")
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"BWHeadroom", cfg.BWHeadroom}, {"CoreHeadroom", cfg.CoreHeadroom}, {"ReplanDelta", cfg.ReplanDelta}} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("runtime: Config.%s %v, want a finite value >= 0", f.name, f.v)
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"ProfileReps", cfg.ProfileReps}, {"AutotuneTasks", cfg.AutotuneTasks}, {"K", cfg.K}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("runtime: Config.%s %d, want >= 0 (0 selects the default)", f.name, f.v)
+		}
+	}
+	if (cfg.ModelAdjust == nil) != (cfg.ModelAdjustDigest == "") {
+		return nil, fmt.Errorf("runtime: Config.ModelAdjust and ModelAdjustDigest must be set together (the digest keys the schedule cache)")
 	}
 	if cfg.Engine == nil {
 		cfg.Engine = pipeline.SimEngine{}
 	}
-	if cfg.BWHeadroom <= 0 {
+	if cfg.BWHeadroom == 0 {
 		cfg.BWHeadroom = DefaultBWHeadroom
 	}
-	if cfg.CoreHeadroom <= 0 {
+	if cfg.CoreHeadroom == 0 {
 		cfg.CoreHeadroom = DefaultCoreHeadroom
 	}
-	if cfg.ProfileReps <= 0 {
+	if cfg.ProfileReps == 0 {
 		cfg.ProfileReps = DefaultProfileReps
 	}
-	if cfg.AutotuneTasks <= 0 {
+	if cfg.AutotuneTasks == 0 {
 		cfg.AutotuneTasks = DefaultAutotuneTasks
 	}
-	if cfg.K <= 0 {
+	if cfg.K == 0 {
 		cfg.K = DefaultReplanK
 	}
 	rt := &Runtime{dev: cfg.Device, resident: map[int]*Session{}}

@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"bettertogether/internal/core"
 	"bettertogether/internal/metrics"
+	"bettertogether/internal/obs"
+	"bettertogether/internal/onlineprof"
 	"bettertogether/internal/pipeline"
+	"bettertogether/internal/schedcache"
 	"bettertogether/internal/soc"
 	"bettertogether/pkg/btapps"
 )
@@ -33,11 +37,10 @@ func mustDevice(t *testing.T, name string) *soc.Device {
 	return dev
 }
 
-// mustRuntime builds a runtime through New with one option that installs
-// the whole of cfg.
+// mustRuntime builds a runtime from cfg, failing the test on an error.
 func mustRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
-	rt, err := New(cfg.Device, func(c *Config) error { *c = cfg; return nil })
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -45,11 +48,127 @@ func mustRuntime(t *testing.T, cfg Config) *Runtime {
 }
 
 func TestNewRejectsMissingDevice(t *testing.T) {
-	if _, err := New(nil); err == nil {
-		t.Fatal("New accepted a nil device")
+	if _, err := New(Config{}); err == nil || !strings.Contains(err.Error(), "Config.Device") {
+		t.Fatalf("New without a device: err %v, want one naming Config.Device", err)
 	}
-	if _, err := New(mustDevice(t, "pixel7a"), func(c *Config) error { c.Device = nil; return nil }); err == nil {
-		t.Fatal("New accepted options that clear the device")
+	if _, err := New(Config{Device: &soc.Device{}}); err == nil {
+		t.Fatal("New accepted an invalid device")
+	}
+}
+
+// identityAdjust is a valid profiler.Adjust for the validation table.
+func identityAdjust(_ string, _ core.PUClass, sec float64) float64 { return sec }
+
+// TestOptionValidation is the table of New's Config checks: a bad value
+// fails with an error naming its field instead of falling back to a
+// default, and zero or nil values select the defaults.
+func TestOptionValidation(t *testing.T) {
+	dev := mustDevice(t, "pixel7a")
+	cache := schedcache.New(16, 0)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // substring of the error; "" means New accepts cfg
+		// check, when set, inspects the runtime New built.
+		check func(t *testing.T, rt *Runtime)
+	}{
+		{name: "negative bw headroom", cfg: Config{BWHeadroom: -1, CoreHeadroom: 3}, want: "Config.BWHeadroom"},
+		{name: "NaN bw headroom", cfg: Config{BWHeadroom: math.NaN()}, want: "Config.BWHeadroom"},
+		{name: "NaN core headroom", cfg: Config{BWHeadroom: 2, CoreHeadroom: math.NaN()}, want: "Config.CoreHeadroom"},
+		{name: "Inf core headroom", cfg: Config{CoreHeadroom: math.Inf(1)}, want: "Config.CoreHeadroom"},
+		{name: "negative delta", cfg: Config{ReplanDelta: -0.1}, want: "Config.ReplanDelta"},
+		{name: "NaN delta", cfg: Config{ReplanDelta: math.NaN()}, want: "Config.ReplanDelta"},
+		{name: "Inf delta", cfg: Config{ReplanDelta: math.Inf(1)}, want: "Config.ReplanDelta"},
+		{name: "negative reps", cfg: Config{ProfileReps: -1}, want: "Config.ProfileReps"},
+		{name: "negative autotune", cfg: Config{AutotuneTasks: -2}, want: "Config.AutotuneTasks"},
+		{name: "negative k", cfg: Config{ProfileReps: 8, AutotuneTasks: 12, K: -1}, want: "Config.K"},
+		{name: "nil adjust", cfg: Config{ModelAdjustDigest: "x2"}, want: "ModelAdjust"},
+		{name: "empty digest", cfg: Config{ModelAdjust: identityAdjust}, want: "ModelAdjustDigest"},
+		{name: "zero bw headroom", cfg: Config{CoreHeadroom: 3}, check: func(t *testing.T, rt *Runtime) {
+			h := rt.AdmissionHeadroom()
+			if h.BWCapacityGBs != DefaultBWHeadroom*dev.DRAMBWGBs {
+				t.Errorf("bandwidth capacity %v, want the default headroom's %v", h.BWCapacityGBs, DefaultBWHeadroom*dev.DRAMBWGBs)
+			}
+			if h.CoresCapacity != 3*rt.deviceCores() {
+				t.Errorf("core capacity %v, want the configured 3x", h.CoresCapacity)
+			}
+		}},
+		{name: "zero reps", cfg: Config{}, check: func(t *testing.T, rt *Runtime) {
+			if rt.cfg.ProfileReps != DefaultProfileReps || rt.cfg.AutotuneTasks != DefaultAutotuneTasks || rt.cfg.K != DefaultReplanK {
+				t.Errorf("planning budget %d/%d/%d, want the defaults", rt.cfg.ProfileReps, rt.cfg.AutotuneTasks, rt.cfg.K)
+			}
+		}},
+		{name: "nil engine", cfg: Config{}, check: func(t *testing.T, rt *Runtime) {
+			if _, ok := rt.Engine().(pipeline.SimEngine); !ok {
+				t.Errorf("engine %T, want pipeline.SimEngine", rt.Engine())
+			}
+		}},
+		{name: "nil events", cfg: Config{}},
+		{name: "nil cache", cfg: Config{}, check: func(t *testing.T, rt *Runtime) {
+			if rt.Cache() != nil {
+				t.Error("an unset cache built one")
+			}
+			if rt.OnlineProfiler() != nil {
+				t.Error("an unset OnlineProf enabled online profiling")
+			}
+			if _, ok := rt.OnlineProfStats(); ok {
+				t.Error("OnlineProfStats reports enabled on an unconfigured runtime")
+			}
+		}},
+		{name: "all fields applied", cfg: Config{
+			Engine: pipeline.SimEngine{}, BWHeadroom: 4, CoreHeadroom: 4,
+			ProfileReps: 4, AutotuneTasks: 6, K: 4, Seed: 7,
+			Events: obs.NewStream(64), Cache: cache, ReplanDelta: 0.25,
+			OnlineProf:  &onlineprof.Config{DriftThreshold: 0.5},
+			ModelAdjust: identityAdjust, ModelAdjustDigest: "identity",
+		}, check: func(t *testing.T, rt *Runtime) {
+			if rt.Device() != dev {
+				t.Error("Device() is not Config.Device")
+			}
+			if rt.Cache() != cache {
+				t.Error("Config.Cache not installed")
+			}
+			est := rt.OnlineProfiler()
+			if est == nil {
+				t.Fatal("Config.OnlineProf built no estimator")
+			}
+			if got := est.Config().DriftThreshold; got != 0.5 {
+				t.Errorf("estimator threshold = %v, want the configured 0.5", got)
+			}
+			if _, ok := rt.OnlineProfStats(); !ok {
+				t.Error("OnlineProfStats reports disabled with profiling on")
+			}
+			if h := rt.AdmissionHeadroom(); h.BWCapacityGBs != 4*dev.DRAMBWGBs {
+				t.Errorf("bandwidth capacity %v, want 4x", h.BWCapacityGBs)
+			}
+			if c := rt.cfg; c.ProfileReps != 4 || c.AutotuneTasks != 6 || c.K != 4 || c.ReplanDelta != 0.25 {
+				t.Errorf("planning knobs %d/%d/%d delta %v, want 4/6/4 delta 0.25", c.ProfileReps, c.AutotuneTasks, c.K, c.ReplanDelta)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Device = dev
+			rt, err := New(cfg)
+			if tc.want != "" {
+				if err == nil {
+					rt.Close()
+					t.Fatalf("New accepted %+v", tc.cfg)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("error %q does not name %s", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer rt.Close()
+			if tc.check != nil {
+				tc.check(t, rt)
+			}
+		})
 	}
 }
 
@@ -375,10 +494,12 @@ func TestConcurrentAdmitStopRace(t *testing.T) {
 // application and its immutable model.
 func TestSharedAppConcurrentSessions(t *testing.T) {
 	app := btapps.AlexNetSparseBatch(1)
-	rt, err := New(mustDevice(t, "pixel7a"),
-		WithEngine(pipeline.RealEngine{}),
-		WithHeadroom(8, 8),
-	)
+	rt, err := New(Config{
+		Device:       mustDevice(t, "pixel7a"),
+		Engine:       pipeline.RealEngine{},
+		BWHeadroom:   8,
+		CoreHeadroom: 8,
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

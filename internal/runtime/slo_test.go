@@ -68,11 +68,8 @@ func TestSLOStatsDisabledWithoutDeadlines(t *testing.T) {
 }
 
 func TestWithSessionTraceFeedsTracer(t *testing.T) {
-	if _, err := New(mustDevice(t, "pixel7a"), WithSessionTrace(nil)); err == nil {
-		t.Fatal("WithSessionTrace accepted nil")
-	}
 	tracer := sessiontrace.New(sessiontrace.Config{SampleRate: 1, Seed: 1})
-	rt, err := New(mustDevice(t, "pixel7a"), WithSessionTrace(tracer))
+	rt, err := New(Config{Device: mustDevice(t, "pixel7a"), Trace: tracer})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -70,7 +70,7 @@ func TestAutotuneConcurrentMatchesIndependentRuns(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			o := New(app, c.dev, profiler.ProfileBoth(app, c.dev, profiler.Config{Reps: 8, Seed: 5}))
-			o.K, o.Workers, o.Objective = 8, c.workers, c.obj
+			o.K, o.workers, o.Objective = 8, c.workers, c.obj
 			cands := o.Candidates(BetterTogether)
 			if len(cands) < 2 {
 				t.Fatalf("%d candidates", len(cands))

@@ -133,14 +133,15 @@ type Optimizer struct {
 	UtilSlack float64
 	// Objective selects the autotuning metric (latency by default).
 	Objective Objective
-	// Workers bounds concurrent candidate simulations in Autotune: 0
+	// workers bounds concurrent candidate simulations in Autotune: 0
 	// selects GOMAXPROCS, 1 runs serially, higher values are used as
 	// given. Every candidate run is seed-deterministic and independent,
-	// so the measured results are identical at any worker count. Runs
-	// that record into the caller's Options.Metrics or Options.Trace go
-	// serially whatever Workers says: those collectors are shared by
-	// every candidate run and are not safe for concurrent writers.
-	Workers int
+	// so the measured results are identical at any worker count, and
+	// only the package's tests pin a count. Runs that record into the
+	// caller's Options.Metrics or Options.Trace go serially whatever
+	// workers says: those collectors are shared by every candidate run
+	// and are not safe for concurrent writers.
+	workers int
 	// Search, when non-nil, receives the most recent Candidates call's
 	// counters: schedules scored and schedules the utilization filter
 	// rejected (reset per call).
@@ -166,9 +167,9 @@ func (o *Optimizer) slack() float64 {
 	return o.UtilSlack
 }
 
-// workers resolves the Autotune pool size for n candidates.
-func (o *Optimizer) workers(n int) int {
-	w := o.Workers
+// poolSize resolves the Autotune pool size for n candidates.
+func (o *Optimizer) poolSize(n int) int {
+	w := o.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -255,7 +256,7 @@ func (o *Optimizer) score(latency, energy float64) float64 {
 // measured latencies and the winner — the paper's final optimization
 // level, which absorbs residual prediction error within performance
 // tiers (Sec. 5.2, Table 4). The candidate simulations run on a worker
-// pool of up to Workers goroutines: each run is seed-deterministic and
+// pool of up to workers goroutines: each run is seed-deterministic and
 // independent, results land by candidate index, and the winner is
 // selected by an in-order scan afterwards, so the outcome is identical
 // at any worker count. Every candidate runs the same app on the same
@@ -288,7 +289,7 @@ func (o *Optimizer) Autotune(cands []Candidate, opts pipeline.Options) (Autotune
 		res.Measured[i] = r.PerTask
 		res.Energy[i] = r.EnergyPerTaskJ
 	}
-	if w := o.workers(len(cands)); w <= 1 || opts.Metrics != nil || opts.Trace != nil {
+	if w := o.poolSize(len(cands)); w <= 1 || opts.Metrics != nil || opts.Trace != nil {
 		for i := range plans {
 			measure(i)
 		}

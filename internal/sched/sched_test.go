@@ -261,12 +261,12 @@ func TestAutotuneParallelMatchesSerial(t *testing.T) {
 	cands := o.Candidates(BetterTogether)
 	opts := pipeline.Options{Tasks: 12, Warmup: 2, Seed: 17}
 
-	o.Workers = 1
+	o.workers = 1
 	serial, err := o.Autotune(cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Workers = 8
+	o.workers = 8
 	par, err := o.Autotune(cands, opts)
 	if err != nil {
 		t.Fatal(err)
