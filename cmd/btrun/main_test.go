@@ -101,6 +101,26 @@ func TestSingleAppRefusesRuntimeFlags(t *testing.T) {
 	}
 }
 
+// TestRejectsBadTaskCounts pins that a task count the engines would
+// replace with their default exits non-zero naming the flag, in single-
+// and multi-app mode, instead of running 30 tasks under a report that
+// prints the given count.
+func TestRejectsBadTaskCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tasks", "-5"},
+		{"-tasks", "0"},
+		{"-warmup", "-1"},
+		{"-tasks", "-5", "-app", "vision"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-app", "octree", "-schedule", "big"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), args[0]+" must be") {
+			t.Errorf("btrun %v: err %v, output %q; want a failure naming %s", args, err, out, args[0])
+		}
+	}
+}
+
 // TestListenSmoke runs a short real-engine pipeline with -listen and
 // checks /healthz and the per-stage series on /metrics.
 func TestListenSmoke(t *testing.T) {

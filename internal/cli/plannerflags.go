@@ -63,17 +63,19 @@ func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
 func badKnob(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
 
 // Validate fails fast on nonsensical knob values: a negative capacity
-// would silently disable the cache, a negative bucket would fall back
-// to the default width behind the user's back, and a negative (or NaN)
-// delta would make every Env.Delta comparison vacuous — each a quiet
-// mis-scheduling mode rather than an error the user sees.
+// would silently disable the cache, a negative or too-fine bucket
+// would fall back to the default width behind the user's back, and a
+// negative (or NaN) delta would make every Env.Delta comparison
+// vacuous — each a quiet mis-scheduling mode rather than an error the
+// user sees.
 func (p *PlannerFlags) Validate() error {
 	if p.CacheCapacity < 0 {
 		return fmt.Errorf("-sched-cache must be >= 0 (0 disables the cache), got %d", p.CacheCapacity)
 	}
-	if badKnob(p.CacheBucket) {
-		return fmt.Errorf("-cache-bucket must be a finite value >= 0 (0 selects the default %g), got %v",
-			schedcache.DefaultBucket, p.CacheBucket)
+	// The schedule cache indexes no bucket finer than 1e-9.
+	if b := p.CacheBucket; b != 0 && !(b >= 1e-9 && !math.IsInf(b, 0)) {
+		return fmt.Errorf("-cache-bucket must be 0 (the default %g) or a finite value >= 1e-9, got %v",
+			schedcache.DefaultBucket, b)
 	}
 	if badKnob(p.ReplanDelta) {
 		return fmt.Errorf("-replan-delta must be a finite value >= 0 (0 re-plans on every pass), got %v", p.ReplanDelta)

@@ -53,6 +53,7 @@ func TestPlannerFlagsValidateRejects(t *testing.T) {
 		{"negative cache", func(p *PlannerFlags) { p.CacheCapacity = -1 }, "-sched-cache"},
 		{"negative bucket", func(p *PlannerFlags) { p.CacheBucket = -0.5 }, "-cache-bucket"},
 		{"NaN bucket", func(p *PlannerFlags) { p.CacheBucket = math.NaN() }, "-cache-bucket"},
+		{"tiny bucket", func(p *PlannerFlags) { p.CacheCapacity, p.CacheBucket = 64, 1e-300 }, "-cache-bucket"},
 		{"negative delta", func(p *PlannerFlags) { p.ReplanDelta = -1 }, "-replan-delta"},
 		{"Inf delta", func(p *PlannerFlags) { p.ReplanDelta = math.Inf(1) }, "-replan-delta"},
 		{"negative threshold", func(p *PlannerFlags) {

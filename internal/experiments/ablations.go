@@ -46,7 +46,7 @@ func (s *Suite) AblationDataParallel() (DataParallelResult, string, error) {
 		for ai, app := range s.Apps {
 			tabs := s.Tables(app, dev)
 			opt := sched.New(app, dev, tabs)
-			autoOpts := pipeline.Options{Tasks: s.Tasks, Warmup: s.Warmup,
+			autoOpts := pipeline.Options{Tasks: suiteTasks, Warmup: suiteWarmup,
 				Seed: seedFor("abl-dp-bt", app.Name, dev.Name)}
 			_, tune, _, err := opt.Optimize(sched.BetterTogether, autoOpts)
 			if err != nil {
@@ -54,7 +54,7 @@ func (s *Suite) AblationDataParallel() (DataParallelResult, string, error) {
 			}
 			bt := tune.Measured[tune.BestIndex]
 			dp := dataparallel.Simulate(app, dev, tabs.Heavy, dataparallel.Options{
-				Tasks: s.Tasks, Warmup: s.Warmup,
+				Tasks: suiteTasks, Warmup: suiteWarmup,
 				Seed: seedFor("abl-dp-dp", app.Name, dev.Name),
 			})
 			btRow = append(btRow, bt)
@@ -102,7 +102,7 @@ func (s *Suite) AblationK() (KSweepResult, string, error) {
 	for _, k := range []int{1, 2, 5, 10, 20, 40} {
 		opt := sched.New(app, dev, tabs)
 		opt.K = k
-		opts := pipeline.Options{Tasks: s.Tasks, Warmup: s.Warmup,
+		opts := pipeline.Options{Tasks: suiteTasks, Warmup: suiteWarmup,
 			Seed: seedFor("abl-k", app.Name, dev.Name)}
 		_, tune, _, err := opt.Optimize(sched.BetterTogether, opts)
 		if err != nil {
@@ -157,7 +157,7 @@ func (s *Suite) AblationBuffers() (BufferSweepResult, string, error) {
 	first := 0.0
 	for _, b := range []int{1, 2, 3, 4, 6, 8} {
 		r := simEngine.Run(context.Background(), plan, pipeline.Options{
-			Tasks: s.Tasks, Warmup: s.Warmup, Buffers: b,
+			Tasks: suiteTasks, Warmup: suiteWarmup, Buffers: b,
 			Seed: seedFor("abl-buffers", app.Name, dev.Name),
 		})
 		res.Buffers = append(res.Buffers, b)

@@ -12,8 +12,7 @@ import "testing"
 //   - the whole experiment is deterministic: two runs of the same
 //     config produce identical results and identical report bodies.
 func TestDriftConvergenceDefaults(t *testing.T) {
-	cfg := DriftConvergenceConfig{Seed: 1}
-	res, body, err := DriftConvergence(cfg)
+	res, body, err := DriftConvergence(1)
 	if err != nil {
 		t.Fatalf("DriftConvergence: %v", err)
 	}
@@ -39,7 +38,7 @@ func TestDriftConvergenceDefaults(t *testing.T) {
 			res.Distorted.Final, res.Oracle.Final)
 	}
 
-	res2, body2, err := DriftConvergence(cfg)
+	res2, body2, err := DriftConvergence(1)
 	if err != nil {
 		t.Fatalf("second DriftConvergence: %v", err)
 	}
@@ -56,7 +55,7 @@ func TestDriftConvergenceDefaults(t *testing.T) {
 // corrected distortion) must hold — drift detection is not tuned to a
 // single noise stream.
 func TestDriftConvergenceSeedStability(t *testing.T) {
-	res, _, err := DriftConvergence(DriftConvergenceConfig{Seed: 42})
+	res, _, err := DriftConvergence(42)
 	if err != nil {
 		t.Fatalf("DriftConvergence: %v", err)
 	}

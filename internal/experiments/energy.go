@@ -41,7 +41,7 @@ func (s *Suite) ExtEnergy() (EnergyResult, string, error) {
 		for _, app := range s.Apps {
 			tabs := s.Tables(app, dev)
 			opt := sched.New(app, dev, tabs)
-			opts := pipeline.Options{Tasks: s.Tasks, Warmup: s.Warmup,
+			opts := pipeline.Options{Tasks: suiteTasks, Warmup: suiteWarmup,
 				Seed: seedFor("energy", app.Name, dev.Name)}
 			_, tune, best, err := opt.Optimize(sched.BetterTogether, opts)
 			if err != nil {

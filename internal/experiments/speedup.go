@@ -56,7 +56,7 @@ func (s *Suite) Fig4() (Fig4Result, Table3Result, string, error) {
 		tabs := s.Tables(app, dev)
 		opt := sched.New(app, dev, tabs)
 		autoOpts := pipeline.Options{
-			Tasks: s.Tasks, Warmup: s.Warmup,
+			Tasks: suiteTasks, Warmup: suiteWarmup,
 			Seed: seedFor("fig4-autotune", app.Name, dev.Name),
 		}
 		_, _, best, err := opt.Optimize(sched.BetterTogether, autoOpts)

@@ -24,6 +24,16 @@ import (
 // come from the deterministic simulator.
 var simEngine pipeline.SimEngine
 
+// Every measured execution runs suiteTasks tasks after suiteWarmup, as
+// the paper measures 30 tasks per run after warmup (Sec. 4); every
+// profiling run repeats profiler.DefaultReps times from a seed derived
+// from suiteProfileSeed.
+const (
+	suiteTasks       = 30
+	suiteWarmup      = 5
+	suiteProfileSeed = 9000
+)
+
 // Paper-style display labels (Fig. 6 uses CIFAR-D/CIFAR-S/Tree).
 var appLabels = map[string]string{
 	"alexnet-dense":  "CIFAR-D",
@@ -47,11 +57,6 @@ var deviceLabels = map[string]string{
 type Suite struct {
 	Devices []*soc.Device
 	Apps    []*core.Application
-	// ProfCfg configures every profiling run.
-	ProfCfg profiler.Config
-	// Tasks and Warmup configure every measured execution; the paper
-	// measures 30 tasks per run after warmup.
-	Tasks, Warmup int
 	// Workers bounds how many experiment-grid cells run concurrently:
 	// 0 or 1 runs serially (the default), negative selects GOMAXPROCS,
 	// and larger values are capped at GOMAXPROCS. Every cell derives its
@@ -79,9 +84,6 @@ func NewSuite() *Suite {
 			alexnet.NewSparse(alexnet.DefaultSeed, alexnet.DefaultSparseBatch),
 			octree.NewApplication(octree.DefaultPoints, octree.UniformGen{}),
 		},
-		ProfCfg: profiler.Config{Reps: profiler.DefaultReps, Seed: 9000},
-		Tasks:   30,
-		Warmup:  5,
 	}
 }
 
@@ -99,6 +101,12 @@ func DeviceLabel(name string) string {
 		return l
 	}
 	return name
+}
+
+// profileConfig is the profiling configuration of one purpose, seeded
+// from identifying strings.
+func profileConfig(parts ...string) profiler.Config {
+	return profiler.Config{Reps: profiler.DefaultReps, Seed: suiteProfileSeed + seedFor(parts...)%100000}
 }
 
 // seedFor derives a stable per-purpose seed from identifying strings.
@@ -128,9 +136,7 @@ func (s *Suite) Tables(app *core.Application, dev *soc.Device) profiler.Tables {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		cfg := s.ProfCfg
-		cfg.Seed = s.ProfCfg.Seed + seedFor("profile", key)%100000
-		e.tables = profiler.ProfileBoth(app, dev, cfg)
+		e.tables = profiler.ProfileBoth(app, dev, profileConfig("profile", key))
 	})
 	return e.tables
 }
@@ -202,8 +208,8 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 // runOpts builds deterministic execution options for a combo and purpose.
 func (s *Suite) runOpts(purpose string, app *core.Application, dev *soc.Device, extra string) pipeline.Options {
 	return pipeline.Options{
-		Tasks:  s.Tasks,
-		Warmup: s.Warmup,
+		Tasks:  suiteTasks,
+		Warmup: suiteWarmup,
 		Seed:   seedFor(purpose, app.Name, dev.Name, extra),
 	}
 }

@@ -38,11 +38,9 @@ func (s *Suite) ExtVision() (VisionResult, string, error) {
 		"Device", "BT", "CPU-only", "GPU-only", "Speedup", "Schedule")
 	var sps []float64
 	for _, dev := range s.Devices {
-		cfg := s.ProfCfg
-		cfg.Seed = s.ProfCfg.Seed + seedFor("vision-prof", dev.Name)%100000
-		tabs := profiler.ProfileBoth(app, dev, cfg)
+		tabs := profiler.ProfileBoth(app, dev, profileConfig("vision-prof", dev.Name))
 		opt := sched.New(app, dev, tabs)
-		opts := pipeline.Options{Tasks: s.Tasks, Warmup: s.Warmup,
+		opts := pipeline.Options{Tasks: suiteTasks, Warmup: suiteWarmup,
 			Seed: seedFor("vision-run", dev.Name)}
 		_, tune, best, err := opt.Optimize(sched.BetterTogether, opts)
 		if err != nil {

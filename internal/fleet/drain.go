@@ -64,8 +64,8 @@ func (f *Fleet) Uncordon(nodeID string) error {
 }
 
 // Rebalance retries migration for every drained node's remaining held
-// sessions — the periodic control-plane sweep a replay schedules with
-// ReplayOptions.RebalanceEvery. Returns the total sessions moved.
+// sessions — the control-plane sweep for sessions a drain stranded.
+// Returns the total sessions moved.
 func (f *Fleet) Rebalance() (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -71,7 +71,8 @@ type Config struct {
 	// node runtimes — recurring (app, device-class, env) tuples then hit
 	// across the whole fleet, not just within a node. CacheBucket is its
 	// Env quantization width (0 selects the schedcache default). New
-	// refuses a negative capacity and a negative or non-finite bucket.
+	// refuses a negative capacity, and a bucket that is not 0 or a finite
+	// value >= 1e-9.
 	CacheCapacity int
 	CacheBucket   float64
 	// Affinity maps an application name to its preferred device class:
@@ -239,8 +240,9 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.CacheCapacity < 0 {
 		return nil, fmt.Errorf("fleet: CacheCapacity %d, want >= 0 (0 disables the cache)", cfg.CacheCapacity)
 	}
-	if b := cfg.CacheBucket; b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return nil, fmt.Errorf("fleet: CacheBucket %v, want a finite value >= 0 (0 selects the default)", b)
+	// The schedule cache indexes no bucket finer than 1e-9.
+	if b := cfg.CacheBucket; b != 0 && !(b >= 1e-9 && !math.IsInf(b, 0)) {
+		return nil, fmt.Errorf("fleet: CacheBucket %v, want 0 (the default) or a finite value >= 1e-9", b)
 	}
 	f := &Fleet{cfg: cfg, active: map[string]*activeSession{}}
 	if cfg.CacheCapacity > 0 {

@@ -103,6 +103,7 @@ func TestNewRefusesBadKnobs(t *testing.T) {
 		{"negative bucket", Config{CacheCapacity: 8, CacheBucket: -0.5}, "CacheBucket"},
 		{"NaN bucket", Config{CacheBucket: math.NaN()}, "CacheBucket"},
 		{"Inf bucket", Config{CacheCapacity: 8, CacheBucket: math.Inf(1)}, "CacheBucket"},
+		{"tiny bucket", Config{CacheCapacity: 64, CacheBucket: 1e-300}, "CacheBucket"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

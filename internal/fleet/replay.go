@@ -50,18 +50,6 @@ type DrainRecord struct {
 	Migrated int `json:"migrated"`
 }
 
-// SampleRecord is one scheduled stats-sampling event: the fleet's
-// placement counters as of a logical instant, letting a replay export
-// a time series instead of only a final tally.
-type SampleRecord struct {
-	At         float64 `json:"at"`
-	Arrivals   int     `json:"arrivals"`
-	Placed     int     `json:"placed"`
-	Spills     int     `json:"spills"`
-	Rejected   int     `json:"rejected"`
-	Migrations int     `json:"migrations,omitempty"`
-}
-
 // ReplayResult aggregates one trace replay.
 type ReplayResult struct {
 	// Arrivals, Placed, Spilled, Rejected are the fleet-wide counts for
@@ -72,14 +60,13 @@ type ReplayResult struct {
 	Rejected int `json:"rejected"`
 	// Records holds every arrival's outcome in trace order.
 	Records []PlacementRecord `json:"records"`
-	// Drains, Migrated and Samples report control-plane activity: one
-	// DrainRecord per drain event, total sessions migrated (drains plus
-	// rebalance sweeps), and the sampled counter time series. All empty —
-	// and absent from the JSON — unless ReplayOptions scheduled them, so
-	// a plain Replay's output is unchanged by their existence.
-	Drains   []DrainRecord  `json:"drains,omitempty"`
-	Migrated int            `json:"migrated,omitempty"`
-	Samples  []SampleRecord `json:"samples,omitempty"`
+	// Drains and Migrated report control-plane activity: one
+	// DrainRecord per drain event and the total sessions migrated. Both
+	// empty — and absent from the JSON — unless ReplayOptions scheduled
+	// a drain, so a plain replay's output is unchanged by their
+	// existence.
+	Drains   []DrainRecord `json:"drains,omitempty"`
+	Migrated int           `json:"migrated,omitempty"`
 	// P50 and P99 are completed-session latency quantiles in virtual
 	// seconds.
 	P50 float64 `json:"p50"`
@@ -122,13 +109,6 @@ type ReplayOptions struct {
 	// migrate elsewhere (place-elsewhere-then-release).
 	DrainNode string
 	DrainAt   float64
-	// RebalanceEvery, when positive, schedules a rebalance sweep every
-	// that many logical seconds across the trace horizon, retrying
-	// migration for sessions stranded on drained nodes.
-	RebalanceEvery float64
-	// SampleEvery, when positive, samples the fleet's placement counters
-	// every that many logical seconds into ReplayResult.Samples.
-	SampleEvery float64
 	// SLODeadline, when positive, applies this SLO budget (virtual
 	// seconds) to every arrival that does not carry its own
 	// Arrival.Deadline. Attainment is computed at each departure and
@@ -139,14 +119,12 @@ type ReplayOptions struct {
 // Replay event priorities: events sharing a logical timestamp run
 // departures first (capacity freed "now" is visible "now"), then
 // control-plane events (a drain at t sees t's departures and shapes
-// t's arrivals), then arrivals, then stats samples (a sample at t
-// reports t's settled state). Within a priority, trace/schedule order
-// breaks ties.
+// t's arrivals), then arrivals. Within a priority, trace order breaks
+// ties.
 const (
 	prioDepart = iota
 	prioControl
 	prioArrival
-	prioSample
 )
 
 // replayEvent is one entry on a replay's timeline: fn runs at logical
@@ -158,10 +136,9 @@ type replayEvent struct {
 }
 
 // ReplayWith replays a trace on one timeline: every temporal behavior —
-// arrivals, dwell-expiry departures, drain and rebalance sweeps, stats
-// sampling — is an event in a single list sorted by (time, priority,
-// trace order). No event creates another, so the whole list is known
-// before the first one runs.
+// arrivals, dwell-expiry departures, a drain — is an event in a single
+// list sorted by (time, priority, trace order). No event creates
+// another, so the whole list is known before the first one runs.
 //
 //   - An arrival is placed with runtime.AdmitOptions.Hold — planned,
 //     admitted, and reserving headroom, but not executing. The
@@ -169,9 +146,8 @@ type replayEvent struct {
 //     environment, exactly like a running session would.
 //   - A departure starts the (possibly migrated) held session and waits
 //     for it to run to completion before the next event runs.
-//   - Control events (drain, rebalance) move reservations between
-//     nodes; a migrated session departs from wherever it lives when its
-//     dwell expires.
+//   - A drain moves reservations between nodes; a migrated session
+//     departs from wherever it lives when its dwell expires.
 //
 // Because the Sim engine models co-location through the interference
 // environment rather than actual concurrency, serializing execution
@@ -210,7 +186,6 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 	// order exactly — including the zero-dwell edge where an arrival's
 	// own departure runs first and finds no session.
 	events := make([]replayEvent, 0, 2*len(t.Arrivals)+1)
-	horizon := 0.0
 	sloEnabled := opts.SLODeadline > 0
 	for i, a := range t.Arrivals {
 		if a.Deadline > 0 {
@@ -219,9 +194,6 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 		deadline := a.Deadline
 		if deadline == 0 {
 			deadline = opts.SLODeadline
-		}
-		if end := a.At + a.Dwell; end > horizon {
-			horizon = end
 		}
 		events = append(events,
 			replayEvent{a.At, prioArrival, func() error {
@@ -242,24 +214,6 @@ func (f *Fleet) ReplayWith(t Trace, opts ReplayOptions) (ReplayResult, error) {
 			res.Drains = append(res.Drains, DrainRecord{At: at, Node: opts.DrainNode, Migrated: moved})
 			return nil
 		}})
-	}
-	if opts.RebalanceEvery > 0 {
-		for at := opts.RebalanceEvery; at <= horizon; at += opts.RebalanceEvery {
-			events = append(events, replayEvent{at, prioControl, func() error {
-				if _, err := f.Rebalance(); err != nil {
-					return fmt.Errorf("fleet: replay: rebalance: %w", err)
-				}
-				return nil
-			}})
-		}
-	}
-	if opts.SampleEvery > 0 {
-		for at := opts.SampleEvery; at <= horizon; at += opts.SampleEvery {
-			events = append(events, replayEvent{at, prioSample, func() error {
-				res.Samples = append(res.Samples, f.sample(at))
-				return nil
-			}})
-		}
 	}
 
 	sortEvents(events)
@@ -413,18 +367,4 @@ func (f *Fleet) migrationCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.migrations
-}
-
-// sample snapshots the placement counters for one sampling event.
-func (f *Fleet) sample(at float64) SampleRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return SampleRecord{
-		At:         at,
-		Arrivals:   f.arrivals,
-		Placed:     f.placed,
-		Spills:     f.spills,
-		Rejected:   f.rejected,
-		Migrations: f.migrations,
-	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // TestReplayEventOrder pins the timeline order ReplayWith relies on: at
-// one instant departures run first, then drain and rebalance, then
-// arrivals, then samples; events sharing a time and priority keep the
-// order they were appended in; and a priority never moves an event
-// across timestamps.
+// one instant departures run first, then control events (a drain), then
+// arrivals; events sharing a time and priority keep the order they were
+// appended in; and a priority never moves an event across timestamps.
 func TestReplayEventOrder(t *testing.T) {
 	type ev struct {
 		at   float64
@@ -27,22 +26,22 @@ func TestReplayEventOrder(t *testing.T) {
 	cases := []orderCase{
 		{
 			name: "priorities at one instant",
-			in:   []ev{{5, prioSample, "sample"}, {5, prioArrival, "arrive"}, {5, prioControl, "drain"}, {5, prioDepart, "depart"}},
-			want: []string{"depart", "drain", "arrive", "sample"},
+			in:   []ev{{5, prioArrival, "arrive"}, {5, prioControl, "drain"}, {5, prioDepart, "depart"}},
+			want: []string{"depart", "drain", "arrive"},
 		},
 		{
 			name: "trace order within a priority",
 			in: []ev{
-				{1, prioArrival, "a0"}, {1, prioDepart, "d0"}, {1, prioArrival, "a1"}, {1, prioControl, "drain"},
-				{1, prioArrival, "a2"}, {1, prioDepart, "d1"}, {1, prioControl, "rebalance"}, {1, prioArrival, "a3"},
-				{1, prioSample, "s0"}, {1, prioArrival, "a4"}, {1, prioSample, "s1"}, {1, prioDepart, "d2"},
+				{1, prioArrival, "a0"}, {1, prioDepart, "d0"}, {1, prioArrival, "a1"}, {1, prioControl, "c0"},
+				{1, prioArrival, "a2"}, {1, prioDepart, "d1"}, {1, prioControl, "c1"}, {1, prioArrival, "a3"},
+				{1, prioArrival, "a4"}, {1, prioDepart, "d2"},
 			},
-			want: []string{"d0", "d1", "d2", "drain", "rebalance", "a0", "a1", "a2", "a3", "a4", "s0", "s1"},
+			want: []string{"d0", "d1", "d2", "c0", "c1", "a0", "a1", "a2", "a3", "a4"},
 		},
 		{
 			name: "priority never crosses timestamps",
-			in:   []ev{{2, prioDepart, "depart@2"}, {1, prioSample, "sample@1"}, {1.5, prioArrival, "arrive@1.5"}, {2, prioControl, "drain@2"}},
-			want: []string{"sample@1", "arrive@1.5", "depart@2", "drain@2"},
+			in:   []ev{{2, prioDepart, "depart@2"}, {1, prioArrival, "arrive@1"}, {1.5, prioArrival, "arrive@1.5"}, {2, prioControl, "drain@2"}},
+			want: []string{"arrive@1", "arrive@1.5", "depart@2", "drain@2"},
 		},
 		{
 			name: "zero dwell departs before its own arrival",

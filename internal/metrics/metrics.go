@@ -19,21 +19,6 @@ import (
 	"time"
 )
 
-// Recorder is the engine-facing recording surface. Both engines drive a
-// collector exclusively through these methods; *Pipeline implements it.
-// All methods must be safe for concurrent use and allocation-free.
-type Recorder interface {
-	// StageDone records one completed stage execution and its service time.
-	StageDone(stage int, service time.Duration)
-	// QueueWait records how long a consumer waited for an element on edge.
-	QueueWait(edge int, wait time.Duration)
-	// QueueStall records how long a producer waited for space on edge
-	// (backpressure from the downstream chunk).
-	QueueStall(edge int, stall time.Duration)
-	// QueueDepth records an occupancy observation for edge.
-	QueueDepth(edge int, depth int)
-}
-
 // StageStats accumulates one pipeline stage's execution metrics.
 type StageStats struct {
 	// Name is the stage name; Chunk and PU locate it in the schedule.
@@ -175,28 +160,31 @@ func (m *Pipeline) SetElapsed(d time.Duration) { m.elapsedNs.Store(int64(d)) }
 // Elapsed returns the recorded run duration.
 func (m *Pipeline) Elapsed() time.Duration { return time.Duration(m.elapsedNs.Load()) }
 
-// StageDone implements Recorder.
+// StageDone records one completed stage execution and its service
+// time. Like every recording method below, it is safe for concurrent
+// use and allocation-free.
 func (m *Pipeline) StageDone(stage int, service time.Duration) {
 	s := &m.stages[stage]
 	s.dispatches.Add(1)
 	s.service.Observe(service)
 }
 
-// QueueWait implements Recorder.
+// QueueWait records how long a consumer waited for an element on edge.
 func (m *Pipeline) QueueWait(edge int, wait time.Duration) {
 	q := &m.queues[edge]
 	q.pops.Add(1)
 	q.wait.Observe(wait)
 }
 
-// QueueStall implements Recorder.
+// QueueStall records how long a producer waited for space on edge
+// (backpressure from the downstream chunk).
 func (m *Pipeline) QueueStall(edge int, stall time.Duration) {
 	q := &m.queues[edge]
 	q.pushes.Add(1)
 	q.stall.Observe(stall)
 }
 
-// QueueDepth implements Recorder.
+// QueueDepth records an occupancy observation for edge.
 func (m *Pipeline) QueueDepth(edge int, depth int) {
 	q := &m.queues[edge]
 	for {
@@ -206,8 +194,6 @@ func (m *Pipeline) QueueDepth(edge int, depth int) {
 		}
 	}
 }
-
-var _ Recorder = (*Pipeline)(nil)
 
 // Merge folds another collector's rows into m — the runtime layer's
 // per-session aggregation across execution waves, whose plans (and thus

@@ -36,7 +36,8 @@ func BenchmarkSpanHotPathUnsampled(b *testing.B) {
 // Traces are finished and recycled every few waves so eviction keeps
 // the retained set (and the benchmark's memory) bounded.
 func BenchmarkSpanHotPathSampled(b *testing.B) {
-	tr := New(Config{SampleRate: 1, Seed: 1, Capacity: 8})
+	tr := New(Config{SampleRate: 1, Seed: 1})
+	tr.cap = 8
 	b.ReportAllocs()
 	name, wave := "octree#0", 0
 	tr.Arrived(name, "octree")

@@ -82,12 +82,10 @@ type Config struct {
 	// Seed feeds the sampling hash and the trace IDs, so a replay's
 	// sampled set is reproducible and byte-identical across runs.
 	Seed int64
-	// Capacity bounds retained traces (default 1024). When exceeded the
-	// oldest finished trace is evicted first, then the oldest open one.
-	Capacity int
 }
 
-// DefaultCapacity bounds retained traces when Config.Capacity is zero.
+// DefaultCapacity bounds retained traces. When exceeded the oldest
+// finished trace is evicted first, then the oldest open one.
 const DefaultCapacity = 1024
 
 // record is the mutable per-session state behind a TraceDoc while the
@@ -106,7 +104,7 @@ type record struct {
 type Tracer struct {
 	rate float64
 	seed int64
-	cap  int
+	cap  int // DefaultCapacity; the package's tests lower it to reach eviction
 
 	mu    sync.Mutex
 	now   float64 // logical clock, virtual seconds
@@ -117,11 +115,7 @@ type Tracer struct {
 // New builds a Tracer. A SampleRate <= 0 yields a tracer whose hooks
 // all no-op without taking the lock.
 func New(cfg Config) *Tracer {
-	c := cfg.Capacity
-	if c <= 0 {
-		c = DefaultCapacity
-	}
-	return &Tracer{rate: cfg.SampleRate, seed: cfg.Seed, cap: c, recs: make(map[string]*record)}
+	return &Tracer{rate: cfg.SampleRate, seed: cfg.Seed, cap: DefaultCapacity, recs: make(map[string]*record)}
 }
 
 // FNV-1a 64 parameters, inlined so the sampling decision allocates

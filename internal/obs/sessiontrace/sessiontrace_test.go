@@ -280,7 +280,8 @@ func TestUnsampledHooksDoNotAllocate(t *testing.T) {
 }
 
 func TestEvictionPrefersFinishedTraces(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Seed: 1, Capacity: 2})
+	tr := New(Config{SampleRate: 1, Seed: 1})
+	tr.cap = 2
 	tr.Arrived("a", "octree") // stays open
 	tr.Arrived("b", "octree")
 	tr.SessionEnd("b", 1, 0, 4, false, "") // finished → preferred victim

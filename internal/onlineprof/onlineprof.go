@@ -31,7 +31,7 @@ import (
 	"bettertogether/internal/profiler"
 )
 
-// Defaults for Config fields left zero.
+// Estimator constants, and the defaults of Config fields left zero.
 const (
 	// DefaultAlpha is the EWMA smoothing factor: ~63% of the estimate's
 	// weight sits in the last 1/alpha observations.
@@ -47,7 +47,8 @@ const (
 	// DefaultHysteresis is the consecutive-strike count required to
 	// latch a drift.
 	DefaultHysteresis = 3
-	// DefaultBucket quantizes environment signatures, matching
+	// DefaultBucket quantizes the environment signatures sessions
+	// register with (soc.Env.Signature), matching
 	// schedcache.DefaultBucket so estimate cells pool at the same
 	// granularity the schedule cache keys at.
 	DefaultBucket = 0.05
@@ -55,11 +56,9 @@ const (
 
 // Config tunes the estimator. Zero values select the defaults above.
 type Config struct {
-	Alpha          float64
 	DriftThreshold float64
 	MinSamples     int
 	Hysteresis     int
-	Bucket         float64
 	// DriftHook, when non-nil, is invoked once per latched drift, after
 	// the estimator's mutex has been released — hooks may call back into
 	// estimator methods or other locked subsystems (the session tracer
@@ -68,9 +67,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
-	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = DefaultDriftThreshold
 	}
@@ -79,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = DefaultHysteresis
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = DefaultBucket
 	}
 	return c
 }
@@ -148,9 +141,6 @@ func NewEstimator(cfg Config) *Estimator {
 	}
 }
 
-// Bucket returns the environment quantization width in effect.
-func (e *Estimator) Bucket() float64 { return e.cfg.Bucket }
-
 // Config returns the effective configuration, zero fields defaulted.
 func (e *Estimator) Config() Config { return e.cfg }
 
@@ -163,7 +153,7 @@ func cellID(stage string, pu core.PUClass) string {
 // a session's current schedule: gen identifies the model generation —
 // bump it on every replan — and envSig is the quantized signature of
 // the interference environment the solve ran against (soc.Env.Signature
-// with the estimator's bucket). Registration resets the session's
+// with DefaultBucket). Registration resets the session's
 // strikes and latch, so each generation can trigger at most one drift.
 func (e *Estimator) SetSessionModel(session string, gen int64, envSig string, cells []ModelCell) {
 	e.mu.Lock()
@@ -230,7 +220,7 @@ func (e *Estimator) observeStage(ev obs.Event) *Drift {
 		c = &cell{ewma: seconds}
 		e.cells[key] = c
 	} else {
-		c.ewma += e.cfg.Alpha * (seconds - c.ewma)
+		c.ewma += DefaultAlpha * (seconds - c.ewma)
 	}
 	c.n++
 

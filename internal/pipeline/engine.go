@@ -62,10 +62,10 @@ func (SimEngine) Run(ctx context.Context, p *Plan, opts Options) Result {
 //     pool worker lane — shuts the pipeline down instead of crashing the
 //     process; Result.Err is a *PanicError attributing the panic to its
 //     chunk, stage, and task, with the original stack.
-//   - Bounded join: dispatchers are joined with a deadline
-//     (Options.ShutdownTimeout). If a kernel never returns, Result.Err
-//     is a *ShutdownTimeoutError and the stalled goroutines are leaked
-//     loudly rather than deadlocking the caller.
+//   - Bounded join: dispatchers are joined with a 30 s deadline. If a
+//     kernel never returns, Result.Err is a *ShutdownTimeoutError and
+//     the stalled goroutines are leaked loudly rather than deadlocking
+//     the caller.
 //
 // When Options.Metrics is set, the dispatchers additionally record
 // per-stage dispatch counts and service times, per-edge waits, stalls and

@@ -36,7 +36,7 @@ func (e *PanicError) Error() string {
 }
 
 // ShutdownTimeoutError reports that dispatcher goroutines failed to join
-// within Options.ShutdownTimeout after the run ended or was canceled —
+// within the join deadline (30 s) after the run ended or was canceled —
 // typically a kernel stuck in an unbounded loop. The stalled goroutines
 // are leaked (there is no way to preempt them); the error makes the leak
 // loud instead of silent.

@@ -124,11 +124,6 @@ type Options struct {
 	// correctly sized collector with NewMetrics(plan). Recording is
 	// lock-free and must not perturb the Sim engine's determinism.
 	Metrics *metrics.Pipeline
-	// ShutdownTimeout bounds how long the Real engine waits for
-	// dispatcher goroutines to join after completion or cancellation;
-	// 0 means a 30s default. On expiry Result.Err reports a
-	// *ShutdownTimeoutError instead of hanging the caller.
-	ShutdownTimeout time.Duration
 	// GPUPoolWidth is the worker width of the simulated-SIMT GPU
 	// executor: the Real engine sizes the GPU worker pool with it, and
 	// both engines account pool utilization against it. Real kernels are
@@ -154,6 +149,11 @@ type Options struct {
 	// engine ignores it: wall-clock kernels experience actual host
 	// contention instead of modeled contention.
 	BaseEnv soc.Env
+
+	// shutdownTimeout, when positive, replaces defaultShutdownTimeout as
+	// the Real engine's join deadline. Only the package's tests set it,
+	// to reach the deadline path in milliseconds.
+	shutdownTimeout time.Duration
 }
 
 // DefaultGPUPoolWidth is the GPU worker-pool width used when

@@ -224,7 +224,7 @@ func realRun(ctx context.Context, p *Plan, opts Options) runOutcome {
 		wg.Wait()
 		close(joined)
 	}()
-	deadline := opts.ShutdownTimeout
+	deadline := opts.shutdownTimeout
 	if deadline <= 0 {
 		deadline = defaultShutdownTimeout
 	}

@@ -97,7 +97,7 @@ func TestExecuteShutdownTimeout(t *testing.T) {
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.NewUniformSchedule(1, core.ClassBig))
 	t0 := time.Now()
-	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 3, Warmup: 0, ShutdownTimeout: 50 * time.Millisecond})
+	r := RealEngine{}.Run(context.Background(), p, Options{Tasks: 3, Warmup: 0, shutdownTimeout: 50 * time.Millisecond})
 	if elapsed := time.Since(t0); elapsed > 5*time.Second {
 		t.Fatalf("bounded join took %v", elapsed)
 	}

@@ -109,7 +109,7 @@ func (rt *Runtime) registerModel(s *Session) {
 	rt.estimator.SetSessionModel(
 		s.opts.Name,
 		s.bumpModelGen(),
-		env.Signature(rt.estimator.Bucket()),
+		env.Signature(onlineprof.DefaultBucket),
 		rt.modelCells(plan, env, adjust),
 	)
 }

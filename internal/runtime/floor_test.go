@@ -217,8 +217,7 @@ func FuzzAdmitFloor(f *testing.F) {
 		}
 
 		h := 0.25 + float64(headroom)/64
-		rt := mustRuntime(t, Config{Device: dev, BWHeadroom: h, CoreHeadroom: h,
-			ProfileReps: 2, AutotuneTasks: 4, K: 4, Seed: seed})
+		rt := mustRuntime(t, Config{Device: dev, BWHeadroom: h, CoreHeadroom: h, K: 4, Seed: seed})
 		var ds []demand
 		env := soc.Env{}
 		for i := 0; i < int(residents)%4; i++ {

@@ -23,8 +23,11 @@ func TestHoldDefersExecution(t *testing.T) {
 	if h := rt.AdmissionHeadroom(); h.ResidentCount != 1 {
 		t.Fatalf("held session not resident: %d", h.ResidentCount)
 	}
-	// No wave may have run: give the scheduler a beat, then check.
-	time.Sleep(20 * time.Millisecond)
+	// A held session starts no goroutine until Start, so no wave can
+	// have run by now, however long one waits.
+	if !s.Held() {
+		t.Fatal("held session reports launched before Start")
+	}
 	if res := s.Snapshot(); res.Tasks != 0 {
 		t.Fatalf("held session executed %d tasks before Start", res.Tasks)
 	}

@@ -80,11 +80,10 @@ type Config struct {
 	// selects each one's default; negative or non-finite fails New).
 	BWHeadroom   float64
 	CoreHeadroom float64
-	// ProfileReps, AutotuneTasks, and K bound each (re-)planning pass
-	// (0 selects the defaults; negative fails New).
-	ProfileReps   int
-	AutotuneTasks int
-	K             int
+	// K is the candidate pool of each (re-)planning pass (0 selects
+	// DefaultReplanK; negative fails New). Every pass profiles with
+	// DefaultProfileReps and autotunes over DefaultAutotuneTasks.
+	K int
 	// Seed drives profiling and autotuning noise streams.
 	Seed int64
 	// Events, when non-nil, receives typed runtime observability events:
@@ -183,13 +182,8 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("runtime: Config.%s %v, want a finite value >= 0", f.name, f.v)
 		}
 	}
-	for _, f := range [...]struct {
-		name string
-		v    int
-	}{{"ProfileReps", cfg.ProfileReps}, {"AutotuneTasks", cfg.AutotuneTasks}, {"K", cfg.K}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("runtime: Config.%s %d, want >= 0 (0 selects the default)", f.name, f.v)
-		}
+	if cfg.K < 0 {
+		return nil, fmt.Errorf("runtime: Config.K %d, want >= 0 (0 selects the default)", cfg.K)
 	}
 	if (cfg.ModelAdjust == nil) != (cfg.ModelAdjustDigest == "") {
 		return nil, fmt.Errorf("runtime: Config.ModelAdjust and ModelAdjustDigest must be set together (the digest keys the schedule cache)")
@@ -202,12 +196,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.CoreHeadroom == 0 {
 		cfg.CoreHeadroom = DefaultCoreHeadroom
-	}
-	if cfg.ProfileReps == 0 {
-		cfg.ProfileReps = DefaultProfileReps
-	}
-	if cfg.AutotuneTasks == 0 {
-		cfg.AutotuneTasks = DefaultAutotuneTasks
 	}
 	if cfg.K == 0 {
 		cfg.K = DefaultReplanK
@@ -437,11 +425,9 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 	if c := rt.cfg.Cache; c != nil {
 		env = schedcache.QuantizeEnv(env, c.Bucket())
 		key = schedcache.Key(fp, rt.dev.Name, env, c.Bucket(), schedcache.Knobs{
-			ProfileReps:   rt.cfg.ProfileReps,
-			AutotuneTasks: rt.cfg.AutotuneTasks,
-			K:             rt.cfg.K,
-			Seed:          rt.cfg.Seed + opts.Seed,
-			Adjust:        digest,
+			K:      rt.cfg.K,
+			Seed:   rt.cfg.Seed + opts.Seed,
+			Adjust: digest,
 		})
 		if sc, ok := c.Get(key); ok {
 			return pipeline.NewPlan(app, rt.dev, sc)
@@ -449,7 +435,7 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 	}
 	rt.solves++
 	tables := profiler.ProfileBoth(app, rt.dev, profiler.Config{
-		Reps:    rt.cfg.ProfileReps,
+		Reps:    DefaultProfileReps,
 		Seed:    rt.cfg.Seed + opts.Seed,
 		BaseEnv: env,
 		Adjust:  adjust,
@@ -457,7 +443,7 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 	opt := sched.New(app, rt.dev, tables)
 	opt.K = rt.cfg.K
 	_, _, best, err := opt.Optimize(sched.BetterTogether, pipeline.Options{
-		Tasks:   rt.cfg.AutotuneTasks,
+		Tasks:   DefaultAutotuneTasks,
 		Warmup:  2,
 		Seed:    rt.cfg.Seed + opts.Seed,
 		BaseEnv: env,

@@ -79,9 +79,7 @@ func TestOptionValidation(t *testing.T) {
 		{name: "negative delta", cfg: Config{ReplanDelta: -0.1}, want: "Config.ReplanDelta"},
 		{name: "NaN delta", cfg: Config{ReplanDelta: math.NaN()}, want: "Config.ReplanDelta"},
 		{name: "Inf delta", cfg: Config{ReplanDelta: math.Inf(1)}, want: "Config.ReplanDelta"},
-		{name: "negative reps", cfg: Config{ProfileReps: -1}, want: "Config.ProfileReps"},
-		{name: "negative autotune", cfg: Config{AutotuneTasks: -2}, want: "Config.AutotuneTasks"},
-		{name: "negative k", cfg: Config{ProfileReps: 8, AutotuneTasks: 12, K: -1}, want: "Config.K"},
+		{name: "negative k", cfg: Config{K: -1}, want: "Config.K"},
 		{name: "nil adjust", cfg: Config{ModelAdjustDigest: "x2"}, want: "ModelAdjust"},
 		{name: "empty digest", cfg: Config{ModelAdjust: identityAdjust}, want: "ModelAdjustDigest"},
 		{name: "zero bw headroom", cfg: Config{CoreHeadroom: 3}, check: func(t *testing.T, rt *Runtime) {
@@ -93,9 +91,9 @@ func TestOptionValidation(t *testing.T) {
 				t.Errorf("core capacity %v, want the configured 3x", h.CoresCapacity)
 			}
 		}},
-		{name: "zero reps", cfg: Config{}, check: func(t *testing.T, rt *Runtime) {
-			if rt.cfg.ProfileReps != DefaultProfileReps || rt.cfg.AutotuneTasks != DefaultAutotuneTasks || rt.cfg.K != DefaultReplanK {
-				t.Errorf("planning budget %d/%d/%d, want the defaults", rt.cfg.ProfileReps, rt.cfg.AutotuneTasks, rt.cfg.K)
+		{name: "zero k", cfg: Config{}, check: func(t *testing.T, rt *Runtime) {
+			if rt.cfg.K != DefaultReplanK {
+				t.Errorf("candidate pool %d, want the default %d", rt.cfg.K, DefaultReplanK)
 			}
 		}},
 		{name: "nil engine", cfg: Config{}, check: func(t *testing.T, rt *Runtime) {
@@ -117,7 +115,7 @@ func TestOptionValidation(t *testing.T) {
 		}},
 		{name: "all fields applied", cfg: Config{
 			Engine: pipeline.SimEngine{}, BWHeadroom: 4, CoreHeadroom: 4,
-			ProfileReps: 4, AutotuneTasks: 6, K: 4, Seed: 7,
+			K: 4, Seed: 7,
 			Events: obs.NewStream(64), Cache: cache, ReplanDelta: 0.25,
 			OnlineProf:  &onlineprof.Config{DriftThreshold: 0.5},
 			ModelAdjust: identityAdjust, ModelAdjustDigest: "identity",
@@ -141,8 +139,8 @@ func TestOptionValidation(t *testing.T) {
 			if h := rt.AdmissionHeadroom(); h.BWCapacityGBs != 4*dev.DRAMBWGBs {
 				t.Errorf("bandwidth capacity %v, want 4x", h.BWCapacityGBs)
 			}
-			if c := rt.cfg; c.ProfileReps != 4 || c.AutotuneTasks != 6 || c.K != 4 || c.ReplanDelta != 0.25 {
-				t.Errorf("planning knobs %d/%d/%d delta %v, want 4/6/4 delta 0.25", c.ProfileReps, c.AutotuneTasks, c.K, c.ReplanDelta)
+			if c := rt.cfg; c.K != 4 || c.ReplanDelta != 0.25 {
+				t.Errorf("planning knobs k %d delta %v, want k 4 delta 0.25", c.K, c.ReplanDelta)
 			}
 		}},
 	}

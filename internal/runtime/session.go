@@ -64,8 +64,6 @@ type AdmitOptions struct {
 	// tracer's verdict. 0 attaches no deadline; negative or non-finite
 	// values fail Admit.
 	Deadline float64
-	// GPUPoolWidth forwards to pipeline.Options.GPUPoolWidth.
-	GPUPoolWidth int
 	// CollectMetrics aggregates a per-session metrics.Pipeline across
 	// waves; CollectTrace accumulates a session-local trace.Timeline.
 	CollectMetrics bool
@@ -221,12 +219,11 @@ func (s *Session) run() {
 			warm = s.opts.Warmup
 		}
 		o := pipeline.Options{
-			Tasks:        n,
-			Warmup:       warm,
-			Seed:         s.opts.Seed + int64(wave)*1009,
-			BaseEnv:      env,
-			GPUPoolWidth: s.opts.GPUPoolWidth,
-			Events:       sink,
+			Tasks:   n,
+			Warmup:  warm,
+			Seed:    s.opts.Seed + int64(wave)*1009,
+			BaseEnv: env,
+			Events:  sink,
 		}
 		if s.opts.CollectMetrics {
 			o.Metrics = pipeline.NewMetricsFor(plan, o)

@@ -13,7 +13,7 @@
 //     cache hit returns a schedule byte-identical to the cold solve it
 //     replaces (pinned by the equivalence suite in internal/runtime);
 //   - the knobs fold in every optimizer parameter that can change the
-//     chosen schedule (profiling reps, autotune budget, K, seed).
+//     chosen schedule (K, seed, any latency adjustment).
 //
 // Entries are evicted least-recently-used. All operations are safe for
 // concurrent use; hit/miss/eviction/store counters export through
@@ -46,6 +46,13 @@ const DefaultBucket = 0.05
 // non-positive capacity.
 const DefaultCapacity = 512
 
+// minBucket is the finest usable bucket width. Below it every
+// environment already gets its own key, and near 1e-19 the bucket
+// index of an intensity overflows an int, so distinct environments
+// would share one. fleet.New and cli.PlannerFlags.Validate refuse a
+// bucket below it.
+const minBucket = 1e-9
+
 // bucketIndex maps one intensity to its quantization bucket:
 // round-to-nearest with ties away from zero, clamped into [0,1] first.
 // NaN and negative values quantize to bucket 0 (a PR-2 regression guard:
@@ -61,9 +68,10 @@ func bucketIndex(v, bucket float64) int {
 	return int(math.Floor(v/bucket + 0.5))
 }
 
-// normBucket resolves the bucket width, guarding the degenerate values.
+// normBucket resolves the bucket width: a width that is NaN, infinite
+// or below minBucket selects DefaultBucket.
 func normBucket(bucket float64) float64 {
-	if bucket <= 0 || math.IsNaN(bucket) || math.IsInf(bucket, 0) {
+	if !(bucket >= minBucket) || math.IsInf(bucket, 0) {
 		return DefaultBucket
 	}
 	return bucket
@@ -74,7 +82,8 @@ func normBucket(bucket float64) float64 {
 // bucket (clamped to [0,1], NaN-free), classes that quantize to zero
 // dropped — so a nil Env, an empty Env, and an all-zero Env share one
 // representative. The result is independent of map iteration order and
-// never aliases the input. A non-positive bucket selects DefaultBucket.
+// never aliases the input. A bucket that is NaN, infinite or below 1e-9
+// selects DefaultBucket.
 func QuantizeEnv(env soc.Env, bucket float64) soc.Env {
 	bucket = normBucket(bucket)
 	out := soc.Env{}
@@ -124,13 +133,11 @@ func Fingerprint(app *core.Application) string {
 }
 
 // Knobs are the planning parameters folded into the key: anything that
-// can change the schedule a cold solve would pick.
+// can change the schedule a cold solve would pick. The profiling and
+// autotuning budgets are the runtime's constants, so they are not keyed.
 type Knobs struct {
-	// ProfileReps and AutotuneTasks bound the profiling and autotuning
-	// passes; K is the candidate pool size.
-	ProfileReps   int
-	AutotuneTasks int
-	K             int
+	// K is the candidate pool size.
+	K int
 	// Seed is the full planning seed (runtime seed + session seed).
 	Seed int64
 	// Adjust is a digest of any latency-table adjustment active during
@@ -169,8 +176,7 @@ func Key(fingerprint, device string, env soc.Env, bucket float64, knobs Knobs) s
 		first = false
 		fmt.Fprintf(&b, "%s=%d", c, idx)
 	}
-	fmt.Fprintf(&b, "|r=%d|a=%d|k=%d|s=%d",
-		knobs.ProfileReps, knobs.AutotuneTasks, knobs.K, knobs.Seed)
+	fmt.Fprintf(&b, "|k=%d|s=%d", knobs.K, knobs.Seed)
 	if knobs.Adjust != "" {
 		b.WriteString("|adj=")
 		b.WriteString(knobs.Adjust)
@@ -209,7 +215,8 @@ type Cache struct {
 }
 
 // New builds an empty cache. A non-positive capacity selects
-// DefaultCapacity; a non-positive bucket selects DefaultBucket.
+// DefaultCapacity; a bucket that is NaN, infinite or below 1e-9 selects
+// DefaultBucket.
 func New(capacity int, bucket float64) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity

@@ -270,18 +270,16 @@ func TestFingerprintSensitiveToStructure(t *testing.T) {
 
 func TestKeyKnobsSeparate(t *testing.T) {
 	env := soc.Env{core.ClassGPU: {MemIntensity: 0.5}}
-	base := Key("fp", "dev", env, DefaultBucket, Knobs{ProfileReps: 8, AutotuneTasks: 12, K: 8, Seed: 1})
+	base := Key("fp", "dev", env, DefaultBucket, Knobs{K: 8, Seed: 1})
 	for name, k := range map[string]Knobs{
-		"reps": {ProfileReps: 9, AutotuneTasks: 12, K: 8, Seed: 1},
-		"auto": {ProfileReps: 8, AutotuneTasks: 13, K: 8, Seed: 1},
-		"k":    {ProfileReps: 8, AutotuneTasks: 12, K: 9, Seed: 1},
-		"seed": {ProfileReps: 8, AutotuneTasks: 12, K: 8, Seed: 2},
+		"k":    {K: 9, Seed: 1},
+		"seed": {K: 8, Seed: 2},
 	} {
 		if Key("fp", "dev", env, DefaultBucket, k) == base {
 			t.Errorf("knob %s not folded into key", name)
 		}
 	}
-	if Key("fp", "other", env, DefaultBucket, Knobs{ProfileReps: 8, AutotuneTasks: 12, K: 8, Seed: 1}) == base {
+	if Key("fp", "other", env, DefaultBucket, Knobs{K: 8, Seed: 1}) == base {
 		t.Error("device not folded into key")
 	}
 	if !strings.HasPrefix(base, "fp|dev|") {
@@ -393,6 +391,29 @@ func TestCacheConcurrentInvariants(t *testing.T) {
 	}
 }
 
+// TestTinyBucketSelectsDefault pins that a bucket too fine to index
+// falls back to DefaultBucket: at 1e-300 the bucket index of 0.2 and
+// of 0.7 once overflowed to the same negative int, so two environments
+// shared one key and quantized to a negative intensity.
+func TestTinyBucketSelectsDefault(t *testing.T) {
+	low := soc.Env{core.ClassGPU: {MemIntensity: 0.2}}
+	high := soc.Env{core.ClassGPU: {MemIntensity: 0.7}}
+	for _, b := range []float64{1e-300, 1e-19, 9.9e-10} {
+		if Key("fp", "dev", low, b, Knobs{}) == Key("fp", "dev", high, b, Knobs{}) {
+			t.Errorf("bucket %g: intensities 0.2 and 0.7 share a key", b)
+		}
+		if got, want := QuantizeEnv(high, b), QuantizeEnv(high, DefaultBucket); got[core.ClassGPU] != want[core.ClassGPU] {
+			t.Errorf("bucket %g: quantized %v, want the default bucket's %v", b, got, want)
+		}
+		if got := New(8, b).Bucket(); got != DefaultBucket {
+			t.Errorf("New(8, %g).Bucket() = %v, want DefaultBucket", b, got)
+		}
+	}
+	if got := New(8, 1e-9).Bucket(); got != 1e-9 {
+		t.Errorf("New(8, 1e-9).Bucket() = %v, want the finest usable width kept", got)
+	}
+}
+
 func TestNewDefaults(t *testing.T) {
 	c := New(0, 0)
 	if c.Stats().Capacity != DefaultCapacity {
@@ -408,7 +429,7 @@ func TestNewDefaults(t *testing.T) {
 
 func TestKeyAdjustDigestSeparates(t *testing.T) {
 	env := soc.Env{core.ClassGPU: {MemIntensity: 0.5}}
-	knobs := Knobs{ProfileReps: 8, AutotuneTasks: 12, K: 8, Seed: 1}
+	knobs := Knobs{K: 8, Seed: 1}
 	base := Key("fp", "dev", env, DefaultBucket, knobs)
 	if strings.Contains(base, "|adj=") {
 		t.Fatalf("empty Adjust leaked into key %q", base)

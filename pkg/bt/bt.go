@@ -193,7 +193,7 @@ type (
 	// recovered kernel panic, attributing it to chunk, stage, and task.
 	PanicError = pipeline.PanicError
 	// ShutdownTimeoutError reports dispatchers that failed to join
-	// within RunOptions.ShutdownTimeout.
+	// within the Real engine's 30 s deadline.
 	ShutdownTimeoutError = pipeline.ShutdownTimeoutError
 )
 
@@ -214,9 +214,8 @@ type (
 	// through dispatcher goroutines and lock-free SPSC queues (wall
 	// time). Canceling the run's context drains the pipeline and joins
 	// every dispatcher (RunResult.Err carries ctx.Err()); kernel panics
-	// surface as *PanicError; dispatchers that fail to join within
-	// RunOptions.ShutdownTimeout surface as *ShutdownTimeoutError
-	// instead of hanging the caller.
+	// surface as *PanicError; dispatchers that fail to join within 30 s
+	// surface as *ShutdownTimeoutError instead of hanging the caller.
 	RealEngine = pipeline.RealEngine
 )
 
