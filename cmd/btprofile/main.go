@@ -29,6 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "measurement noise seed")
 	out := flag.String("o", "", "write the table(s) as JSON to this path prefix (suffixes -isolated.json / -heavy.json)")
 	flag.Parse()
+	fatalIf(cli.CheckCount("reps", *reps, 1))
 
 	app, err := btapps.ByName(*appName)
 	fatalIf(err)

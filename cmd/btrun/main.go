@@ -98,14 +98,8 @@ func main() {
 	// one validation path with btfleet.
 	cli.FatalIf("btrun", planner.Validate())
 	cli.FatalIf("btrun", tracing.Validate())
-	// The engines and the runtime read a task count <= 0 as their own
-	// default of 30, which the report would then misstate.
-	if *tasks <= 0 {
-		cli.Fatalf("btrun", "-tasks must be > 0, got %d", *tasks)
-	}
-	if *warmup < 0 {
-		cli.Fatalf("btrun", "-warmup must be >= 0, got %d", *warmup)
-	}
+	cli.FatalIf("btrun", cli.CheckCount("tasks", *tasks, 1))
+	cli.FatalIf("btrun", cli.CheckCount("warmup", *warmup, 0))
 
 	if len(apps) == 0 {
 		apps = multiFlag{"octree"}

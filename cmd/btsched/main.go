@@ -29,6 +29,8 @@ func main() {
 	tablePrefix := flag.String("tables", "", "load profiling tables from <prefix>-isolated.json / <prefix>-heavy.json instead of re-profiling (btprofile -o writes them)")
 	objective := flag.String("objective", "latency", "autotuning objective: latency, energy, edp")
 	flag.Parse()
+	fatalIf(cli.CheckCount("k", *k, 1))
+	fatalIf(cli.CheckCount("tasks", *tasks, 1))
 
 	app, err := btapps.ByName(*appName)
 	fatalIf(err)

@@ -26,6 +26,17 @@ func FatalIf(cmd string, err error) {
 	}
 }
 
+// CheckCount returns an error naming the flag when the count n is below
+// min, and nil otherwise. The engines, the profiler and the optimizer
+// read a count they cannot use as their own default, which a command's
+// output would then misstate, so the commands refuse such a count.
+func CheckCount(flag string, n, min int) error {
+	if n < min {
+		return fmt.Errorf("-%s must be >= %d, got %d", flag, min, n)
+	}
+	return nil
+}
+
 // Fatalf is Fatal with a formatted message.
 func Fatalf(cmd, format string, args ...any) {
 	Fatal(cmd, fmt.Errorf(format, args...))

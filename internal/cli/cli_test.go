@@ -49,3 +49,22 @@ func TestFatalfFormats(t *testing.T) {
 		t.Fatalf("format sanity: %q", err)
 	}
 }
+
+func TestCheckCount(t *testing.T) {
+	for _, c := range []struct {
+		n, min int
+		want   string
+	}{
+		{1, 1, ""},
+		{30, 1, ""},
+		{0, 0, ""},
+		{0, 1, "-tasks must be >= 1, got 0"},
+		{-5, 1, "-tasks must be >= 1, got -5"},
+		{-1, 0, "-tasks must be >= 0, got -1"},
+	} {
+		err := CheckCount("tasks", c.n, c.min)
+		if got := fmt.Sprint(err); (err == nil) != (c.want == "") || (err != nil && got != c.want) {
+			t.Errorf("CheckCount(tasks, %d, %d) = %v, want %q", c.n, c.min, err, c.want)
+		}
+	}
+}

@@ -34,11 +34,14 @@ func (e *PlacementError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet: no node admitted %q (%d tried)", e.App, len(e.Refusals))
 	for _, r := range e.Refusals {
-		if r.Err.Floor {
+		switch {
+		case r.Err.Floor:
 			fmt.Fprintf(&b, "; %s: minimum %s demand over all schedules %.2f > %.2f", r.Node, r.Err.Resource, r.Err.Demand, r.Err.Capacity)
-			continue
+		case r.Err.Pool > 0:
+			fmt.Fprintf(&b, "; %s: no candidate of %d fits, top-ranked %s demand %.2f > %.2f", r.Node, r.Err.Pool, r.Err.Resource, r.Err.Demand, r.Err.Capacity)
+		default:
+			fmt.Fprintf(&b, "; %s: %s demand %.2f > %.2f", r.Node, r.Err.Resource, r.Err.Demand, r.Err.Capacity)
 		}
-		fmt.Fprintf(&b, "; %s: %s demand %.2f > %.2f", r.Node, r.Err.Resource, r.Err.Demand, r.Err.Capacity)
 	}
 	return b.String()
 }

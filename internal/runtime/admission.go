@@ -23,6 +23,12 @@ const (
 // steady-state demand, stacked on every resident session's, would push a
 // device resource past the runtime's configured headroom. Callers detect
 // it with errors.As and can retry after a resident exits.
+//
+// Admit refuses at the first of three points that decides: the floor,
+// before planning (Floor); the candidate pool, before autotuning (Pool >
+// 0); or the autotuned schedule, after planning (neither). Each earlier
+// refusal is one the later checks would make too, so the point changes
+// the error's text and what it reports, never whether Admit refuses.
 type AdmissionError struct {
 	// App is the rejected application's name.
 	App string
@@ -37,13 +43,22 @@ type AdmissionError struct {
 	// schedule space does not fit, so Demand stacks that minimum rather
 	// than a planned schedule's demand.
 	Floor bool
+	// Pool, when positive, marks a refusal decided before autotuning:
+	// none of the Pool candidate schedules the planner ranked fits, so
+	// autotuning, which picks one of them, could not change the outcome.
+	// Resource and Demand are the top-ranked candidate's.
+	Pool int
 }
 
 // Error implements error.
 func (e *AdmissionError) Error() string {
-	if e.Floor {
+	switch {
+	case e.Floor:
 		return fmt.Sprintf("runtime: admission of %q rejected before planning: minimum %s demand over all schedules %.2f exceeds capacity %.2f",
 			e.App, e.Resource, e.Demand, e.Capacity)
+	case e.Pool > 0:
+		return fmt.Sprintf("runtime: admission of %q rejected before autotuning: none of %d candidate schedules fits; the top-ranked one's %s demand %.2f exceeds capacity %.2f",
+			e.App, e.Pool, e.Resource, e.Demand, e.Capacity)
 	}
 	return fmt.Sprintf("runtime: admission of %q rejected: projected %s demand %.2f exceeds capacity %.2f",
 		e.App, e.Resource, e.Demand, e.Capacity)
@@ -64,10 +79,13 @@ func (d demand) plus(o demand) demand {
 // load it publishes to co-runners while executing (Device.Intensity).
 type stageIntensity func(s int, pu core.PUClass) float64
 
-// planIntensity reads stage intensities off a plan's app and device.
-func planIntensity(p *pipeline.Plan) stageIntensity {
-	return func(s int, pu core.PUClass) float64 { return p.Device.Intensity(p.App.Stages[s].Cost, pu) }
+// appIntensity reads stage intensities off app's stage costs on dev.
+func appIntensity(app *core.Application, dev *soc.Device) stageIntensity {
+	return func(s int, pu core.PUClass) float64 { return dev.Intensity(app.Stages[s].Cost, pu) }
 }
+
+// planIntensity reads stage intensities off a plan's app and device.
+func planIntensity(p *pipeline.Plan) stageIntensity { return appIntensity(p.App, p.Device) }
 
 // chunkIntensity is the mean memory intensity of a chunk's stages on its
 // PU class — the load the chunk contributes to the interference
@@ -84,11 +102,11 @@ func chunkIntensity(c core.Chunk, intensity stageIntensity) float64 {
 }
 
 // scheduleDemand projects a schedule's steady-state resource claim on
-// dev; it is the one demand arithmetic, shared by planDemand and the
-// admission floor. In a full pipeline every chunk is busy
-// simultaneously, so per-chunk draws sum: each chunk claims its class's
-// cores outright and a bandwidth share equal to the class's peak draw
-// scaled by the chunk's memory intensity.
+// dev; it is the one demand arithmetic, shared by planDemand, the
+// admission floor and the candidate pool check. In a full pipeline
+// every chunk is busy simultaneously, so per-chunk draws sum: each
+// chunk claims its class's cores outright and a bandwidth share equal
+// to the class's peak draw scaled by the chunk's memory intensity.
 //
 // Schedule contiguity (C2, enforced by core.Schedule.Validate) means a
 // valid plan never maps two chunks to one PU class, but hand-built Plan

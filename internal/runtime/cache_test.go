@@ -206,7 +206,9 @@ func TestReplanDeltaSkipsSolves(t *testing.T) {
 // TestCacheChurnStress is the churn-heavy -race scenario: repeated
 // admit/exit rounds over a shared cache, asserting the cache invariants
 // (counter consistency, capacity bound) and goroutine cleanliness
-// afterwards.
+// afterwards. Each round admits held and starts its sessions after its
+// last Admit, so the admissions' keys recur round to round whatever the
+// wall time between two Admits; exits then churn the cache concurrently.
 func TestCacheChurnStress(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	cache := schedcache.New(8, schedcache.DefaultBucket) // small: force evictions
@@ -228,11 +230,15 @@ func TestCacheChurnStress(t *testing.T) {
 				Name:  fmt.Sprintf("r%d-%d", round, i),
 				Tasks: 6, WaveTasks: 3,
 				Seed: int64(i) * 101, // fixed per slot so keys recur across rounds
+				Hold: true,
 			})
 			if err != nil {
 				t.Fatalf("round %d admit %s: %v", round, name, err)
 			}
 			sessions = append(sessions, s)
+		}
+		for _, s := range sessions {
+			s.Start()
 		}
 		for _, s := range sessions {
 			if res := s.Wait(); res.Err != nil {

@@ -134,7 +134,7 @@ func (rt *Runtime) applyDrift(s *Session) {
 		return
 	}
 	env := rt.envLocked(s)
-	plan, err := rt.planLocked(s.app, s.fp, env, s.opts)
+	plan, err := rt.planLocked(s.app, s.fp, env, s.opts, nil)
 	if err != nil {
 		return
 	}

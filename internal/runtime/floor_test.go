@@ -226,19 +226,19 @@ func FuzzAdmitFloor(f *testing.F) {
 			ds = append(ds, planDemand(p))
 			addPlanEnv(env, p)
 		}
-		if rt.checkFit(app.Name, rt.floorLocked(app, schedcache.Fingerprint(app)), ds, true) == nil {
+		if rt.checkFit(app.Name, rt.floorLocked(app, schedcache.Fingerprint(app)), ds) == nil {
 			return
 		}
 		for _, p := range space {
-			if rt.checkFit(app.Name, planDemand(p), ds, false) == nil {
+			if rt.checkFit(app.Name, planDemand(p), ds) == nil {
 				t.Fatalf("floor refused, but %s fits", p.Schedule)
 			}
 		}
-		plan, err := rt.planLocked(app, schedcache.Fingerprint(app), env, AdmitOptions{}.withDefaults(app, 0))
+		plan, err := rt.planLocked(app, schedcache.Fingerprint(app), env, AdmitOptions{}.withDefaults(app, 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.checkFit(app.Name, planDemand(plan), ds, false) == nil {
+		if rt.checkFit(app.Name, planDemand(plan), ds) == nil {
 			t.Fatalf("floor refused, but the planned %s fits", plan.Schedule)
 		}
 	})

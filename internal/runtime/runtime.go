@@ -10,7 +10,9 @@
 //     bandwidth and PU-core demand from its plan, stacks it on every
 //     resident session's, and rejects with a typed *AdmissionError when
 //     a configured headroom would be exceeded. An applicant that no
-//     schedule in its space could fit is refused before it is planned.
+//     schedule in its space could fit is refused before it is planned,
+//     and one that no candidate in its planned pool fits is refused
+//     before it is autotuned.
 //   - Interference-aware re-planning: every admission and departure
 //     changes the device's interference environment, so the runtime
 //     re-runs the profiling/optimization pipeline for each resident
@@ -149,7 +151,7 @@ type Runtime struct {
 	rejected     int
 	skipped      int
 	driftReplans int
-	solves       int // planLocked passes that profiled, solved and autotuned
+	solves       int // planLocked passes that reached Autotune
 	closed       bool
 
 	// Deadline-attainment counters over completed deadline-carrying
@@ -247,8 +249,11 @@ func (rt *Runtime) ReplansSkipped() int {
 // Rejections return a *AdmissionError (resources) or ErrClosed. An
 // unpinned applicant is first checked with its demand floor, the
 // smallest claim over its whole schedule space: when even that does not
-// fit, Admit refuses without planning (AdmissionError.Floor), which is
-// exactly the refusal planning would have ended in.
+// fit, Admit refuses without planning (AdmissionError.Floor). On a
+// schedule-cache miss, the candidate pool is checked next: when none of
+// the candidates fits, Admit refuses without autotuning and stores
+// nothing (AdmissionError.Pool). Either is exactly the refusal the
+// autotuned schedule's check would have ended in.
 func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -271,17 +276,24 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 	if opts.Schedule == nil {
 		// No schedule the planner can return fits when even the floor
 		// does not: refuse before profiling, solving and autotuning.
-		if aerr := rt.checkFit(app.Name, rt.floorLocked(app, fp), residents, true); aerr != nil {
+		if aerr := rt.checkFit(app.Name, rt.floorLocked(app, fp), residents); aerr != nil {
+			aerr.Floor = true
 			return nil, rt.rejectLocked(aerr, opts)
 		}
 	}
 
 	env := rt.envLocked(nil)
-	plan, err := rt.planLocked(app, fp, env, opts)
+	plan, err := rt.planLocked(app, fp, env, opts, func(cands []sched.Candidate) *AdmissionError {
+		return rt.poolRefusal(app, cands, residents)
+	})
+	var refused *AdmissionError
+	if errors.As(err, &refused) {
+		return nil, rt.rejectLocked(refused, opts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("runtime: planning %q: %w", app.Name, err)
 	}
-	if aerr := rt.checkFit(app.Name, planDemand(plan), residents, false); aerr != nil {
+	if aerr := rt.checkFit(app.Name, planDemand(plan), residents); aerr != nil {
 		return nil, rt.rejectLocked(aerr, opts)
 	}
 
@@ -329,22 +341,48 @@ func (rt *Runtime) floorLocked(app *core.Application, fp string) demand {
 
 // checkFit folds the residents' demands onto the newcomer's d, in
 // admission order, and reports the first resource whose total exceeds
-// its headroom-scaled capacity (bandwidth, then cores), or nil. floor
-// marks d as the newcomer's demand floor rather than a planned
-// schedule's. Float addition rounds monotonically, so with the same
-// residents in the same order a floor's totals never exceed a planned
-// schedule's: a floor refusal is one the planned check would make too.
-func (rt *Runtime) checkFit(app string, d demand, residents []demand, floor bool) *AdmissionError {
+// its headroom-scaled capacity (bandwidth, then cores), or nil. The
+// floor and pool checks pass a demand floor or an unplanned candidate's
+// demand as d and mark the refusal. Float addition rounds monotonically,
+// so with the same residents in the same order a floor's totals never
+// exceed a planned schedule's: a floor refusal is one the planned check
+// would make too.
+func (rt *Runtime) checkFit(app string, d demand, residents []demand) *AdmissionError {
 	for _, r := range residents {
 		d = d.plus(r)
 	}
 	if capBW := rt.cfg.BWHeadroom * rt.dev.DRAMBWGBs; d.bwGBs > capBW {
-		return &AdmissionError{App: app, Resource: ResourceBandwidth, Demand: d.bwGBs, Capacity: capBW, Floor: floor}
+		return &AdmissionError{App: app, Resource: ResourceBandwidth, Demand: d.bwGBs, Capacity: capBW}
 	}
 	if capCores := rt.cfg.CoreHeadroom * rt.deviceCores(); d.cores > capCores {
-		return &AdmissionError{App: app, Resource: ResourceCores, Demand: d.cores, Capacity: capCores, Floor: floor}
+		return &AdmissionError{App: app, Resource: ResourceCores, Demand: d.cores, Capacity: capCores}
 	}
 	return nil
+}
+
+// poolRefusal checks the planner's candidate pool for app against the
+// residents before autotuning: nil when some candidate fits, else the
+// top-ranked candidate's refusal, marked Pool. Each candidate is priced
+// with scheduleDemand on its schedule's chunks, the arithmetic
+// planDemand applies to the plan pipeline.NewPlan compiles from it, and
+// checkFit folds the residents in the post-plan check's order, so a
+// candidate fits here exactly when its plan would pass that check.
+// Autotune picks one of the candidates, so when none fits, its winner
+// would be refused too. cands must not be empty.
+func (rt *Runtime) poolRefusal(app *core.Application, cands []sched.Candidate, residents []demand) *AdmissionError {
+	intensity := appIntensity(app, rt.dev)
+	var top *AdmissionError
+	for _, c := range cands {
+		aerr := rt.checkFit(app.Name, scheduleDemand(rt.dev, c.Schedule.Chunks(), intensity), residents)
+		if aerr == nil {
+			return nil
+		}
+		if top == nil {
+			top = aerr
+		}
+	}
+	top.Pool = len(cands)
+	return top
 }
 
 // rejectLocked counts a refused admission and emits its Reject event.
@@ -407,8 +445,9 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 
 // planLocked runs the interference-aware planning pipeline for one
 // application under the given external environment: profile both modes
-// with BaseEnv overlaid, optimize with the BetterTogether strategy, and
-// compile the winning schedule. A pinned schedule skips optimization.
+// with BaseEnv overlaid, rank the BetterTogether candidates, autotune
+// them, and compile the winning schedule. A pinned schedule skips
+// optimization.
 //
 // With a schedule cache configured, the solve runs against the
 // bucket-quantized environment (the bucket's canonical representative),
@@ -416,7 +455,11 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 // schedule byte-identical to this cold solve. On a miss, the chosen
 // schedule is stored. fp is app's schedcache.Fingerprint, taken once at
 // Admit.
-func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opts AdmitOptions) (*pipeline.Plan, error) {
+//
+// pool, when non-nil, sees the ranked candidates of a cold solve before
+// autotuning; a refusal it returns ends planning with that error, and
+// nothing is stored. Admit passes its pool check; re-plans pass nil.
+func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opts AdmitOptions, pool func([]sched.Candidate) *AdmissionError) (*pipeline.Plan, error) {
 	if opts.Schedule != nil {
 		return pipeline.NewPlan(app, rt.dev, *opts.Schedule)
 	}
@@ -433,7 +476,6 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 			return pipeline.NewPlan(app, rt.dev, sc)
 		}
 	}
-	rt.solves++
 	tables := profiler.ProfileBoth(app, rt.dev, profiler.Config{
 		Reps:    DefaultProfileReps,
 		Seed:    rt.cfg.Seed + opts.Seed,
@@ -442,7 +484,17 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 	})
 	opt := sched.New(app, rt.dev, tables)
 	opt.K = rt.cfg.K
-	_, _, best, err := opt.Optimize(sched.BetterTogether, pipeline.Options{
+	cands := opt.Candidates(sched.BetterTogether)
+	if len(cands) == 0 {
+		return nil, sched.ErrNoSchedule
+	}
+	if pool != nil {
+		if aerr := pool(cands); aerr != nil {
+			return nil, aerr
+		}
+	}
+	rt.solves++
+	tune, err := opt.Autotune(cands, pipeline.Options{
 		Tasks:   DefaultAutotuneTasks,
 		Warmup:  2,
 		Seed:    rt.cfg.Seed + opts.Seed,
@@ -451,6 +503,7 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 	if err != nil {
 		return nil, err
 	}
+	best := cands[tune.BestIndex]
 	if rt.cfg.Cache != nil {
 		rt.cfg.Cache.Put(key, best.Schedule)
 	}
@@ -485,7 +538,7 @@ func (rt *Runtime) replanLocked(except *Session) {
 			rt.registerModel(s)
 			continue
 		}
-		plan, err := rt.planLocked(s.app, s.fp, env, s.opts)
+		plan, err := rt.planLocked(s.app, s.fp, env, s.opts, nil)
 		if err != nil {
 			s.setEnv(env)
 			rt.registerModel(s)

@@ -22,6 +22,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -105,6 +106,9 @@ const DefaultUtilSlack = 0.40
 // gapEps absorbs float rounding when comparing a schedule's gapness
 // against the optimum gap in the utilization filter.
 const gapEps = 1e-15
+
+// ErrNoSchedule reports a candidate pool with no schedule in it.
+var ErrNoSchedule = errors.New("sched: no feasible schedule")
 
 // Candidate is one ranked schedule with its model prediction.
 type Candidate struct {
@@ -326,7 +330,7 @@ func (o *Optimizer) Autotune(cands []Candidate, opts pipeline.Options) (Autotune
 func (o *Optimizer) Optimize(strategy Strategy, opts pipeline.Options) ([]Candidate, AutotuneResult, Candidate, error) {
 	cands := o.Candidates(strategy)
 	if len(cands) == 0 {
-		return nil, AutotuneResult{}, Candidate{}, fmt.Errorf("sched: no feasible schedule")
+		return nil, AutotuneResult{}, Candidate{}, ErrNoSchedule
 	}
 	tune, err := o.Autotune(cands, opts)
 	if err != nil {
