@@ -95,6 +95,25 @@ func main() {
 	if *drainNode == "" && *drainAt >= 0 {
 		cli.Fatalf("btfleet", "-drain-at %v has no effect without -drain-node", *drainAt)
 	}
+	// A generator flag that the replay never reads would be dropped
+	// without a word: refuse it when given explicitly.
+	var unread []string
+	reader := "-pattern " + *pattern
+	switch {
+	case *tracePath != "":
+		unread, reader = []string{"pattern", "arrivals", "rate", "burst", "burst-every", "apps", "mean-dwell", "tasks"}, "-trace"
+	case *pattern == fleet.PatternBursty:
+		unread = []string{"rate"}
+	case *pattern == fleet.PatternPoisson:
+		unread = []string{"burst", "burst-every"}
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range unread {
+		if set[name] {
+			cli.Fatalf("btfleet", "-%s has no effect with %s", name, reader)
+		}
+	}
 
 	specs, err := fleet.ParseNodeSpecs(*nodes)
 	cli.FatalIf("btfleet", err)

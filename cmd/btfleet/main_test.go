@@ -81,6 +81,38 @@ func TestRejectsZeroGeneratorFlags(t *testing.T) {
 	}
 }
 
+// TestRejectsIgnoredGeneratorFlags pins that a generator flag the
+// selected pattern or a supplied -trace never reads exits non-zero,
+// naming the flag, instead of being dropped silently.
+func TestRejectsIgnoredGeneratorFlags(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	raw := `{"arrivals":[{"at":0,"app":"octree","dwell":1,"tasks":2}]}`
+	if err := os.WriteFile(trace, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rate", "8"}, "-rate has no effect with -pattern bursty"},
+		{[]string{"-pattern", "bursty", "-rate", "8"}, "-rate has no effect with -pattern bursty"},
+		{[]string{"-pattern", "poisson", "-burst", "2"}, "-burst has no effect with -pattern poisson"},
+		{[]string{"-pattern", "poisson", "-burst-every", "9"}, "-burst-every has no effect with -pattern poisson"},
+		{[]string{"-trace", trace, "-arrivals", "2"}, "-arrivals has no effect with -trace"},
+		{[]string{"-trace", trace, "-pattern", "poisson"}, "-pattern has no effect with -trace"},
+		{[]string{"-trace", trace, "-apps", "octree"}, "-apps has no effect with -trace"},
+		{[]string{"-trace", trace, "-mean-dwell", "3"}, "-mean-dwell has no effect with -trace"},
+		{[]string{"-trace", trace, "-tasks", "3"}, "-tasks has no effect with -trace"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Errorf("btfleet %s: err %v, output %q; want a failure saying %q", strings.Join(c.args, " "), err, out, c.want)
+		}
+	}
+}
+
 // TestRejectsRepeatedDevice pins that a device named twice in -nodes
 // exits non-zero: both entries would register a node jetson/0.
 func TestRejectsRepeatedDevice(t *testing.T) {
@@ -221,14 +253,15 @@ func TestReportSLO(t *testing.T) {
 	}
 }
 
-// TestSuppliedTrace checks that -trace replays the file and bypasses
+// TestSuppliedTrace checks that -trace replays the file in place of
 // the generator: a trace written by -emit-trace replays to the same
-// report even when the generator flags change, and a hand-written
-// two-arrival trace places both arrivals.
+// report on the same fleet without any generator flag, and a
+// hand-written two-arrival trace places both arrivals.
 func TestSuppliedTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	emitted, _ := btfleet(t, smoke("-emit-trace", path)...)
-	replayed, _ := btfleet(t, smoke("-trace", path, "-arrivals", "2", "-pattern", "poisson")...)
+	replayed, _ := btfleet(t, "-nodes", "jetson,pixel7a,oneplus11", "-bw-headroom", "1.0",
+		"-core-headroom", "100", "-seed", "7", "-trace", path)
 	if replayed != emitted {
 		t.Fatalf("-trace report differs from the -emit-trace run:\n%s\n---\n%s", emitted, replayed)
 	}

@@ -110,12 +110,3 @@ func fcStage(si int) core.KernelFunc {
 		})
 	}
 }
-
-// Predictions returns the argmax class per image of the current logits.
-func (t *Task) Predictions() []int {
-	out := make([]int, t.B)
-	for b := 0; b < t.B; b++ {
-		out[b] = tensor.Argmax(t.Logits.Data[b*Classes : (b+1)*Classes])
-	}
-	return out
-}

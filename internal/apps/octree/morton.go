@@ -38,25 +38,10 @@ func spread3(v uint32) uint32 {
 	return v
 }
 
-// compact3 is the inverse of spread3: it extracts every third bit.
-func compact3(v uint32) uint32 {
-	v &= 0x09249249
-	v = (v | v>>2) & 0x030c30c3
-	v = (v | v>>4) & 0x0300f00f
-	v = (v | v>>8) & 0x030000ff
-	v = (v | v>>16) & 0x000003ff
-	return v
-}
-
 // EncodeMorton interleaves three 10-bit cell coordinates into a 30-bit
 // Morton code with x in the lowest interleave slot.
 func EncodeMorton(x, y, z uint32) uint32 {
 	return spread3(x) | spread3(y)<<1 | spread3(z)<<2
-}
-
-// DecodeMorton splits a Morton code back into cell coordinates.
-func DecodeMorton(code uint32) (x, y, z uint32) {
-	return compact3(code), compact3(code >> 1), compact3(code >> 2)
 }
 
 // Quantize maps a coordinate in [0, 1) to a 10-bit cell index, clamping

@@ -36,7 +36,7 @@ func concPar(n int, body func(lo, hi int)) {
 func TestMortonRoundTrip(t *testing.T) {
 	f := func(x, y, z uint32) bool {
 		x, y, z = x&0x3ff, y&0x3ff, z&0x3ff
-		gx, gy, gz := DecodeMorton(EncodeMorton(x, y, z))
+		gx, gy, gz := decodeMorton(EncodeMorton(x, y, z))
 		return gx == x && gy == y && gz == z
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -565,10 +565,12 @@ func BenchmarkOctreePipelineSerial(b *testing.B) {
 }
 
 func TestTaskGraphLinearizesToCanonicalOrder(t *testing.T) {
-	app, err := NewApplicationFromGraph(2048, UniformGen{})
+	stages, err := newTaskGraph(2048, UniformGen{}).Linearize()
 	if err != nil {
 		t.Fatal(err)
 	}
+	app := NewApplication(2048, UniformGen{})
+	app.Stages = stages
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +590,7 @@ func TestTaskGraphLinearizesToCanonicalOrder(t *testing.T) {
 }
 
 func TestTaskGraphEdgesRespectDataflow(t *testing.T) {
-	g := NewTaskGraph(1024, UniformGen{})
+	g := newTaskGraph(1024, UniformGen{})
 	if len(g.Nodes) != 7 {
 		t.Fatalf("nodes = %d", len(g.Nodes))
 	}
@@ -616,4 +618,43 @@ func TestTaskGraphEdgesRespectDataflow(t *testing.T) {
 			t.Errorf("edge %s->%s violated by linearization", from, to)
 		}
 	}
+}
+
+// newTaskGraph returns the octree application's true dependency
+// structure as an acyclic task graph. The paper (Sec. 3.1, "Task
+// Graph") calls out exactly this workload: the final stage consumes the
+// outputs of several earlier stages — the unique codes, the radix tree,
+// and the scanned offsets — not just its immediate predecessor.
+// BetterTogether supports such applications by linearizing the graph
+// with a topological sort (core.TaskGraph.Linearize).
+func newTaskGraph(n int, gen Generator) *core.TaskGraph {
+	app := NewApplication(n, gen)
+	g := &core.TaskGraph{Nodes: app.Stages}
+	// Chain dependencies along the natural dataflow...
+	g.AddEdge(0, 1) // morton     -> sort
+	g.AddEdge(1, 2) // sort       -> unique
+	g.AddEdge(2, 3) // unique     -> radix tree
+	g.AddEdge(3, 4) // radix tree -> edge count
+	g.AddEdge(4, 5) // edge count -> prefix sum
+	// ...plus the fan-in the paper highlights: building the octree needs
+	// the unique codes, the tree structure, and the offsets.
+	g.AddEdge(2, 6)
+	g.AddEdge(3, 6)
+	g.AddEdge(5, 6)
+	return g
+}
+
+// decodeMorton splits a Morton code back into cell coordinates.
+func decodeMorton(code uint32) (x, y, z uint32) {
+	return compact3(code), compact3(code >> 1), compact3(code >> 2)
+}
+
+// compact3 is the inverse of spread3: it extracts every third bit.
+func compact3(v uint32) uint32 {
+	v &= 0x09249249
+	v = (v | v>>2) & 0x030c30c3
+	v = (v | v>>4) & 0x0300f00f
+	v = (v | v>>8) & 0x030000ff
+	v = (v | v>>16) & 0x000003ff
+	return v
 }

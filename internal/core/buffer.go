@@ -38,7 +38,7 @@ func (s CoherenceState) String() string {
 // UsmBuffer is a unified shared-memory buffer (paper Sec. 3.1): one
 // allocation visible to host and device kernels with zero-copy access.
 // The element data lives in Data; Acquire/Release model the coherence
-// protocol and count fence operations so tests and the simulator can
+// protocol and count fence operations, so the package's tests can
 // verify that chunks synchronize exactly the buffers they touch.
 //
 // UsmBuffer is not safe for concurrent Acquire from multiple goroutines;
@@ -57,13 +57,6 @@ func NewUsmBuffer[T any](n int) *UsmBuffer[T] {
 
 // Len returns the element count.
 func (b *UsmBuffer[T]) Len() int { return len(b.Data) }
-
-// State returns the current coherence state.
-func (b *UsmBuffer[T]) State() CoherenceState { return CoherenceState(b.state.Load()) }
-
-// Syncs returns how many visibility fences this buffer has required, the
-// observable cost of cross-PU hand-offs.
-func (b *UsmBuffer[T]) Syncs() int64 { return b.syncs.Load() }
 
 // Acquire makes the buffer coherent for the given backend, counting a
 // fence if the opposite side wrote last. It returns the backing slice for

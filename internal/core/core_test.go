@@ -41,51 +41,40 @@ func TestCostSpecValidate(t *testing.T) {
 	}
 }
 
-func TestArithmeticIntensity(t *testing.T) {
-	c := CostSpec{FLOPs: 100, Bytes: 50}
-	if c.ArithmeticIntensity() != 2 {
-		t.Error("AI should be 2")
-	}
-	z := CostSpec{FLOPs: 100, Bytes: 0}
-	if z.ArithmeticIntensity() != 0 {
-		t.Error("AI with zero bytes should be 0")
-	}
-}
-
 func TestUsmBufferCoherence(t *testing.T) {
 	b := NewUsmBuffer[float32](8)
-	if b.Len() != 8 || b.State() != Shared || b.Syncs() != 0 {
-		t.Fatalf("fresh buffer state wrong: %v %v %v", b.Len(), b.State(), b.Syncs())
+	if b.Len() != 8 || CoherenceState(b.state.Load()) != Shared || b.syncs.Load() != 0 {
+		t.Fatalf("fresh buffer state wrong: %v %v %v", b.Len(), CoherenceState(b.state.Load()), b.syncs.Load())
 	}
 	// Same-side acquire after write: no fence.
 	b.Release(BackendCPU)
 	b.Acquire(BackendCPU)
-	if b.Syncs() != 0 {
+	if b.syncs.Load() != 0 {
 		t.Error("same-side acquire should not fence")
 	}
-	if b.State() != HostDirty {
-		t.Errorf("state = %v, want host-dirty", b.State())
+	if CoherenceState(b.state.Load()) != HostDirty {
+		t.Errorf("state = %v, want host-dirty", CoherenceState(b.state.Load()))
 	}
 	// Cross-side acquire: one fence, back to shared.
 	b.Acquire(BackendGPU)
-	if b.Syncs() != 1 {
-		t.Errorf("syncs = %d, want 1", b.Syncs())
+	if b.syncs.Load() != 1 {
+		t.Errorf("syncs = %d, want 1", b.syncs.Load())
 	}
-	if b.State() != Shared {
-		t.Errorf("state after fence = %v, want shared", b.State())
+	if CoherenceState(b.state.Load()) != Shared {
+		t.Errorf("state after fence = %v, want shared", CoherenceState(b.state.Load()))
 	}
 	// GPU writes, CPU reads: another fence.
 	b.Release(BackendGPU)
-	if b.State() != DeviceDirty {
-		t.Errorf("state = %v, want device-dirty", b.State())
+	if CoherenceState(b.state.Load()) != DeviceDirty {
+		t.Errorf("state = %v, want device-dirty", CoherenceState(b.state.Load()))
 	}
 	b.Acquire(BackendCPU)
-	if b.Syncs() != 2 {
-		t.Errorf("syncs = %d, want 2", b.Syncs())
+	if b.syncs.Load() != 2 {
+		t.Errorf("syncs = %d, want 2", b.syncs.Load())
 	}
 	b.Release(BackendGPU)
 	b.ResetCoherence()
-	if b.State() != Shared {
+	if CoherenceState(b.state.Load()) != Shared {
 		t.Error("ResetCoherence should return to shared")
 	}
 }
@@ -109,11 +98,11 @@ func TestTaskObjectLifecycle(t *testing.T) {
 	}
 	buf.Release(BackendCPU)
 	task.AcquireAll(BackendGPU)
-	if buf.Syncs() != 1 {
+	if buf.syncs.Load() != 1 {
 		t.Error("AcquireAll should fence the dirty buffer")
 	}
 	task.ReleaseAll(BackendGPU)
-	if buf.State() != DeviceDirty {
+	if CoherenceState(buf.state.Load()) != DeviceDirty {
 		t.Error("ReleaseAll should mark device-dirty")
 	}
 }
@@ -238,9 +227,6 @@ func TestNewUniformSchedule(t *testing.T) {
 	if len(s.Chunks()) != 1 || s.Chunks()[0].PU != ClassGPU {
 		t.Errorf("uniform schedule chunks = %v", s.Chunks())
 	}
-	if !s.Uses(ClassGPU) || s.Uses(ClassBig) {
-		t.Error("Uses() wrong")
-	}
 }
 
 func TestScheduleEqualAndKey(t *testing.T) {
@@ -258,20 +244,6 @@ func TestScheduleEqualAndKey(t *testing.T) {
 	}
 	if a.Equal(Schedule{Assign: []PUClass{"big"}}) {
 		t.Error("length mismatch Equal")
-	}
-}
-
-func TestUsedClasses(t *testing.T) {
-	s := Schedule{Assign: []PUClass{"big", "big", "gpu", "little"}}
-	got := s.UsedClasses()
-	want := []PUClass{"big", "gpu", "little"}
-	if len(got) != len(want) {
-		t.Fatalf("UsedClasses = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("UsedClasses = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -79,26 +79,6 @@ func (s Schedule) Validate(nStages int, allowed []PUClass) error {
 	return nil
 }
 
-// UsedClasses returns the distinct classes in chunk order.
-func (s Schedule) UsedClasses() []PUClass {
-	chunks := s.Chunks()
-	out := make([]PUClass, len(chunks))
-	for i, c := range chunks {
-		out[i] = c.PU
-	}
-	return out
-}
-
-// Uses reports whether any stage is assigned to class pu.
-func (s Schedule) Uses(pu PUClass) bool {
-	for _, a := range s.Assign {
-		if a == pu {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports whether two schedules assign identically.
 func (s Schedule) Equal(o Schedule) bool {
 	if len(s.Assign) != len(o.Assign) {

@@ -134,12 +134,3 @@ func (c CostSpec) Validate() error {
 	}
 	return check("Irregularity", c.Irregularity)
 }
-
-// ArithmeticIntensity returns FLOPs/Bytes, the roofline x-axis. It
-// returns +Inf-safe 0 when Bytes is 0.
-func (c CostSpec) ArithmeticIntensity() float64 {
-	if c.Bytes == 0 {
-		return 0
-	}
-	return c.FLOPs / c.Bytes
-}

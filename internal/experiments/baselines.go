@@ -99,9 +99,9 @@ func (s *Suite) Table3() (Table3Result, string, error) {
 	return res, report.Section("Table 3: homogeneous baselines", body), nil
 }
 
-// measureUniform runs the uniform schedule through the standard
-// measurement protocol (sched.MeasureUniform with suite-controlled
-// seeding).
+// measureUniform runs the uniform schedule — the all-GPU and
+// all-big-CPU comparisons of Sec. 5.1 — through the standard measurement
+// protocol with suite-controlled seeding.
 func (s *Suite) measureUniform(app *core.Application, dev *soc.Device, pu core.PUClass, purpose string) (float64, error) {
 	return s.Measure(app, dev, core.NewUniformSchedule(len(app.Stages), pu), purpose)
 }

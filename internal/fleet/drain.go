@@ -17,10 +17,10 @@ import (
 // executing (or finished) stay put: drain stops new placements, it
 // does not kill residents.
 //
-// Held sessions that no other node can admit remain on the drained
-// node; a later Rebalance sweep (or the next drain of another node
-// freeing capacity) retries them. Returns how many sessions moved.
-// Draining an already-drained node is a no-op.
+// Held sessions that no other node can admit remain held on the
+// drained node until they run or are released; nothing retries their
+// migration. Returns how many sessions moved. Draining an
+// already-drained node is a no-op.
 func (f *Fleet) Drain(nodeID string) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -40,47 +40,6 @@ func (f *Fleet) Drain(nodeID string) (int, error) {
 		e.Detail = fmt.Sprintf("node=%s migrated=%d", n.ID, moved)
 	})
 	return moved, err
-}
-
-// Uncordon restores a drained node to placement; its sessions that
-// never migrated keep their reservations. A no-op on a node that is
-// not drained.
-func (f *Fleet) Uncordon(nodeID string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.nodeByIDLocked(nodeID)
-	if n == nil {
-		return fmt.Errorf("fleet: uncordon: unknown node %q", nodeID)
-	}
-	if !n.drained {
-		return nil
-	}
-	n.drained = false
-	f.refileLocked(n)
-	f.emit(obs.KindDrain, func(e *obs.Event) {
-		e.Detail = fmt.Sprintf("node=%s uncordoned", n.ID)
-	})
-	return nil
-}
-
-// Rebalance retries migration for every drained node's remaining held
-// sessions — the control-plane sweep for sessions a drain stranded.
-// Returns the total sessions moved.
-func (f *Fleet) Rebalance() (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	total := 0
-	for _, n := range f.nodes {
-		if !n.drained {
-			continue
-		}
-		moved, err := f.migrateLocked(n)
-		total += moved
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // Drained reports whether a node is currently cordoned.

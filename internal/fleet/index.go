@@ -29,9 +29,9 @@ type bandEntry struct {
 //   - The cached score equals the live headroomScore of the node's
 //     runtime: every fleet-visible event that moves a node's projected
 //     demand (a successful admit, a replay departure, a migration in or
-//     out, an uncordon) re-files the node. That freshness is what makes
-//     the banded sweep provably equivalent to the exhaustive rank —
-//     pinned on randomized fleets by TestBandedMatchesExhaustive.
+//     out) re-files the node. That freshness is what makes the banded
+//     sweep provably equivalent to the exhaustive rank — pinned on
+//     randomized fleets by TestBandedMatchesExhaustive.
 //   - Quantization is monotonic (floor of score/width), so visiting
 //     bands in descending id and sorting each visited band by exact
 //     score yields exactly the exhaustive descending-score order.

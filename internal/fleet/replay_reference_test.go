@@ -145,7 +145,7 @@ func pinnedSchedule(t testing.TB, app *core.Application) *core.Schedule {
 // TestBandedMatchesExhaustive is the banded-index equivalence pin: on
 // randomized fleets of >= 500 nodes, a banded fleet and an exhaustive
 // reference fleet driven through an identical randomized
-// place/depart/drain/uncordon sequence make byte-for-byte identical
+// place/depart/drain sequence make byte-for-byte identical
 // placement decisions.
 func TestBandedMatchesExhaustive(t *testing.T) {
 	app, err := btapps.ByName("octree")
@@ -211,15 +211,6 @@ func TestBandedMatchesExhaustive(t *testing.T) {
 					depart(exhaustive, name)
 				default:
 					id := fmt.Sprintf("jetson/%d", rng.Intn(170))
-					if banded.Drained(id) {
-						if err := banded.Uncordon(id); err != nil {
-							t.Fatal(err)
-						}
-						if err := exhaustive.Uncordon(id); err != nil {
-							t.Fatal(err)
-						}
-						break
-					}
 					mb, errB := banded.Drain(id)
 					me, errE := exhaustive.Drain(id)
 					if errB != nil || errE != nil {
@@ -429,7 +420,7 @@ func TestReplayZeroDwell(t *testing.T) {
 
 // TestDrainMigratesHeldSessions pins the drain state machine: held
 // sessions move place-elsewhere-then-release, counters and events
-// record the moves, and Uncordon restores the node to placement.
+// record the moves, and the drained node stays out of placement.
 func TestDrainMigratesHeldSessions(t *testing.T) {
 	stream := obs.NewStream(64)
 	f := mustFleet(t, Config{
@@ -490,22 +481,9 @@ func TestDrainMigratesHeldSessions(t *testing.T) {
 		t.Fatalf("post-drain placement = %s choice %d, want pixel7a/0 choice 0", p2.Node.ID, p2.Choice)
 	}
 
-	// Draining again is a no-op; uncordon restores placement eligibility.
+	// Draining again is a no-op.
 	if moved, err := f.Drain("jetson/0"); err != nil || moved != 0 {
 		t.Fatalf("re-drain = %d, %v; want 0, nil", moved, err)
-	}
-	if err := f.Uncordon("jetson/0"); err != nil {
-		t.Fatalf("Uncordon: %v", err)
-	}
-	if f.Drained("jetson/0") {
-		t.Fatal("jetson/0 still drained after Uncordon")
-	}
-	p3, err := f.Place(app, runtime.AdmitOptions{Tasks: 2, Hold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.Node.ID != "jetson/0" {
-		t.Fatalf("post-uncordon placement = %s, want the idle jetson/0", p3.Node.ID)
 	}
 
 	var drains, migrates []string
@@ -517,7 +495,7 @@ func TestDrainMigratesHeldSessions(t *testing.T) {
 			migrates = append(migrates, e.Session+": "+e.Detail)
 		}
 	}
-	wantDrains := []string{"node=jetson/0 migrated=1", "node=jetson/0 uncordoned"}
+	wantDrains := []string{"node=jetson/0 migrated=1"}
 	if !reflect.DeepEqual(drains, wantDrains) {
 		t.Fatalf("drain events = %v, want %v", drains, wantDrains)
 	}
@@ -528,8 +506,8 @@ func TestDrainMigratesHeldSessions(t *testing.T) {
 }
 
 // TestDrainStrandedSessionStays pins the no-target path: a session no
-// other node can admit stays on the drained node, Rebalance keeps
-// retrying without error, and nothing is silently dropped.
+// other node can admit stays held on the drained node, and nothing is
+// silently dropped.
 func TestDrainStrandedSessionStays(t *testing.T) {
 	f := mustFleet(t, Config{
 		Nodes: []NodeSpec{
@@ -562,9 +540,6 @@ func TestDrainStrandedSessionStays(t *testing.T) {
 	if f.active["stuck"].node.ID != "pixel7a/0" || !p.Session.Held() {
 		t.Fatal("stranded session should remain held on the drained node")
 	}
-	if moved, err := f.Rebalance(); err != nil || moved != 0 {
-		t.Fatalf("Rebalance = %d, %v; want 0, nil", moved, err)
-	}
 	if s := f.Stats(); s.Migrations != 0 || s.Drained != 1 {
 		t.Fatalf("stats migrations=%d drained=%d, want 0/1", s.Migrations, s.Drained)
 	}
@@ -575,9 +550,6 @@ func TestDrainUnknownNode(t *testing.T) {
 	f := mustFleet(t, Config{Nodes: []NodeSpec{{Device: "pixel7a", Count: 1}}})
 	if _, err := f.Drain("nope/0"); err == nil {
 		t.Fatal("Drain accepted an unknown node")
-	}
-	if err := f.Uncordon("nope/0"); err == nil {
-		t.Fatal("Uncordon accepted an unknown node")
 	}
 	if f.Drained("nope/0") {
 		t.Fatal("unknown node reports drained")

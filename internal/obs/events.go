@@ -67,8 +67,7 @@ const (
 	// the divergence; the Replan events for the new schedules follow).
 	KindDriftReplan
 	// KindDrain is a fleet node lifecycle edge: a node was cordoned out of
-	// placement (Detail carries "node=<id> migrated=<n>") or restored
-	// (Detail carries "node=<id> uncordoned").
+	// placement (Detail carries "node=<id> migrated=<n>").
 	KindDrain
 	// KindMigrate is one held session moved off a draining node: the
 	// reservation was re-placed on another node and the original released

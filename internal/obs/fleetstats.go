@@ -19,8 +19,8 @@ type FleetNodeStats struct {
 	// included).
 	Placed   int `json:"placed"`
 	Rejected int `json:"rejected"`
-	// Drained marks a cordoned node: excluded from placement until
-	// uncordoned, though residents that could not migrate keep running.
+	// Drained marks a cordoned node: excluded from placement for good,
+	// though residents that could not migrate keep running.
 	Drained bool `json:"drained,omitempty"`
 	// Headroom is the node runtime's projected demand vs capacity.
 	Headroom Headroom `json:"headroom"`

@@ -312,18 +312,6 @@ func (e *Estimator) LearnedAdjust() (profiler.Adjust, string) {
 	return adjust, b.String()
 }
 
-// LearnedRatio reports the latched correction for one (stage, PU), or
-// (1, false) when that cell never confirmed a drift.
-func (e *Estimator) LearnedRatio(stage string, pu core.PUClass) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, ok := e.learned[cellID(stage, pu)]
-	if !ok {
-		return 1, false
-	}
-	return r, true
-}
-
 // Estimate reports the current smoothed observation for (stage, PU,
 // envSig) and its sample count.
 func (e *Estimator) Estimate(stage string, pu core.PUClass, envSig string) (seconds float64, samples int) {

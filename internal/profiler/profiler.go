@@ -92,7 +92,7 @@ func (c Config) withDefaults() Config {
 // in the same order and with the same values as Reps Device.Sample
 // calls would produce. Each cell's environment is BaseEnv with, in heavy
 // mode, every other class running the measured stage (Device.HeavyEnv
-// overlaid with Env.Overlay's clamp-then-saturate rule), rebuilt in
+// overlaid with Env.Add's clamp-then-saturate rule), rebuilt in
 // place rather than as a map per cell.
 func Profile(app *core.Application, dev *soc.Device, mode core.ProfileMode, cfg Config) *core.ProfileTable {
 	cfg = cfg.withDefaults()
@@ -144,14 +144,6 @@ func ProfileBoth(app *core.Application, dev *soc.Device, cfg Config) Tables {
 		Isolated: Profile(app, dev, core.Isolated, cfg),
 		Heavy:    Profile(app, dev, core.InterferenceHeavy, Config{Reps: cfg.Reps, Seed: cfg.Seed + 1, BaseEnv: cfg.BaseEnv, Adjust: cfg.Adjust}),
 	}
-}
-
-// For selects the table matching the given mode.
-func (t Tables) For(mode core.ProfileMode) *core.ProfileTable {
-	if mode == core.InterferenceHeavy {
-		return t.Heavy
-	}
-	return t.Isolated
 }
 
 // InterferenceRatios returns, per PU class, the mean over stages of

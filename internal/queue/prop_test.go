@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // TestSPSCQuickConcurrentTryPush is the property test for the
@@ -38,9 +37,9 @@ func TestSPSCQuickConcurrentTryPush(t *testing.T) {
 		for {
 			v, ok := q.TryPop()
 			if !ok {
-				if q.Closed() {
+				if q.closed.Load() {
 					// Drain: a final element may land between TryPop
-					// and the Closed check.
+					// and the closed check.
 					if v, ok := q.TryPop(); ok {
 						if v != next {
 							return false
@@ -69,142 +68,14 @@ func TestSPSCQuickConcurrentTryPush(t *testing.T) {
 	}
 }
 
-// TestSPSCQuickConcurrentTimeout drives the PushTimeout/PopTimeout pair
-// under concurrency: with generous timeouts every element must transit
-// exactly once, in order, whatever the interleaving.
-func TestSPSCQuickConcurrentTimeout(t *testing.T) {
-	f := func(capRaw uint8, nRaw uint16) bool {
-		capacity := int(capRaw%16) + 1
-		n := int(nRaw%500) + 1
-		q := NewSPSC[int](capacity)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				for !q.PushTimeout(i, time.Millisecond) {
-					if q.Closed() {
-						return
-					}
-				}
-			}
-			q.Close()
-		}()
-		next := 0
-		for next < n {
-			v, ok := q.PopTimeout(time.Millisecond)
-			if !ok {
-				if q.Closed() && q.Len() == 0 {
-					break
-				}
-				continue
-			}
-			if v != next {
-				return false
-			}
-			next++
-		}
-		wg.Wait()
-		return next == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSPSCPushTimeoutOnFullQueue(t *testing.T) {
-	q := NewSPSC[int](2)
-	q.TryPush(1)
-	q.TryPush(2)
-	t0 := time.Now()
-	if q.PushTimeout(3, 20*time.Millisecond) {
-		t.Fatal("push into full queue succeeded")
-	}
-	if elapsed := time.Since(t0); elapsed < 15*time.Millisecond {
-		t.Fatalf("gave up after %v, want ~20ms", elapsed)
-	}
-	// Zero timeout degenerates to TryPush: immediate failure.
-	t0 = time.Now()
-	if q.PushTimeout(3, 0) {
-		t.Fatal("zero-timeout push into full queue succeeded")
-	}
-	if time.Since(t0) > 5*time.Millisecond {
-		t.Fatal("zero-timeout push blocked")
-	}
-	// Space appearing lets a pending timed push through.
-	done := make(chan bool, 1)
-	go func() { done <- q.PushTimeout(3, time.Second) }()
-	time.Sleep(time.Millisecond)
-	if _, ok := q.TryPop(); !ok {
-		t.Fatal("pop failed")
-	}
-	if !<-done {
-		t.Fatal("timed push failed despite space")
-	}
-}
-
-func TestSPSCPopTimeoutOnEmptyQueue(t *testing.T) {
-	q := NewSPSC[int](2)
-	t0 := time.Now()
-	if _, ok := q.PopTimeout(20 * time.Millisecond); ok {
-		t.Fatal("pop from empty queue succeeded")
-	}
-	if elapsed := time.Since(t0); elapsed < 15*time.Millisecond {
-		t.Fatalf("gave up after %v, want ~20ms", elapsed)
-	}
-	if _, ok := q.PopTimeout(0); ok {
-		t.Fatal("zero-timeout pop from empty queue succeeded")
-	}
-	// An element appearing lets a pending timed pop through.
-	done := make(chan bool, 1)
-	go func() {
-		v, ok := q.PopTimeout(time.Second)
-		done <- ok && v == 7
-	}()
-	time.Sleep(time.Millisecond)
-	q.TryPush(7)
-	if !<-done {
-		t.Fatal("timed pop missed the element")
-	}
-}
-
-func TestSPSCTimeoutVariantsRespectClose(t *testing.T) {
-	// PushTimeout on a closed queue fails fast.
-	q := NewSPSC[int](2)
-	q.TryPush(1)
-	q.TryPush(2)
-	q.Close()
-	t0 := time.Now()
-	if q.PushTimeout(3, time.Second) {
-		t.Fatal("push on closed queue succeeded")
-	}
-	if time.Since(t0) > 100*time.Millisecond {
-		t.Fatal("push on closed queue waited out the timeout")
-	}
-	// PopTimeout drains a closed queue, then fails fast.
-	if v, ok := q.PopTimeout(time.Second); !ok || v != 1 {
-		t.Fatalf("drain pop = %d,%v", v, ok)
-	}
-	if v, ok := q.PopTimeout(time.Second); !ok || v != 2 {
-		t.Fatalf("drain pop = %d,%v", v, ok)
-	}
-	t0 = time.Now()
-	if _, ok := q.PopTimeout(time.Second); ok {
-		t.Fatal("pop on drained closed queue succeeded")
-	}
-	if time.Since(t0) > 100*time.Millisecond {
-		t.Fatal("pop on closed empty queue waited out the timeout")
-	}
-}
-
 func TestSPSCOccupancy(t *testing.T) {
 	q := NewSPSC[int](4)
-	if l, c := q.Occupancy(); l != 0 || c != 4 {
+	if l, c := q.Len(), q.Cap(); l != 0 || c != 4 {
 		t.Fatalf("occupancy = %d/%d", l, c)
 	}
 	q.TryPush(1)
 	q.TryPush(2)
-	if l, c := q.Occupancy(); l != 2 || c != 4 {
+	if l, c := q.Len(), q.Cap(); l != 2 || c != 4 {
 		t.Fatalf("occupancy = %d/%d", l, c)
 	}
 }
@@ -212,9 +83,9 @@ func TestSPSCOccupancy(t *testing.T) {
 func TestRingOccupancy(t *testing.T) {
 	r := NewRing[int](3, 4)
 	r.Prime([]int{1, 2, 3})
-	occ := r.Occupancy()
-	if len(occ) != 3 {
-		t.Fatalf("occupancy entries = %d", len(occ))
+	occ := make([]int, r.Edges())
+	for i := range occ {
+		occ[i] = r.Out(i).Len()
 	}
 	// Prime fills chunk 0's input edge, which is the last edge.
 	if occ[2] != 3 || occ[0] != 0 || occ[1] != 0 {

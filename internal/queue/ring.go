@@ -45,17 +45,6 @@ func (r *Ring[T]) Prime(objs []T) {
 	}
 }
 
-// Occupancy returns a racy snapshot of every edge's buffered element
-// count, in edge order — the at-a-glance view of where tasks are piling
-// up (the edge into a slow chunk fills; the edges out of it starve).
-func (r *Ring[T]) Occupancy() []int {
-	out := make([]int, len(r.edges))
-	for i, e := range r.edges {
-		out[i] = e.Len()
-	}
-	return out
-}
-
 // Close closes every edge, releasing any blocked dispatcher.
 func (r *Ring[T]) Close() {
 	for _, e := range r.edges {

@@ -8,10 +8,7 @@
 // locks, matching the C++ implementation the paper describes.
 package queue
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // cacheLinePad separates the producer- and consumer-owned cursors so they
 // do not false-share a cache line under concurrent access.
@@ -85,9 +82,6 @@ func (q *SPSC[T]) TryPop() (T, bool) {
 // after Close reports false, and Pop returns ok=false once drained.
 func (q *SPSC[T]) Close() { q.closed.Store(true) }
 
-// Closed reports whether Close has been called.
-func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
-
 // Push spins (with backoff via Gosched) until v is enqueued or the queue
 // is closed; it reports whether the element was enqueued. This is the
 // blocking form used by dispatcher threads, which "yield until" progress
@@ -99,70 +93,6 @@ func (q *SPSC[T]) Push(v T) bool {
 		}
 		if q.TryPush(v) {
 			return true
-		}
-		yield()
-	}
-}
-
-// Occupancy returns the buffered element count and the capacity in one
-// call — the backpressure view a monitor polls to spot a slow consumer.
-// The length is a racy snapshot, like Len.
-func (q *SPSC[T]) Occupancy() (length, capacity int) {
-	return q.Len(), len(q.buf)
-}
-
-// PushTimeout behaves like Push but gives up after d: it reports false if
-// the queue stayed full (or was closed) for the whole timeout. A zero or
-// negative d degenerates to TryPush. Must only be called from the
-// producer goroutine.
-func (q *SPSC[T]) PushTimeout(v T, d time.Duration) bool {
-	if q.TryPush(v) {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	deadline := time.Now().Add(d)
-	for {
-		if q.closed.Load() {
-			return false
-		}
-		if q.TryPush(v) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		yield()
-	}
-}
-
-// PopTimeout behaves like Pop but gives up after d: it reports false if
-// the queue stayed empty for the whole timeout or is closed and drained.
-// A zero or negative d degenerates to TryPop. Must only be called from
-// the consumer goroutine.
-func (q *SPSC[T]) PopTimeout(d time.Duration) (T, bool) {
-	if v, ok := q.TryPop(); ok {
-		return v, true
-	}
-	var zero T
-	if d <= 0 {
-		return zero, false
-	}
-	deadline := time.Now().Add(d)
-	for {
-		if v, ok := q.TryPop(); ok {
-			return v, true
-		}
-		if q.closed.Load() {
-			// Re-check: a final element may have been pushed before Close.
-			if v, ok := q.TryPop(); ok {
-				return v, true
-			}
-			return zero, false
-		}
-		if time.Now().After(deadline) {
-			return zero, false
 		}
 		yield()
 	}

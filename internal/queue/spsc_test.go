@@ -238,7 +238,7 @@ func TestRingClose(t *testing.T) {
 	r := NewRing[int](3, 2)
 	r.Close()
 	for i := 0; i < 3; i++ {
-		if !r.Out(i).Closed() {
+		if !r.Out(i).closed.Load() {
 			t.Errorf("edge %d not closed", i)
 		}
 	}

@@ -84,11 +84,14 @@ func TestInjectedErrorTriggersDriftReplan(t *testing.T) {
 		t.Fatalf("ReplansFromDrift = %d, want >= 1 (stats %+v)", got, st)
 	}
 	// The learned correction must roughly undo the injected halving.
-	est := rt.OnlineProfiler()
+	adjust, _ := rt.OnlineProfiler().LearnedAdjust()
+	if adjust == nil {
+		t.Fatal("drift latched but no learned correction was recorded")
+	}
 	found := false
 	for _, stage := range s.App().Stages {
 		for i := range rt.Device().PUs {
-			if r, ok := est.LearnedRatio(stage.Name, rt.Device().PUs[i].Class); ok {
+			if r := adjust(stage.Name, rt.Device().PUs[i].Class, 1); r != 1 {
 				found = true
 				if r < 1.5 || r > 2.6 {
 					t.Errorf("learned ratio %s/%s = %.3f, want ~2 (undoing the 0.5x injection)",

@@ -338,13 +338,3 @@ func (o *Optimizer) Optimize(strategy Strategy, opts pipeline.Options) ([]Candid
 	}
 	return cands, tune, cands[tune.BestIndex], nil
 }
-
-// MeasureUniform executes the homogeneous baseline on a single class —
-// the all-GPU and all-big-CPU comparisons of Sec. 5.1.
-func MeasureUniform(app *core.Application, dev *soc.Device, pu core.PUClass, opts pipeline.Options) (float64, error) {
-	plan, err := pipeline.NewPlan(app, dev, core.NewUniformSchedule(len(app.Stages), pu))
-	if err != nil {
-		return 0, err
-	}
-	return pipeline.SimEngine{}.Run(context.Background(), plan, opts).PerTask, nil
-}

@@ -306,17 +306,16 @@ func TestBetterTogetherBeatsHomogeneousOnOctreePixel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _ := pipeline.NewPlan(o.App, o.Device, best.Schedule)
-	bt := pipeline.SimEngine{}.Run(context.Background(), plan, opts).PerTask
-
-	gpu, err := MeasureUniform(o.App, o.Device, core.ClassGPU, opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(s core.Schedule) float64 {
+		plan, err := pipeline.NewPlan(o.App, o.Device, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipeline.SimEngine{}.Run(context.Background(), plan, opts).PerTask
 	}
-	cpu, err := MeasureUniform(o.App, o.Device, core.ClassBig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bt := run(best.Schedule)
+	gpu := run(core.NewUniformSchedule(len(o.App.Stages), core.ClassGPU))
+	cpu := run(core.NewUniformSchedule(len(o.App.Stages), core.ClassBig))
 	if bt >= gpu {
 		t.Errorf("BT %.3gms !< GPU-only %.3gms", bt*1e3, gpu*1e3)
 	}

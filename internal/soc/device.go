@@ -90,17 +90,6 @@ func (d *Device) Classes() []core.PUClass {
 	return out
 }
 
-// CPUClasses returns only the CPU clusters, in catalog order.
-func (d *Device) CPUClasses() []core.PUClass {
-	var out []core.PUClass
-	for i := range d.PUs {
-		if d.PUs[i].Kind == core.KindCPU {
-			out = append(out, d.PUs[i].Class)
-		}
-	}
-	return out
-}
-
 // GPUClass returns the device's GPU class (all catalog devices have
 // exactly one GPU).
 func (d *Device) GPUClass() core.PUClass {

@@ -40,8 +40,8 @@ func (e Env) Clone() Env {
 // Add folds another load into the class's entry. Memory intensities sum
 // and saturate at 1: two co-runners on (or behind) the same class cannot
 // draw more than the class's full bandwidth, but together they pin it.
-// Both sides are clamped first, so Add (and Overlay, built on it) refuse
-// to propagate NaN or negative intensities into the environment.
+// Both sides are clamped first, so Add refuses to propagate NaN or
+// negative intensities into the environment.
 func (e Env) Add(class core.PUClass, l Load) {
 	cur := e[class]
 	cur.MemIntensity = clampIntensity(clampIntensity(cur.MemIntensity) + clampIntensity(l.MemIntensity))
@@ -90,8 +90,9 @@ func (d *Device) Dense(env Env) DenseEnv {
 // scratch environment, the caller folds its own loads in with
 // DenseEnv.Add, and Seal lists the busy classes in sorted order,
 // including base classes the device does not have. The result equals
-// Device.Dense of base.Overlay(loads) without building a map or sorting
-// per estimate. The returned DenseEnv is valid until the next Reset.
+// Device.Dense of a copy of base with the loads folded in by Env.Add,
+// without building a map or sorting per estimate. The returned DenseEnv
+// is valid until the next Reset.
 type EnvOverlay struct {
 	base, env DenseEnv
 	// classes is every class that can be busy, sorted: the device's
@@ -153,16 +154,6 @@ func (o *EnvOverlay) Seal() *DenseEnv {
 		}
 	}
 	return e
-}
-
-// Overlay returns a new Env combining e with other via Add. Either side
-// may be nil; the receiver is never mutated.
-func (e Env) Overlay(other Env) Env {
-	out := e.Clone()
-	for _, c := range other.BusyClasses() {
-		out.Add(c, other[c])
-	}
-	return out
 }
 
 // Signature renders the environment's quantization-bucket identity as a

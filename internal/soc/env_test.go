@@ -114,28 +114,30 @@ func TestEnvAddRefusesNaN(t *testing.T) {
 }
 
 func TestEnvOverlayRefusesNaN(t *testing.T) {
+	d := NewPixel7a()
+	big, gpu := d.puIndex(core.ClassBig), d.puIndex(core.ClassGPU)
 	base := Env{core.ClassBig: {MemIntensity: 0.4}}
-	out := base.Overlay(Env{
-		core.ClassBig: {MemIntensity: math.NaN()},
-		core.ClassGPU: {MemIntensity: math.NaN()},
-	})
-	for c, l := range out {
-		if math.IsNaN(l.MemIntensity) {
-			t.Fatalf("Overlay propagated NaN on class %s", c)
+	o := d.NewEnvOverlay(base)
+	e := o.Reset()
+	e.Add(big, Load{MemIntensity: math.NaN()})
+	e.Add(gpu, Load{MemIntensity: math.NaN()})
+	out := o.Seal()
+	for k, l := range out.Load {
+		if math.IsNaN(l) {
+			t.Fatalf("overlay propagated NaN on %s", d.PUs[k].Class)
 		}
 	}
-	if got := out[core.ClassBig].MemIntensity; math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("Overlay(NaN) moved big to %v, want 0.4", got)
+	if got := out.Load[big]; math.Abs(got-0.4) > 1e-12 {
+		t.Fatalf("overlay(NaN) moved big to %v, want 0.4", got)
 	}
-	// Receiver is never mutated, either side may be nil.
+	// The base is never mutated, and a nil base overlays cleanly.
 	if got := base[core.ClassBig].MemIntensity; got != 0.4 {
-		t.Fatalf("Overlay mutated receiver: %v", got)
+		t.Fatalf("overlay mutated its base: %v", got)
 	}
-	if out := Env(nil).Overlay(base); math.Abs(out[core.ClassBig].MemIntensity-0.4) > 1e-12 {
-		t.Fatalf("nil.Overlay lost load: %v", out)
-	}
-	if out := base.Overlay(nil); math.Abs(out[core.ClassBig].MemIntensity-0.4) > 1e-12 {
-		t.Fatalf("Overlay(nil) lost load: %v", out)
+	o = d.NewEnvOverlay(nil)
+	o.Reset().Add(big, Load{MemIntensity: 0.4})
+	if out := o.Seal(); math.Abs(out.Load[big]-0.4) > 1e-12 || !slices.Equal(out.Busy, []core.PUClass{core.ClassBig}) {
+		t.Fatalf("nil-base overlay = %+v, want big at 0.4", *out)
 	}
 }
 
@@ -181,7 +183,7 @@ func TestEnvSignature(t *testing.T) {
 }
 
 // TestEnvOverlayMatchesDenseOverlay checks the in-place overlay against
-// Dense over Env.Overlay's map, over random bases (own, foreign and
+// Dense over overlay's map, over random bases (own, foreign and
 // poisoned intensities) and random added loads, reusing one overlay per
 // base so every Reset must clear the previous environment.
 func TestEnvOverlayMatchesDenseOverlay(t *testing.T) {
@@ -217,7 +219,7 @@ func TestEnvOverlayMatchesDenseOverlay(t *testing.T) {
 						e.Add(k, l)
 					}
 				}
-				got, want := o.Seal(), d.Dense(base.Overlay(extra))
+				got, want := o.Seal(), d.Dense(overlay(base, extra))
 				if !slices.Equal(got.Busy, want.Busy) || !slices.Equal(got.Present, want.Present) ||
 					!slices.EqualFunc(got.Load, want.Load, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 					t.Fatalf("%s trial %d: overlay %+v, want %+v (base %v, extra %v)", d.Name, trial, *got, want, base, extra)
@@ -225,4 +227,15 @@ func TestEnvOverlayMatchesDenseOverlay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// overlay returns a new Env combining e with other via Add, the map
+// reference the in-place EnvOverlay is checked against. Either side may
+// be nil; e is never mutated.
+func overlay(e, other Env) Env {
+	out := e.Clone()
+	for _, c := range other.BusyClasses() {
+		out.Add(c, other[c])
+	}
+	return out
 }

@@ -41,7 +41,7 @@ func TestCatalogValid(t *testing.T) {
 		if d.GPUClass() == "" {
 			t.Errorf("%s: no GPU class", d.Name)
 		}
-		if len(d.CPUClasses()) == 0 {
+		if len(cpuClasses(d)) == 0 {
 			t.Errorf("%s: no CPU classes", d.Name)
 		}
 	}
@@ -88,7 +88,7 @@ func TestPixelClassStructure(t *testing.T) {
 	// Affinity map: 2 big + 2 medium + 4 little = 8 cores, all distinct.
 	seen := map[int]bool{}
 	total := 0
-	for _, c := range d.CPUClasses() {
+	for _, c := range cpuClasses(d) {
 		for _, id := range d.PU(c).CoreIDs {
 			if seen[id] {
 				t.Errorf("core ID %d in two clusters", id)
@@ -107,7 +107,7 @@ func TestOnePlusPartialAffinity(t *testing.T) {
 	// cluster is absent from the schedulable classes.
 	d := NewOnePlus11()
 	total := 0
-	for _, c := range d.CPUClasses() {
+	for _, c := range cpuClasses(d) {
 		total += len(d.PU(c).CoreIDs)
 	}
 	if total != 6 {
@@ -498,4 +498,15 @@ func TestMoreInterferersNeverSpeedUpJetson(t *testing.T) {
 	if one < iso {
 		t.Errorf("one interferer sped up the Jetson CPU: %v < %v", one, iso)
 	}
+}
+
+// cpuClasses returns d's CPU clusters, in catalog order.
+func cpuClasses(d *Device) []core.PUClass {
+	var out []core.PUClass
+	for i := range d.PUs {
+		if d.PUs[i].Kind == core.KindCPU {
+			out = append(out, d.PUs[i].Class)
+		}
+	}
+	return out
 }

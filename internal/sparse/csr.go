@@ -35,14 +35,6 @@ func NewCSR(rows, cols int) *CSR {
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// Density returns NNZ / (Rows*Cols).
-func (m *CSR) Density() float64 {
-	if m.Rows == 0 || m.Cols == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / (float64(m.Rows) * float64(m.Cols))
-}
-
 // Validate checks the CSR structural invariants: monotone row pointers,
 // in-bounds and strictly increasing column indices per row.
 func (m *CSR) Validate() error {
@@ -76,44 +68,6 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-// FromDense converts a row-major dense matrix to CSR, dropping exact
-// zeros.
-func FromDense(dense []float32, rows, cols int) *CSR {
-	if len(dense) != rows*cols {
-		panic(fmt.Sprintf("sparse: dense size %d != %d*%d", len(dense), rows, cols))
-	}
-	nnz := 0
-	for _, v := range dense {
-		if v != 0 {
-			nnz++
-		}
-	}
-	m := NewCSR(rows, cols)
-	m.Col = make([]int32, 0, nnz)
-	m.Val = make([]float32, 0, nnz)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if v := dense[i*cols+j]; v != 0 {
-				m.Col = append(m.Col, int32(j))
-				m.Val = append(m.Val, v)
-			}
-		}
-		m.RowPtr[i+1] = int32(len(m.Val))
-	}
-	return m
-}
-
-// ToDense expands the matrix to a row-major dense slice.
-func (m *CSR) ToDense() []float32 {
-	out := make([]float32, m.Rows*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			out[i*m.Cols+int(m.Col[p])] = m.Val[p]
-		}
-	}
-	return out
-}
-
 // At returns element (i, j) via binary search over row i's columns.
 func (m *CSR) At(i, j int) float32 {
 	lo, hi := int(m.RowPtr[i]), int(m.RowPtr[i+1])
@@ -125,32 +79,12 @@ func (m *CSR) At(i, j int) float32 {
 	return 0
 }
 
-// SpMV computes dst = m × x for a dense vector x of length Cols.
-func (m *CSR) SpMV(dst, x []float32) {
-	m.SpMVRange(dst, x, 0, m.Rows)
-}
-
-// SpMVRange computes rows [rLo, rHi) of dst = m × x. The row split is the
-// unit of parallelism for worker pools; rows have uneven nonzero counts,
-// which is exactly the load imbalance that hurts lockstep GPU execution.
-func (m *CSR) SpMVRange(dst, x []float32, rLo, rHi int) {
-	for i := rLo; i < rHi; i++ {
-		var acc float32
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			acc += m.Val[p] * x[m.Col[p]]
-		}
-		dst[i] = acc
-	}
-}
-
-// SpMM computes C = m × B where B is dense k×n row-major (k = m.Cols) and
-// C is dense Rows×n row-major. This is the sparse-weights × im2col-columns
-// product that implements sparse convolution.
-func (m *CSR) SpMM(c, b []float32, n int) {
-	m.SpMMRange(c, b, n, 0, m.Rows)
-}
-
-// SpMMRange computes output rows [rLo, rHi) of C = m × B.
+// SpMMRange computes output rows [rLo, rHi) of C = m × B, where B is
+// dense k×n row-major (k = m.Cols) and C is dense Rows×n row-major. This
+// is the sparse-weights × im2col-columns product that implements sparse
+// convolution. The row split is the unit of parallelism for worker
+// pools; rows have uneven nonzero counts, the load imbalance that hurts
+// lockstep GPU execution.
 func (m *CSR) SpMMRange(c, b []float32, n int, rLo, rHi int) {
 	for i := rLo; i < rHi; i++ {
 		ci := c[i*n : (i+1)*n]
@@ -167,25 +101,6 @@ func (m *CSR) SpMMRange(c, b []float32, n int, rLo, rHi int) {
 	}
 }
 
-// RowNNZ returns the nonzero count of row i.
-func (m *CSR) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
-
-// Imbalance returns max-row-nnz / mean-row-nnz, a measure of the load
-// imbalance a lockstep execution of one row per lane would suffer.
-func (m *CSR) Imbalance() float64 {
-	if m.Rows == 0 || m.NNZ() == 0 {
-		return 1
-	}
-	maxN := 0
-	for i := 0; i < m.Rows; i++ {
-		if n := m.RowNNZ(i); n > maxN {
-			maxN = n
-		}
-	}
-	mean := float64(m.NNZ()) / float64(m.Rows)
-	return float64(maxN) / mean
-}
-
 // PruneCSR builds a rows×cols CSR matrix of per-row magnitude-pruned
 // weights (the "structured" pruning shape Condensa applies to conv
 // layers, which keeps rows non-empty and bounds imbalance) without ever
@@ -197,7 +112,7 @@ func (m *CSR) Imbalance() float64 {
 // (|w|, column): equal magnitudes — ±x pairs, ±0 — lose the lower
 // column first. NaN ranks above ±Inf, so a NaN weight is never pruned
 // while its row holds at least that many non-NaN weights. Surviving
-// exact zeros are not stored, as in FromDense.
+// exact zeros are not stored.
 func PruneCSR(rows, cols int, sparsity float64, fill func(row []float32)) *CSR {
 	if sparsity < 0 || sparsity >= 1 {
 		panic(fmt.Sprintf("sparse: sparsity %v out of [0,1)", sparsity))

@@ -1,11 +1,42 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// fromDense converts a row-major dense matrix to CSR, dropping exact
+// zeros: the dense-side reference for the CSR kernels and pruning.
+func fromDense(dense []float32, rows, cols int) *CSR {
+	if len(dense) != rows*cols {
+		panic(fmt.Sprintf("sparse: dense size %d != %d*%d", len(dense), rows, cols))
+	}
+	m := NewCSR(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if v := dense[i*cols+j]; v != 0 {
+				m.Col = append(m.Col, int32(j))
+				m.Val = append(m.Val, v)
+			}
+		}
+		m.RowPtr[i+1] = int32(len(m.Val))
+	}
+	return m
+}
+
+// toDense expands m to a row-major dense slice.
+func toDense(m *CSR) []float32 {
+	out := make([]float32, m.Rows*m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			out[i*m.Cols+int(m.Col[p])] = m.Val[p]
+		}
+	}
+	return out
+}
 
 func randomDense(rng *rand.Rand, rows, cols int, density float64) []float32 {
 	d := make([]float32, rows*cols)
@@ -22,11 +53,11 @@ func TestFromDenseToDenseRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 1+rng.Intn(10), 1+rng.Intn(10)
 		dense := randomDense(rng, rows, cols, 0.4)
-		m := FromDense(dense, rows, cols)
+		m := fromDense(dense, rows, cols)
 		if err := m.Validate(); err != nil {
 			return false
 		}
-		back := m.ToDense()
+		back := toDense(m)
 		for i := range dense {
 			if dense[i] != back[i] {
 				return false
@@ -45,11 +76,11 @@ func TestFromDensePanicsOnSizeMismatch(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	FromDense([]float32{1, 2, 3}, 2, 2)
+	fromDense([]float32{1, 2, 3}, 2, 2)
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	m := FromDense([]float32{1, 0, 0, 2}, 2, 2)
+	m := fromDense([]float32{1, 0, 0, 2}, 2, 2)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
 	}
@@ -61,14 +92,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		func(m *CSR) { m.RowPtr[1] = 2; m.RowPtr[2] = 1 }, // negative extent
 	}
 	for i, corrupt := range cases {
-		c := FromDense([]float32{1, 3, 0, 2}, 2, 2)
+		c := fromDense([]float32{1, 3, 0, 2}, 2, 2)
 		corrupt(c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: corruption not detected", i)
 		}
 	}
 	// Non-increasing columns within a row.
-	dup := FromDense([]float32{1, 3, 0, 2}, 2, 2)
+	dup := fromDense([]float32{1, 3, 0, 2}, 2, 2)
 	dup.Col[1] = dup.Col[0]
 	if err := dup.Validate(); err == nil {
 		t.Error("duplicate column not detected")
@@ -77,7 +108,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestAt(t *testing.T) {
 	dense := []float32{0, 5, 0, 7, 0, 9}
-	m := FromDense(dense, 2, 3)
+	m := fromDense(dense, 2, 3)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			if got, want := m.At(i, j), dense[i*3+j]; got != want {
@@ -87,6 +118,9 @@ func TestAt(t *testing.T) {
 	}
 }
 
+// TestSpMVMatchesDense checks sparse matrix × dense vector against the
+// dense product; a vector is a one-column B, so SpMMRange with n = 1 is
+// SpMV.
 func TestSpMVMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,9 +130,9 @@ func TestSpMVMatchesDense(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float32()
 		}
-		m := FromDense(dense, rows, cols)
+		m := fromDense(dense, rows, cols)
 		got := make([]float32, rows)
-		m.SpMV(got, x)
+		m.SpMMRange(got, x, 1, 0, rows)
 		for i := 0; i < rows; i++ {
 			var want float32
 			for j := 0; j < cols; j++ {
@@ -115,6 +149,8 @@ func TestSpMVMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSpMVRangePartition checks that row bands computed separately equal
+// one full pass, the invariant the worker-pool split relies on.
 func TestSpMVRangePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const rows, cols = 17, 13
@@ -123,12 +159,12 @@ func TestSpMVRangePartition(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float32()
 	}
-	m := FromDense(dense, rows, cols)
+	m := fromDense(dense, rows, cols)
 	full := make([]float32, rows)
-	m.SpMV(full, x)
+	m.SpMMRange(full, x, 1, 0, rows)
 	split := make([]float32, rows)
-	m.SpMVRange(split, x, 0, 6)
-	m.SpMVRange(split, x, 6, 17)
+	m.SpMMRange(split, x, 1, 0, 6)
+	m.SpMMRange(split, x, 1, 6, 17)
 	for i := range full {
 		if full[i] != split[i] {
 			t.Fatalf("partitioned SpMV differs at row %d", i)
@@ -144,9 +180,9 @@ func TestSpMMMatchesDenseGemm(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	m := FromDense(denseA, rows, k)
+	m := fromDense(denseA, rows, k)
 	got := make([]float32, rows*n)
-	m.SpMM(got, b, n)
+	m.SpMMRange(got, b, n, 0, rows)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < n; j++ {
 			var want float32
@@ -154,7 +190,7 @@ func TestSpMMMatchesDenseGemm(t *testing.T) {
 				want += denseA[i*k+p] * b[p*n+j]
 			}
 			if math.Abs(float64(got[i*n+j]-want)) > 1e-4 {
-				t.Fatalf("SpMM(%d,%d) = %v, want %v", i, j, got[i*n+j], want)
+				t.Fatalf("SpMMRange(%d,%d) = %v, want %v", i, j, got[i*n+j], want)
 			}
 		}
 	}
@@ -162,12 +198,12 @@ func TestSpMMMatchesDenseGemm(t *testing.T) {
 
 func TestSpMMRangeOverwrites(t *testing.T) {
 	// SpMMRange must overwrite its band of C, not accumulate.
-	m := FromDense([]float32{2}, 1, 1)
+	m := fromDense([]float32{2}, 1, 1)
 	b := []float32{3}
 	c := []float32{100}
 	m.SpMMRange(c, b, 1, 0, 1)
 	if c[0] != 6 {
-		t.Errorf("SpMM did not overwrite: %v", c[0])
+		t.Errorf("SpMMRange did not overwrite: %v", c[0])
 	}
 }
 
@@ -180,19 +216,19 @@ func TestPruneSparsityLevel(t *testing.T) {
 	}
 	m := pruneDense(dense, rows, cols, 0.8)
 	// Per-row pruning drops floor(0.8*40)=32 of 40 → density 0.2 exactly.
-	if d := m.Density(); math.Abs(d-0.2) > 1e-9 {
+	if d := float64(m.NNZ()) / (rows * cols); math.Abs(d-0.2) > 1e-9 {
 		t.Errorf("density after 80%% pruning = %v, want 0.2", d)
 	}
 	for i := 0; i < rows; i++ {
-		if m.RowNNZ(i) != 8 {
-			t.Errorf("row %d nnz = %d, want 8 (structured pruning keeps rows balanced)", i, m.RowNNZ(i))
+		if n := m.RowPtr[i+1] - m.RowPtr[i]; n != 8 {
+			t.Errorf("row %d nnz = %d, want 8 (structured pruning keeps rows balanced)", i, n)
 		}
 	}
 }
 
 func TestPruneKeepsLargestMagnitudes(t *testing.T) {
-	dense := []float32{0.1, -5, 0.2, 4}           // one row
-	got := pruneDense(dense, 1, 4, 0.5).ToDense() // drop 2 smallest |w|
+	dense := []float32{0.1, -5, 0.2, 4}          // one row
+	got := toDense(pruneDense(dense, 1, 4, 0.5)) // drop 2 smallest |w|
 	want := []float32{0, -5, 0, 4}
 	for i := range want {
 		if got[i] != want[i] {
@@ -203,7 +239,7 @@ func TestPruneKeepsLargestMagnitudes(t *testing.T) {
 
 func TestPruneZeroSparsityIsIdentity(t *testing.T) {
 	dense := []float32{1, 0, 3, -4}
-	if err := sameCSR(pruneDense(dense, 2, 2, 0), FromDense(dense, 2, 2)); err != nil {
+	if err := sameCSR(pruneDense(dense, 2, 2, 0), fromDense(dense, 2, 2)); err != nil {
 		t.Fatalf("zero sparsity must keep every nonzero: %v", err)
 	}
 }
@@ -218,43 +254,5 @@ func TestPrunePanicsOnBadSparsity(t *testing.T) {
 			}()
 			pruneDense([]float32{1}, 1, 1, s)
 		}()
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	// Row 0 has 3 nnz, row 1 has 1 → mean 2, max 3 → imbalance 1.5.
-	m := FromDense([]float32{1, 2, 3, 0, 0, 4}, 2, 3)
-	if got := m.Imbalance(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("Imbalance = %v, want 1.5", got)
-	}
-	empty := NewCSR(3, 3)
-	if empty.Imbalance() != 1 {
-		t.Error("empty matrix imbalance should be 1")
-	}
-}
-
-func TestDensityEdgeCases(t *testing.T) {
-	if NewCSR(0, 0).Density() != 0 {
-		t.Error("0x0 density should be 0")
-	}
-	m := FromDense([]float32{1, 0, 0, 0}, 2, 2)
-	if m.Density() != 0.25 {
-		t.Errorf("density = %v, want 0.25", m.Density())
-	}
-}
-
-func BenchmarkSpMV(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const rows, cols = 256, 1024
-	dense := randomDense(rng, rows, cols, 0.2)
-	m := FromDense(dense, rows, cols)
-	x := make([]float32, cols)
-	for i := range x {
-		x[i] = rng.Float32()
-	}
-	dst := make([]float32, rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SpMV(dst, x)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // referencePrune is the original sort-based per-row magnitude pruning,
-// kept as the oracle PruneCSR must match bit for bit through FromDense:
+// kept as the oracle PruneCSR must match bit for bit through fromDense:
 // a full sort of each row's column indices by (|w|, column), zeroing the
 // first drop.
 func referencePrune(dense []float32, rows, cols int, sparsity float64) []float32 {
@@ -66,7 +66,7 @@ func tieHeavyDense(rng *rand.Rand, rows, cols int) []float32 {
 	return d
 }
 
-// oraclePrune is FromDense(referencePrune(...)), extended to NaN weights
+// oraclePrune is fromDense(referencePrune(...)), extended to NaN weights
 // by the contract that NaN ranks above every magnitude. The reference's
 // comparator is no strict weak order once a NaN is present, so a row
 // with NaNs runs the reference over its non-NaN weights alone, with the
@@ -75,7 +75,7 @@ func tieHeavyDense(rng *rand.Rand, rows, cols int) []float32 {
 func oraclePrune(dense []float32, rows, cols int, sparsity float64) *CSR {
 	isNaN := func(w float32) bool { return w != w }
 	if !slices.ContainsFunc(dense, isNaN) {
-		return FromDense(referencePrune(dense, rows, cols, sparsity), rows, cols)
+		return fromDense(referencePrune(dense, rows, cols, sparsity), rows, cols)
 	}
 	drop := int(math.Floor(sparsity * float64(cols)))
 	out := slices.Clone(dense)
@@ -110,7 +110,7 @@ func oraclePrune(dense []float32, rows, cols int, sparsity float64) *CSR {
 			row[j] = 0
 		}
 	}
-	return FromDense(out, rows, cols)
+	return fromDense(out, rows, cols)
 }
 
 // pruneDense runs PruneCSR over a dense row-major matrix.
@@ -193,7 +193,7 @@ func TestPruneMatchesSortReference(t *testing.T) {
 					dense = tieHeavyDense(rng, rows, cols)
 				}
 				got := pruneDense(dense, rows, cols, sp)
-				want := FromDense(referencePrune(dense, rows, cols, sp), rows, cols)
+				want := fromDense(referencePrune(dense, rows, cols, sp), rows, cols)
 				if err := sameCSR(got, want); err != nil {
 					t.Fatalf("cols %d sparsity %v trial %d: %v", cols, sp, trial, err)
 				}
@@ -215,7 +215,7 @@ func TestPruneKeepsNaN(t *testing.T) {
 	}
 	dense[3] = nan
 	dense[cols+150] = negNaN
-	out := pruneDense(dense, 2, cols, 0.99).ToDense()
+	out := toDense(pruneDense(dense, 2, cols, 0.99))
 	if !math.IsNaN(float64(out[3])) || !math.IsNaN(float64(out[cols+150])) {
 		t.Fatalf("NaN pruned: row 0 col 3 = %v, row 1 col 150 = %v", out[3], out[cols+150])
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout
-// BetterTogether: central-tendency summaries for profiling measurements,
-// geometric means for speedup aggregation, and Pearson correlation for
+// BetterTogether: arithmetic means for profiling measurements, geometric
+// means for speedup aggregation, and Pearson correlation for
 // model-accuracy evaluation (Sec. 5.2 of the paper).
 //
 // All functions operate on float64 slices and are deliberately
@@ -10,12 +10,7 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
-
-// ErrEmpty is returned (or causes NaN) when a summary is requested over an
-// empty sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Mean returns the arithmetic mean of xs, or NaN if xs is empty.
 func Mean(xs []float64) float64 {
@@ -46,65 +41,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Variance returns the unbiased (n-1) sample variance of xs.
-// It returns 0 for samples of size < 2.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the minimum of xs, or +Inf if xs is empty.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf if xs is empty.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs without modifying it,
-// or NaN if xs is empty.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient
 // between xs and ys. The paper (Sec. 5.2) uses this to compare predicted
 // and measured schedule latencies: values near 1.0 mean the performance
@@ -132,75 +68,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, errors.New("stats: Pearson undefined for zero-variance sample")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation between xs and ys.
-// It is used as a robustness check alongside Pearson when evaluating
-// model accuracy: autotuning (Sec. 3.3, optimization three) only needs
-// the model to *rank* schedules correctly.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: Spearman requires equal-length samples")
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the fractional ranks of xs (average rank for ties),
-// 1-based, as float64s.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank over the tie group [i, j].
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// Summary holds descriptive statistics for a measurement sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample so callers distinguish "no data" from a degenerate measurement.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-	}, nil
-}
-
-// CV returns the coefficient of variation (stddev/mean) of the summary,
-// used by the profiler to flag noisy measurements.
-func (s Summary) CV() float64 {
-	if s.Mean == 0 {
-		return math.NaN()
-	}
-	return s.StdDev / s.Mean
 }

@@ -70,40 +70,6 @@ func TestGeoMeanLEArithMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Known sample variance (n-1) of this classic set is 32/7.
-	if got, want := Variance(xs), 32.0/7.0; !almostEqual(got, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Error("Variance of singleton should be 0")
-	}
-}
-
-func TestMinMaxMedian(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if Min(xs) != 1 || Max(xs) != 5 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("Median odd = %v, want 3", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", got)
-	}
-	// Median must not mutate its argument.
-	if xs[0] != 3 {
-		t.Error("Median mutated input")
-	}
-	if !math.IsNaN(Median(nil)) {
-		t.Error("Median(nil) should be NaN")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -162,56 +128,6 @@ func TestPearsonInvariantToAffineTransform(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRanks(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly monotone transform gives Spearman rho = 1.
-	xs := []float64{1, 5, 3, 9, 7}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x) // monotone but nonlinear
-	}
-	rho, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rho, 1, 1e-12) {
-		t.Errorf("Spearman of monotone transform = %v, want 1", rho)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 || s.Median != 2 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestSummaryCV(t *testing.T) {
-	s, _ := Summarize([]float64{10, 10, 10})
-	if s.CV() != 0 {
-		t.Errorf("CV of constant sample = %v, want 0", s.CV())
-	}
-	z := Summary{Mean: 0, StdDev: 1}
-	if !math.IsNaN(z.CV()) {
-		t.Error("CV with zero mean should be NaN")
 	}
 }
 

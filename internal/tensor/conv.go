@@ -123,23 +123,3 @@ func Im2Col(spec ConvSpec, src, cols *Tensor) {
 		}
 	}
 }
-
-// Conv2DIm2Col computes the same result as Conv2D via im2col + GEMM,
-// the formulation GPUs favor for dense convolution. cols is scratch of
-// shape [InC*K*K, OH*OW]; it is overwritten.
-func Conv2DIm2Col(spec ConvSpec, dst, src, w, cols *Tensor, b []float32) {
-	Im2Col(spec, src, cols)
-	m := spec.OutC
-	kk := spec.InC * spec.Kernel * spec.Kernel
-	n := spec.OutH() * spec.OutW()
-	Gemm(dst.Data, w.Data, cols.Data, m, n, kk)
-	if b != nil {
-		for oc := 0; oc < m; oc++ {
-			base := oc * n
-			bias := b[oc]
-			for i := 0; i < n; i++ {
-				dst.Data[base+i] += bias
-			}
-		}
-	}
-}

@@ -1,29 +1,5 @@
 package tensor
 
-// Gemm computes C = A × B for row-major dense matrices:
-// A is m×k, B is k×n, C is m×n. C is overwritten.
-// The k-inner loop is ordered for sequential access on both A and B rows
-// (ikj loop order), the standard cache-friendly formulation.
-func Gemm(c, a, b []float32, m, n, k int) {
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				ci[j] += av * bp[j]
-			}
-		}
-	}
-}
-
 // PoolSpec describes 2-D max pooling over CHW data.
 type PoolSpec struct {
 	C, H, W int
@@ -98,19 +74,4 @@ func LinearRange(dst, src, w, b []float32, in, oLo, oHi int) {
 		}
 		dst[o] = acc
 	}
-}
-
-// Argmax returns the index of the largest element of xs (first on ties),
-// or -1 for an empty slice; used for classification outputs.
-func Argmax(xs []float32) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best, bi := xs[0], 0
-	for i, x := range xs[1:] {
-		if x > best {
-			best, bi = x, i+1
-		}
-	}
-	return bi
 }

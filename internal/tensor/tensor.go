@@ -1,7 +1,7 @@
 // Package tensor is the dense linear-algebra substrate for the AlexNet
 // workloads (paper Sec. 4.1). It provides float32 tensors and the CNN
-// primitives the nine pipeline stages need: 2-D convolution, max-pooling,
-// ReLU, fully-connected layers, and GEMM.
+// primitives the nine pipeline stages need: 2-D convolution, im2col,
+// max-pooling, ReLU and fully-connected layers.
 //
 // Every compute primitive has a Range variant that operates on a
 // half-open slice of its outermost parallel dimension. Kernel wrappers in
@@ -51,15 +51,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: s, Data: data}
 }
 
-// Shape returns the tensor's dimensions. Callers must not mutate it.
-func (t *Tensor) Shape() []int { return t.shape }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
-
 // Len returns the total element count.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -68,13 +59,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// Zero resets all elements to 0 in place.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
 }
 
 // At returns the element at the given multi-index. Intended for tests and
@@ -96,19 +80,6 @@ func (t *Tensor) offset(idx []int) int {
 		off = off*t.shape[i] + x
 	}
 	return off
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FillRandom fills the tensor with uniform values in [-scale, scale) from
