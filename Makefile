@@ -32,9 +32,10 @@ race:
 
 # determinism runs every test that claims a run-to-run identical result
 # 20 times, so a nondeterministic replay fails here rather than on a
-# later, unlucky run.
+# later, unlucky run. TestCacheChurnStress is here too: its per-round
+# cache hits must not depend on session timing.
 determinism:
-	$(GO) test -count=20 -run 'Determin|Drift|Identical' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/... ./internal/sched/... ./internal/profiler/...
+	$(GO) test -count=20 -run 'Determin|Drift|Identical|CacheChurnStress' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/... ./internal/sched/... ./internal/profiler/...
 
 bench:
 	$(GO) test -bench=. -benchmem .

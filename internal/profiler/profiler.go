@@ -138,12 +138,23 @@ type Tables struct {
 	Heavy    *core.ProfileTable
 }
 
-// ProfileBoth runs both modes with correlated seeds.
+// ProfileBoth runs both modes with correlated seeds: the isolated table
+// from cfg.Seed and the heavy one from Heavy.
 func ProfileBoth(app *core.Application, dev *soc.Device, cfg Config) Tables {
 	return Tables{
 		Isolated: Profile(app, dev, core.Isolated, cfg),
-		Heavy:    Profile(app, dev, core.InterferenceHeavy, Config{Reps: cfg.Reps, Seed: cfg.Seed + 1, BaseEnv: cfg.BaseEnv, Adjust: cfg.Adjust}),
+		Heavy:    Heavy(app, dev, cfg),
 	}
+}
+
+// Heavy profiles the interference-heavy table alone, from cfg.Seed+1, so
+// it equals ProfileBoth(app, dev, cfg).Heavy bit for bit. The
+// BetterTogether strategy's candidates and autotuning read no other
+// table, so a planner that uses only that strategy (the runtime) skips
+// the isolated run.
+func Heavy(app *core.Application, dev *soc.Device, cfg Config) *core.ProfileTable {
+	cfg.Seed++
+	return Profile(app, dev, core.InterferenceHeavy, cfg)
 }
 
 // InterferenceRatios returns, per PU class, the mean over stages of

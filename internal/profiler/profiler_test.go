@@ -1,11 +1,14 @@
 package profiler
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"bettertogether/internal/apps/alexnet"
 	"bettertogether/internal/apps/octree"
+	"bettertogether/internal/apps/vision"
 	"bettertogether/internal/core"
 	"bettertogether/internal/soc"
 )
@@ -272,4 +275,59 @@ func TestComposeChainsLeftToRight(t *testing.T) {
 	if got := Compose(nil, addOne, nil)("s", core.ClassGPU, 1); got != 2 {
 		t.Fatalf("Compose skipping nils = %v, want 2", got)
 	}
+}
+
+// equivalenceGrid is every device × app × seed × BaseEnv × Adjust case
+// the Heavy and heavy-only planning checks run: a nil, a sparse and a
+// full random environment, with and without a pure adjustment.
+func equivalenceGrid(t *testing.T, each func(label string, app *core.Application, dev *soc.Device, cfg Config)) {
+	t.Helper()
+	vis, err := vision.NewApplication(64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := []*core.Application{octree.NewApplication(2048, octree.UniformGen{}), alexnet.NewSparse(1, 1), vis}
+	scale := func(stage string, pu core.PUClass, seconds float64) float64 {
+		return seconds * (1 + float64(len(stage)%5)/8 + float64(len(pu))/64)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, dev := range soc.Catalog() {
+		for _, app := range apps {
+			for _, seed := range []int64{0, 1, -7, 88} {
+				for e := range 3 {
+					var env soc.Env
+					if e > 0 {
+						env = soc.Env{}
+						for _, c := range dev.Classes() {
+							if e == 2 || rng.Intn(2) == 0 {
+								env[c] = soc.Load{MemIntensity: rng.Float64()}
+							}
+						}
+					}
+					for _, adjust := range []Adjust{nil, scale} {
+						label := fmt.Sprintf("%s/%s seed=%d env=%d adjust=%v", dev.Name, app.Name, seed, e, adjust != nil)
+						each(label, app, dev, Config{Reps: 4, Seed: seed, BaseEnv: env, Adjust: adjust})
+					}
+				}
+			}
+		}
+	}
+}
+
+// Heavy is ProfileBoth's heavy table, bit for bit: the runtime profiles
+// only this table when it plans.
+func TestHeavyMatchesProfileBoth(t *testing.T) {
+	equivalenceGrid(t, func(label string, app *core.Application, dev *soc.Device, cfg Config) {
+		got, want := Heavy(app, dev, cfg), ProfileBoth(app, dev, cfg).Heavy
+		if got.Mode != want.Mode || got.App != want.App || got.Device != want.Device {
+			t.Fatalf("%s: metadata %s/%s/%v, want %s/%s/%v", label, got.App, got.Device, got.Mode, want.App, want.Device, want.Mode)
+		}
+		for i := range want.Latency {
+			for j := range want.Latency[i] {
+				if math.Float64bits(got.Latency[i][j]) != math.Float64bits(want.Latency[i][j]) {
+					t.Fatalf("%s: cell (%d,%d) = %v, ProfileBoth %v", label, i, j, got.Latency[i][j], want.Latency[i][j])
+				}
+			}
+		}
+	})
 }

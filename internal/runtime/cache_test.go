@@ -205,10 +205,20 @@ func TestReplanDeltaSkipsSolves(t *testing.T) {
 
 // TestCacheChurnStress is the churn-heavy -race scenario: repeated
 // admit/exit rounds over a shared cache, asserting the cache invariants
-// (counter consistency, capacity bound) and goroutine cleanliness
-// afterwards. Each round admits held and starts its sessions after its
-// last Admit, so the admissions' keys recur round to round whatever the
-// wall time between two Admits; exits then churn the cache concurrently.
+// (counter consistency, capacity bound), cache hits in every round, and
+// goroutine cleanliness afterwards. Each round admits held and starts
+// its sessions after its last Admit, so the admissions' keys recur round
+// to round whatever the wall time between two Admits; exits then churn
+// the cache concurrently.
+//
+// Whether a round hits depends on which slot departs first, not on
+// timing: a round stores 9 keys in the 8-entry cache, and only when slot
+// 2 departs before slot 0 do the survivors' departure re-plans look up
+// keys the round's admissions already stored (slot 0 planned beside slot
+// 1 alone, and slot 1 beside slot 0 alone). Slots 1 and 2 therefore run
+// concurrently, and slot 0 starts once slot 2 has departed, concurrently
+// with slot 1 if it still runs. Every departure order left has a hit in
+// every round; the orders that depart slot 0 first have none in any.
 func TestCacheChurnStress(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	cache := schedcache.New(8, schedcache.DefaultBucket) // small: force evictions
@@ -237,17 +247,24 @@ func TestCacheChurnStress(t *testing.T) {
 			}
 			sessions = append(sessions, s)
 		}
-		for _, s := range sessions {
-			s.Start()
-		}
-		for _, s := range sessions {
+		hits := cache.Stats().Hits
+		wait := func(s *Session) {
 			if res := s.Wait(); res.Err != nil {
 				t.Fatalf("round %d session %s: %v", round, res.Name, res.Err)
 			}
 		}
+		sessions[1].Start()
+		sessions[2].Start()
+		wait(sessions[2])
+		sessions[0].Start()
+		wait(sessions[0])
+		wait(sessions[1])
 		rt.Close()
 
 		st := cache.Stats()
+		if st.Hits == hits {
+			t.Fatalf("round %d: no cache hit with slot 2 departing before slot 0: %+v", round, st)
+		}
 		if st.Size > st.Capacity {
 			t.Fatalf("round %d: cache size %d exceeds capacity %d", round, st.Size, st.Capacity)
 		}
@@ -257,9 +274,6 @@ func TestCacheChurnStress(t *testing.T) {
 		if st.Hits+st.Misses < st.Stores {
 			t.Fatalf("round %d: inconsistent counters %+v", round, st)
 		}
-	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("churn rounds with fixed seeds produced no cache hits: %+v", st)
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for goruntime.NumGoroutine() > before {

@@ -444,10 +444,13 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 }
 
 // planLocked runs the interference-aware planning pipeline for one
-// application under the given external environment: profile both modes
-// with BaseEnv overlaid, rank the BetterTogether candidates, autotune
-// them, and compile the winning schedule. A pinned schedule skips
-// optimization.
+// application under the given external environment: profile the
+// interference-heavy table with BaseEnv overlaid, rank the
+// BetterTogether candidates, autotune them, and compile the winning
+// schedule. A pinned schedule skips optimization. The isolated table is
+// not profiled: neither Candidates(BetterTogether) nor Autotune reads
+// it, and profiler.Heavy draws the heavy table exactly as ProfileBoth
+// would.
 //
 // With a schedule cache configured, the solve runs against the
 // bucket-quantized environment (the bucket's canonical representative),
@@ -476,13 +479,13 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 			return pipeline.NewPlan(app, rt.dev, sc)
 		}
 	}
-	tables := profiler.ProfileBoth(app, rt.dev, profiler.Config{
+	heavy := profiler.Heavy(app, rt.dev, profiler.Config{
 		Reps:    DefaultProfileReps,
 		Seed:    rt.cfg.Seed + opts.Seed,
 		BaseEnv: env,
 		Adjust:  adjust,
 	})
-	opt := sched.New(app, rt.dev, tables)
+	opt := sched.New(app, rt.dev, profiler.Tables{Heavy: heavy})
 	opt.K = rt.cfg.K
 	cands := opt.Candidates(sched.BetterTogether)
 	if len(cands) == 0 {

@@ -2,12 +2,15 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
 	"bettertogether/internal/apps/alexnet"
 	"bettertogether/internal/apps/octree"
+	"bettertogether/internal/apps/vision"
 	"bettertogether/internal/core"
 	"bettertogether/internal/pipeline"
 	"bettertogether/internal/profiler"
@@ -401,6 +404,56 @@ func TestAutotuneObjectives(t *testing.T) {
 	for i, e := range lat.Energy {
 		if e <= 0 {
 			t.Errorf("candidate %d missing energy", i)
+		}
+	}
+}
+
+// Candidates(BetterTogether) reads only the heavy table: on a Tables
+// holding profiler.Heavy alone it ranks exactly what it ranks on the full
+// ProfileBoth tables, which is what lets the runtime skip the isolated
+// profile when it plans. The grid covers every device, three apps, four
+// seeds, nil and random BaseEnvs, and a pure Adjust.
+func TestCandidatesHeavyOnlyMatchesBothTables(t *testing.T) {
+	vis, err := vision.NewApplication(64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := []*core.Application{octree.NewApplication(2048, octree.UniformGen{}), alexnet.NewSparse(1, 1), vis}
+	scale := func(stage string, pu core.PUClass, seconds float64) float64 {
+		return seconds * (1 + float64(len(stage)%5)/8 + float64(len(pu))/64)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, dev := range soc.Catalog() {
+		for _, app := range apps {
+			for _, seed := range []int64{0, 1, -7, 88} {
+				for e := range 3 {
+					var env soc.Env
+					if e > 0 {
+						env = soc.Env{}
+						for _, c := range dev.Classes() {
+							if e == 2 || rng.Intn(2) == 0 {
+								env[c] = soc.Load{MemIntensity: rng.Float64()}
+							}
+						}
+					}
+					for _, adjust := range []profiler.Adjust{nil, scale} {
+						cfg := profiler.Config{Reps: 4, Seed: seed, BaseEnv: env, Adjust: adjust}
+						label := fmt.Sprintf("%s/%s seed=%d env=%d adjust=%v", dev.Name, app.Name, seed, e, adjust != nil)
+						want := New(app, dev, profiler.ProfileBoth(app, dev, cfg)).Candidates(BetterTogether)
+						got := New(app, dev, profiler.Tables{Heavy: profiler.Heavy(app, dev, cfg)}).Candidates(BetterTogether)
+						if len(want) == 0 || len(got) != len(want) {
+							t.Fatalf("%s: %d candidates, want %d (> 0)", label, len(got), len(want))
+						}
+						for i := range want {
+							if !got[i].Schedule.Equal(want[i].Schedule) ||
+								math.Float64bits(got[i].Predicted) != math.Float64bits(want[i].Predicted) ||
+								math.Float64bits(got[i].Gap) != math.Float64bits(want[i].Gap) {
+								t.Fatalf("%s rank %d: %+v, want %+v", label, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -15,9 +15,11 @@
 //
 // C1 and C2 cut the raw M^N space to Σₖ C(N−1,k−1)·P(M,k) schedules:
 // 2 116 for the paper's N=9 stages and M=4 classes. That is small
-// enough to score every schedule on every query, with no search to
-// prune: a top-20 query over the paper's space takes about 0.2 ms, far
-// under the paper's <50 ms z3 budget.
+// enough to walk whole on every query. MinGap and Each score every
+// schedule. TopK skips a partial class map once its chunks exceed the
+// worst of the K schedules it holds, an exact bound that leaves its
+// result unchanged. A top-20 query over the paper's space takes well
+// under a millisecond, far under the paper's <50 ms z3 budget.
 package solver
 
 import (
@@ -126,12 +128,18 @@ func decimalDigits(v int) int {
 // slices: the pass reuses them for the next schedule.
 type FilterFunc func(Solution) bool
 
-// SearchStats counts one top-K query's work.
+// SearchStats counts one top-K query's work. Visited + Bounded is the
+// size of the schedule space.
 type SearchStats struct {
-	// Visited counts the schedules scored: every contiguous schedule.
+	// Visited counts the schedules scored.
 	Visited int
 	// Pruned counts the scored schedules the filter rejected.
 	Pruned int
+	// Bounded counts the schedules skipped unscored because a partial
+	// class map's chunks already exceeded the worst incumbent's TMax,
+	// P(M−j−1, k−j−1) per skipped map of chunks 0..j of k. It saturates
+	// at math.MaxInt.
+	Bounded int
 }
 
 // pass calls visit once for every schedule satisfying C1 and C2, until
@@ -142,7 +150,12 @@ type SearchStats struct {
 // stage, and TMax and TMin fold the chunks in order. s is scratch the
 // pass refills for every schedule; nothing is allocated per schedule.
 // p must be valid.
-func pass(p *Problem, visit func(s *Solution) bool) {
+//
+// A non-nil limit bounds the walk: a partial class map whose chunks'
+// maximum is strictly above *limit is skipped with every completion,
+// since a completion's TMax is at least that maximum. visit may lower
+// *limit as it goes. pass returns how many schedules it skipped.
+func pass(p *Problem, limit *float64, visit func(s *Solution) bool) (bounded int) {
 	n, m := p.N, p.M
 	// starts[j] is chunk j's first stage; starts[k] = n closes the last.
 	starts := make([]int, n+1)
@@ -154,9 +167,16 @@ func pass(p *Problem, visit func(s *Solution) bool) {
 	hi, lo := make([]float64, n+1), make([]float64, n+1)
 	hi[0], lo[0] = math.Inf(-1), math.Inf(1)
 	times := make([]float64, n)
+	// perm[j] is P(m−j−1, k−j−1): the completions of a class map of
+	// chunks 0..j, so a skipped map at level j counts that many.
+	perm := make([]int, n)
 	s := &Solution{Assign: make([]int, n)}
 	for k := 1; k <= min(n, m); k++ {
 		s.ChunkTimes = times[:k]
+		perm[k-1] = 1
+		for j := k - 2; j >= 0; j-- {
+			perm[j] = satMul(perm[j+1], m-j-1)
+		}
 		// The first boundary set of k chunks: one stage per chunk, the
 		// last chunk taking the rest.
 		for j := 0; j < k; j++ {
@@ -186,13 +206,18 @@ func pass(p *Problem, visit func(s *Solution) bool) {
 							continue
 						}
 						t := sums[j*m+c]
+						tmax := max(hi[j], t)
+						if limit != nil && tmax > *limit {
+							bounded = satAdd(bounded, 1)
+							continue
+						}
 						times[j] = t
 						for i := starts[j]; i < n; i++ {
 							s.Assign[i] = c
 						}
-						s.TMax, s.TMin = max(hi[j], t), min(lo[j], t)
+						s.TMax, s.TMin = tmax, min(lo[j], t)
 						if !visit(s) {
-							return
+							return bounded
 						}
 					}
 					if j == 0 {
@@ -218,11 +243,16 @@ func pass(p *Problem, visit func(s *Solution) bool) {
 				class[j] = c
 				used |= 1 << c
 				t := sums[j*m+c]
+				h := max(hi[j], t)
+				if limit != nil && h > *limit {
+					bounded = satAdd(bounded, perm[j])
+					continue
+				}
 				times[j] = t
 				for i := starts[j]; i < starts[j+1]; i++ {
 					s.Assign[i] = c
 				}
-				hi[j+1], lo[j+1] = max(hi[j], t), min(lo[j], t)
+				hi[j+1], lo[j+1] = h, min(lo[j], t)
 				j++
 				class[j] = -1
 			}
@@ -241,6 +271,23 @@ func pass(p *Problem, visit func(s *Solution) bool) {
 			}
 		}
 	}
+	return bounded
+}
+
+// satAdd and satMul add and multiply non-negative counts, saturating at
+// math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func satMul(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Each calls visit once for every schedule satisfying C1 and C2, in the
@@ -252,7 +299,7 @@ func Each(p *Problem, visit func(s *Solution) bool) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	pass(p, visit)
+	pass(p, nil, visit)
 	return nil
 }
 
@@ -266,7 +313,7 @@ func MinGap(p *Problem) (gap float64, ok bool) {
 		return 0, false
 	}
 	gap = math.Inf(1)
-	pass(p, func(s *Solution) bool {
+	pass(p, nil, func(s *Solution) bool {
 		if g := s.Gap(); g < gap {
 			gap, ok = g, true
 		}
@@ -289,6 +336,13 @@ type ranked struct {
 // taken from one pass. A nil filter admits everything. stats, when
 // non-nil, is reset and filled with the query's counters. An invalid
 // problem or k <= 0 yields nil.
+//
+// Once k schedules are held, the worst one's TMax bounds the pass: a
+// partial class map whose chunks already exceed it is skipped unscored
+// and unfiltered, because each of its completions would lose to that
+// incumbent outright. A completion at exactly that TMax is still scored,
+// so Key order settles ties as before, and the result is the full pass's
+// bit for bit.
 func TopK(p *Problem, k int, filter FilterFunc, stats *SearchStats) []Solution {
 	if stats != nil {
 		*stats = SearchStats{}
@@ -326,7 +380,9 @@ func TopK(p *Problem, k int, filter FilterFunc, stats *SearchStats) []Solution {
 		}
 	}
 	var visited, pruned int
-	pass(p, func(s *Solution) bool {
+	// limit is the worst incumbent's TMax once the heap is full.
+	limit := math.Inf(1)
+	bounded := pass(p, &limit, func(s *Solution) bool {
 		visited++
 		if filter != nil && !filter(*s) {
 			pruned++
@@ -343,6 +399,9 @@ func TopK(p *Problem, k int, filter FilterFunc, stats *SearchStats) []Solution {
 				top[i], top[parent] = top[parent], top[i]
 				i = parent
 			}
+			if len(top) == k {
+				limit = top[0].tmax
+			}
 			return true
 		}
 		root := top[0]
@@ -352,10 +411,11 @@ func TopK(p *Problem, k int, filter FilterFunc, stats *SearchStats) []Solution {
 		copy(assign(root), s.Assign)
 		top[0] = ranked{s.TMax, s.TMin, root.at}
 		siftDown(0)
+		limit = top[0].tmax
 		return true
 	})
 	if stats != nil {
-		stats.Visited, stats.Pruned = visited, pruned
+		stats.Visited, stats.Pruned, stats.Bounded = visited, pruned, bounded
 	}
 	if len(top) == 0 {
 		return nil

@@ -93,7 +93,8 @@ func oracleMinGap(p *Problem) (float64, bool) {
 }
 
 // oracleTopK filters the oracle space, sorts it by (TMax, Key) and
-// truncates it to k; it also returns the stats TopK must report.
+// truncates it to k; it also returns the stats of a pass that scores
+// every schedule, which checkStats holds TopK's bounded pass to.
 func oracleTopK(p *Problem, k int, filter FilterFunc) ([]Solution, SearchStats) {
 	all := oracle(p)
 	stats := SearchStats{Visited: len(all)}
@@ -118,6 +119,16 @@ func oracleTopK(p *Problem, k int, filter FilterFunc) ([]Solution, SearchStats) 
 		pool = pool[:k]
 	}
 	return pool, stats
+}
+
+// checkStats holds a bounded query's counters to the full pass's: every
+// schedule is either scored or bounded, and the filter sees a subset of
+// what it sees in the full pass.
+func checkStats(t *testing.T, label string, got, full SearchStats) {
+	t.Helper()
+	if got.Visited+got.Bounded != full.Visited || got.Pruned > full.Pruned || got.Pruned > got.Visited || got.Bounded < 0 {
+		t.Fatalf("%s: stats %+v, want Visited+Bounded = %d and Pruned <= %d", label, got, full.Visited, full.Pruned)
+	}
 }
 
 // sameSolutions compares two ranked lists bit for bit.
@@ -201,8 +212,13 @@ func TestEnumerateCountsMatchCombinatorics(t *testing.T) {
 		}
 		var stats SearchStats
 		TopK(p, 1, nil, &stats)
-		if want := bruteCount(c.n, c.m); stats.Visited != want {
-			t.Errorf("N=%d M=%d: scored %d, combinatorics says %d", c.n, c.m, stats.Visited, want)
+		if want := bruteCount(c.n, c.m); stats.Visited+stats.Bounded != want {
+			t.Errorf("N=%d M=%d: scored %d + bounded %d, combinatorics says %d", c.n, c.m, stats.Visited, stats.Bounded, want)
+		}
+		visited := 0
+		Each(p, func(*Solution) bool { visited++; return true })
+		if want := bruteCount(c.n, c.m); visited != want {
+			t.Errorf("N=%d M=%d: Each visited %d, combinatorics says %d", c.n, c.m, visited, want)
 		}
 	}
 	if got := bruteCount(9, 4); got != 2116 {
@@ -243,7 +259,7 @@ func TestEnumerateContiguityInvariant(t *testing.T) {
 // the first zero gapness.
 func TestEnumerateEarlyStop(t *testing.T) {
 	count := 0
-	pass(simpleProblem(), func(*Solution) bool {
+	pass(simpleProblem(), nil, func(*Solution) bool {
 		count++
 		return count < 2
 	})
@@ -517,9 +533,7 @@ func TestTopKFilteredMatchesMaterialize(t *testing.T) {
 			want, wantStats := oracleTopK(p, k, filter)
 			label := fmt.Sprintf("trial %d k=%d", trial, k)
 			sameSolutions(t, label, got, want)
-			if stats != wantStats {
-				t.Fatalf("%s: stats %+v, want %+v", label, stats, wantStats)
-			}
+			checkStats(t, label, stats, wantStats)
 		}
 	}
 }
@@ -540,6 +554,80 @@ func TestTopKMatchesOracle(t *testing.T) {
 			want, _ := oracleTopK(p, k, nil)
 			sameSolutions(t, fmt.Sprintf("N=%d M=%d k=%d", shape.n, shape.m, k), TopK(p, k, nil, nil), want)
 		}
+	}
+}
+
+// The bound is strict: schedules whose TMax equals the worst
+// incumbent's are still scored, so Key order settles the ties. Latencies
+// of 0 and 1 on up to twelve classes make most of the space tie; k = 1
+// keeps the bound tight from the first schedule on.
+func TestTopKBoundKeepsTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range []struct{ n, m int }{{5, 4}, {6, 4}, {4, 12}, {3, 11}, {6, 5}} {
+		p := &Problem{N: shape.n, M: shape.m, Time: make([][]float64, shape.n)}
+		for i := range p.Time {
+			p.Time[i] = make([]float64, shape.m)
+			for j := range p.Time[i] {
+				p.Time[i][j] = float64(rng.Intn(2))
+			}
+		}
+		for _, k := range []int{1, 2, 7, 50} {
+			for _, slack := range []float64{-1, 0, 0.5} {
+				var filter FilterFunc
+				if slack >= 0 {
+					gap, _ := MinGap(p)
+					filter = gapFilter(gap, slack)
+				}
+				label := fmt.Sprintf("N=%d M=%d k=%d slack=%v", shape.n, shape.m, k, slack)
+				var stats SearchStats
+				got := TopK(p, k, filter, &stats)
+				want, wantStats := oracleTopK(p, k, filter)
+				sameSolutions(t, label, got, want)
+				checkStats(t, label, stats, wantStats)
+				ties := 0
+				for _, s := range oracle(p) {
+					if len(want) > 0 && s.TMax == want[len(want)-1].TMax {
+						ties++
+					}
+				}
+				if ties <= len(want) {
+					t.Fatalf("%s: only %d schedules at the k-th TMax; the case does not test ties", label, ties)
+				}
+			}
+		}
+	}
+}
+
+// The bound skips work on the paper's space: a top-20 query with sched's
+// utilization filter scores a fraction of the 2 116 schedules.
+func TestTopKBoundSkipsPaperSpace(t *testing.T) {
+	p := randomProblem(rand.New(rand.NewSource(1)), 9, 4, 1)
+	var stats SearchStats
+	TopK(p, 20, gapFilter(0, 0.4), &stats)
+	if stats.Visited+stats.Bounded != 2116 || stats.Bounded == 0 {
+		t.Fatalf("stats %+v, want a non-zero Bounded summing with Visited to 2116", stats)
+	}
+}
+
+// Bounded saturates instead of wrapping: at N = M = 21 the space holds
+// over 21! schedules, past math.MaxInt, and a tight bound skips most of
+// them from the first chunk on.
+func TestSaturatingCounts(t *testing.T) {
+	if got := satAdd(math.MaxInt-1, 5); got != math.MaxInt {
+		t.Errorf("satAdd near MaxInt = %d", got)
+	}
+	if got := satAdd(3, 4); got != 7 {
+		t.Errorf("satAdd(3, 4) = %d", got)
+	}
+	fact := 1
+	for i := 2; i <= 21; i++ {
+		fact = satMul(fact, i)
+	}
+	if fact != math.MaxInt {
+		t.Errorf("21! saturated to %d, want MaxInt", fact)
+	}
+	if got := satMul(math.MaxInt, 0); got != 0 {
+		t.Errorf("satMul(MaxInt, 0) = %d", got)
 	}
 }
 
@@ -608,9 +696,7 @@ func FuzzTopK(f *testing.F) {
 		got := TopK(p, int(k)%25, filter, &stats)
 		want, wantStats := oracleTopK(p, int(k)%25, filter)
 		sameSolutions(t, "fuzz", got, want)
-		if stats != wantStats {
-			t.Fatalf("stats %+v, want %+v", stats, wantStats)
-		}
+		checkStats(t, "fuzz", stats, wantStats)
 	})
 }
 
