@@ -127,7 +127,6 @@ func main() {
 		CoreHeadroom:  *coreHeadroom,
 		ReplanDelta:   planner.ReplanDelta,
 		CacheCapacity: planner.CacheCapacity,
-		CacheBucket:   planner.CacheBucket,
 		Affinity:      aff,
 		OnlineProf:    planner.OnlineProf(),
 		Trace:         tracing.Tracer(*seed),

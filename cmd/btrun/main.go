@@ -122,7 +122,7 @@ func main() {
 		cli.Fatalf("btrun", "-slo-deadline and -trace-sample require multi-app mode (repeat -app)")
 	}
 	if *planner != (cli.PlannerFlags{}) {
-		cli.Fatalf("btrun", "-sched-cache, -cache-bucket, -replan-delta, -online-profile and -drift-threshold require multi-app mode (repeat -app)")
+		cli.Fatalf("btrun", "-sched-cache, -replan-delta, -online-profile and -drift-threshold require multi-app mode (repeat -app)")
 	}
 	runSingle(apps[0], dev, eng, *schedule, *engine, *tasks, *warmup, *seed,
 		*gantt || *traceFlag, *metricsFlag, *timeout, *listen, *hold, *chromeTrace)

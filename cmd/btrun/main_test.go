@@ -85,7 +85,6 @@ func listen(t *testing.T, args ...string) func(path string) (int, string) {
 func TestSingleAppRefusesRuntimeFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-sched-cache", "8"},
-		{"-cache-bucket", "0.1"},
 		{"-replan-delta", "5"},
 		{"-online-profile"},
 		{"-drift-threshold", "0.4", "-online-profile"},

@@ -18,9 +18,6 @@ import (
 type PlannerFlags struct {
 	// CacheCapacity sizes the schedule cache (0 disables it).
 	CacheCapacity int
-	// CacheBucket is the cache's Env quantization bucket width
-	// (0 selects schedcache.DefaultBucket).
-	CacheBucket float64
 	// ReplanDelta skips re-planning residents whose Env moved less than
 	// this since their last solve (0 re-plans on every pass).
 	ReplanDelta float64
@@ -33,22 +30,13 @@ type PlannerFlags struct {
 	DriftThreshold float64
 }
 
-// addCacheFlags declares only the schedule-cache flags, -sched-cache
-// and -cache-bucket; the other PlannerFlags fields stay zero.
-func addCacheFlags(fs *flag.FlagSet) *PlannerFlags {
-	p := &PlannerFlags{}
-	fs.IntVar(&p.CacheCapacity, "sched-cache", 0,
-		"memoize planning results in a schedule cache of this capacity (0 = off)")
-	fs.Float64Var(&p.CacheBucket, "cache-bucket", 0,
-		"schedule-cache Env quantization bucket width (0 = default)")
-	return p
-}
-
 // AddPlannerFlags declares the shared planner flags on fs and returns
 // the struct their parsed values land in. Call Validate after
 // fs.Parse.
 func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
-	p := addCacheFlags(fs)
+	p := &PlannerFlags{}
+	fs.IntVar(&p.CacheCapacity, "sched-cache", 0,
+		"memoize planning results in a schedule cache of this capacity (0 = off)")
 	fs.Float64Var(&p.ReplanDelta, "replan-delta", 0,
 		"skip re-planning a resident whose Env moved less than this since its last solve (0 = always re-plan)")
 	fs.BoolVar(&p.OnlineProfile, "online-profile", false,
@@ -63,19 +51,12 @@ func AddPlannerFlags(fs *flag.FlagSet) *PlannerFlags {
 func badKnob(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
 
 // Validate fails fast on nonsensical knob values: a negative capacity
-// would silently disable the cache, a negative or too-fine bucket
-// would fall back to the default width behind the user's back, and a
-// negative (or NaN) delta would make every Env.Delta comparison
+// would silently disable the cache, and a negative (or NaN) delta would make every Env.Delta comparison
 // vacuous — each a quiet mis-scheduling mode rather than an error the
 // user sees.
 func (p *PlannerFlags) Validate() error {
 	if p.CacheCapacity < 0 {
 		return fmt.Errorf("-sched-cache must be >= 0 (0 disables the cache), got %d", p.CacheCapacity)
-	}
-	// The schedule cache indexes no bucket finer than 1e-9.
-	if b := p.CacheBucket; b != 0 && !(b >= 1e-9 && !math.IsInf(b, 0)) {
-		return fmt.Errorf("-cache-bucket must be 0 (the default %g) or a finite value >= 1e-9, got %v",
-			schedcache.DefaultBucket, b)
 	}
 	if badKnob(p.ReplanDelta) {
 		return fmt.Errorf("-replan-delta must be a finite value >= 0 (0 re-plans on every pass), got %v", p.ReplanDelta)
@@ -97,7 +78,7 @@ func (p *PlannerFlags) Cache() *schedcache.Cache {
 	if p.CacheCapacity <= 0 {
 		return nil
 	}
-	return schedcache.New(p.CacheCapacity, p.CacheBucket)
+	return schedcache.New(p.CacheCapacity)
 }
 
 // OnlineProf is the feedback-loop configuration the flags select, nil

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"flag"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -51,9 +50,6 @@ func TestPlannerFlagsValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"negative cache", func(p *PlannerFlags) { p.CacheCapacity = -1 }, "-sched-cache"},
-		{"negative bucket", func(p *PlannerFlags) { p.CacheBucket = -0.5 }, "-cache-bucket"},
-		{"NaN bucket", func(p *PlannerFlags) { p.CacheBucket = math.NaN() }, "-cache-bucket"},
-		{"tiny bucket", func(p *PlannerFlags) { p.CacheCapacity, p.CacheBucket = 64, 1e-300 }, "-cache-bucket"},
 		{"negative delta", func(p *PlannerFlags) { p.ReplanDelta = -1 }, "-replan-delta"},
 		{"Inf delta", func(p *PlannerFlags) { p.ReplanDelta = math.Inf(1) }, "-replan-delta"},
 		{"negative threshold", func(p *PlannerFlags) {
@@ -82,13 +78,13 @@ func TestPlannerFlagsValidateRejects(t *testing.T) {
 // built from them carries exactly the set knobs.
 func TestPlannerFlagsBuildsArtifacts(t *testing.T) {
 	p := parsePlanner(t,
-		"-sched-cache", "32", "-cache-bucket", "0.1",
+		"-sched-cache", "32",
 		"-replan-delta", "0.05",
 		"-online-profile", "-drift-threshold", "0.4")
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	want := PlannerFlags{CacheCapacity: 32, CacheBucket: 0.1, ReplanDelta: 0.05, OnlineProfile: true, DriftThreshold: 0.4}
+	want := PlannerFlags{CacheCapacity: 32, ReplanDelta: 0.05, OnlineProfile: true, DriftThreshold: 0.4}
 	if *p != want {
 		t.Errorf("parsed %+v, want %+v", *p, want)
 	}
@@ -126,33 +122,5 @@ func TestPlannerFlagsBuildsArtifacts(t *testing.T) {
 	}
 	if est := rt.OnlineProfiler(); est == nil || est.Config().DriftThreshold != 0.4 {
 		t.Errorf("runtime estimator %v, want one with threshold 0.4", est)
-	}
-}
-
-// TestAddCacheFlagsOnlyCache pins that the cache-only set declares the
-// two schedule-cache flags and none of the re-planner's, and that
-// AddPlannerFlags builds on it.
-func TestAddCacheFlagsOnlyCache(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	p := addCacheFlags(fs)
-	for _, name := range []string{"sched-cache", "cache-bucket"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("-%s not declared", name)
-		}
-	}
-	for _, name := range []string{"replan-delta", "online-profile", "drift-threshold"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("-%s declared on the cache-only set", name)
-		}
-	}
-	if err := fs.Parse([]string{"-sched-cache", "8", "-cache-bucket", "0.5"}); err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if p.CacheCapacity != 8 || p.CacheBucket != 0.5 {
-		t.Errorf("parsed %+v, want capacity 8 bucket 0.5", *p)
 	}
 }

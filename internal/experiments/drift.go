@@ -108,7 +108,10 @@ func DriftConvergence(seed int64) (DriftConvergenceResult, string, error) {
 		if err != nil {
 			return out, err
 		}
-		out.Initial = s.Schedule().String()
+		// The session is already running: read its admission schedule
+		// from the history, not Schedule(), which a drift re-plan may
+		// have replaced by now.
+		out.Initial = s.Schedules()[0].String()
 		if r := s.Wait(); r.Err != nil {
 			return out, r.Err
 		}

@@ -28,7 +28,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,12 +68,9 @@ type Config struct {
 	ReplanDelta  float64
 	// CacheCapacity, when positive, shares one schedule cache across all
 	// node runtimes — recurring (app, device-class, env) tuples then hit
-	// across the whole fleet, not just within a node. CacheBucket is its
-	// Env quantization width (0 selects the schedcache default). New
-	// refuses a negative capacity, and a bucket that is not 0 or a finite
-	// value >= 1e-9.
+	// across the whole fleet, not just within a node. New refuses a
+	// negative capacity.
 	CacheCapacity int
-	CacheBucket   float64
 	// Affinity maps an application name to its preferred device class:
 	// placement ranks matching nodes ahead of the rest, and spillover
 	// crosses into non-preferred classes only when every preferred node
@@ -240,13 +236,9 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.CacheCapacity < 0 {
 		return nil, fmt.Errorf("fleet: CacheCapacity %d, want >= 0 (0 disables the cache)", cfg.CacheCapacity)
 	}
-	// The schedule cache indexes no bucket finer than 1e-9.
-	if b := cfg.CacheBucket; b != 0 && !(b >= 1e-9 && !math.IsInf(b, 0)) {
-		return nil, fmt.Errorf("fleet: CacheBucket %v, want 0 (the default) or a finite value >= 1e-9", b)
-	}
 	f := &Fleet{cfg: cfg, active: map[string]*activeSession{}}
 	if cfg.CacheCapacity > 0 {
-		f.cache = schedcache.New(cfg.CacheCapacity, cfg.CacheBucket)
+		f.cache = schedcache.New(cfg.CacheCapacity)
 	}
 	for _, spec := range cfg.Nodes {
 		for k := 0; k < spec.Count; k++ {

@@ -48,9 +48,11 @@ const (
 	// latch a drift.
 	DefaultHysteresis = 3
 	// DefaultBucket quantizes the environment signatures sessions
-	// register with (soc.Env.Signature), matching
-	// schedcache.DefaultBucket so estimate cells pool at the same
-	// granularity the schedule cache keys at.
+	// register with (soc.Env.Signature). 0.05 splits the [0,1]
+	// intensity range into 20 cells: coarse enough that sessions whose
+	// environments differ only by small churn pool their samples and
+	// reach DefaultMinSamples, fine enough that a co-runner's
+	// materially different load gets cells of its own.
 	DefaultBucket = 0.05
 )
 

@@ -46,7 +46,7 @@ func BenchmarkAdmitChurn(b *testing.B) {
 		cache *schedcache.Cache
 	}{
 		{"cache=off", nil},
-		{"cache=on", schedcache.New(schedcache.DefaultCapacity, schedcache.DefaultBucket)},
+		{"cache=on", schedcache.New(schedcache.DefaultCapacity)},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			dev, err := soc.DeviceByName("pixel7a")

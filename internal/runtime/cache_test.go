@@ -2,14 +2,19 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"bettertogether/internal/core"
 	"bettertogether/internal/pipeline"
 	"bettertogether/internal/schedcache"
+	"bettertogether/internal/soc"
+	"bettertogether/pkg/btapps"
 )
 
 // holdAllEngine blocks every execution wave until released (or the wave's
@@ -84,7 +89,7 @@ func historiesEqual(a, b [][]core.Schedule) bool {
 // every session's schedule history equal to round 1's.
 func TestCacheHitSchedulesByteIdentical(t *testing.T) {
 	const rounds = 16
-	cache := schedcache.New(64, schedcache.DefaultBucket)
+	cache := schedcache.New(64)
 	var cold [][]core.Schedule
 	prev := cache.Stats()
 	for round := 1; round <= rounds; round++ {
@@ -108,26 +113,83 @@ func TestCacheHitSchedulesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledMatchesEnabledAtZeroEnv pins the bridging identity:
-// with an empty interference environment (the quantization fixed point),
-// an uncached runtime and a cached one pick the same initial schedule —
-// enabling the cache does not perturb first-admission planning.
-func TestCacheDisabledMatchesEnabledAtZeroEnv(t *testing.T) {
-	plan := func(cache *schedcache.Cache) core.Schedule {
-		rt := mustRuntime(t, Config{Device: mustDevice(t, "pixel7a"), Cache: cache})
-		defer rt.Close()
-		s, err := rt.Admit(mustApp(t, "octree"), AdmitOptions{Tasks: 4, WaveTasks: 4, Seed: 5})
-		if err != nil {
-			t.Fatalf("Admit: %v", err)
-		}
-		sc := s.Schedules()[0]
-		s.Wait()
-		return sc
+// TestCacheOnIdenticalToOff is the cache's transparency property: two
+// runtimes on one Config, one planning through an 8-entry schedule cache
+// small enough to evict, replay one random sequence of admissions
+// (catalog app, seed, held or not), starts and departures. At every step
+// they must agree on whether the admission was refused and on every
+// session's schedule history. Refusal texts are not compared: a cache
+// hit skips the pool check by design, so the same refusal can come from
+// the planned schedule's check instead. Waves never run (the engine
+// holds them), so departures are the only exits and the sequence is the
+// whole input.
+func TestCacheOnIdenticalToOff(t *testing.T) {
+	apps := make([]*core.Application, len(btapps.Names))
+	for i, name := range btapps.Names {
+		apps[i] = mustApp(t, name)
 	}
-	uncached := plan(nil)
-	cached := plan(schedcache.New(8, schedcache.DefaultBucket))
-	if !uncached.Equal(cached) {
-		t.Fatalf("cache changed the empty-env solve: %v vs %v", uncached, cached)
+	type pair struct{ off, on *Session }
+	rng := rand.New(rand.NewSource(34))
+	var hits, evictions, admitted, refused int
+	for trial := 0; trial < 12; trial++ {
+		h := 0.5 + 3*rng.Float64()
+		cfg := Config{
+			Device:       soc.Catalog()[rng.Intn(len(soc.Catalog()))],
+			BWHeadroom:   h,
+			CoreHeadroom: h * (0.5 + rng.Float64()),
+			Seed:         rng.Int63n(100),
+		}
+		off, on := cfg, cfg
+		off.Engine = &holdAllEngine{inner: pipeline.SimEngine{}, gate: make(chan struct{})}
+		on.Engine = &holdAllEngine{inner: pipeline.SimEngine{}, gate: make(chan struct{})}
+		on.Cache = schedcache.New(8)
+		rtOff, rtOn := mustRuntime(t, off), mustRuntime(t, on)
+		var live, all []pair
+		for step := 0; step < 32; step++ {
+			switch op := rng.Intn(4); {
+			case op < 2 || len(live) == 0:
+				app := apps[rng.Intn(len(apps))]
+				opts := AdmitOptions{Tasks: 4, WaveTasks: 4, Seed: rng.Int63n(3), Hold: rng.Intn(2) == 0}
+				sOff, errOff := rtOff.Admit(app, opts)
+				sOn, errOn := rtOn.Admit(app, opts)
+				var aOff, aOn *AdmissionError
+				if (errOff != nil && !errors.As(errOff, &aOff)) || (errOn != nil && !errors.As(errOn, &aOn)) {
+					t.Fatalf("trial %d step %d: admit %s: %v / %v", trial, step, app.Name, errOff, errOn)
+				}
+				if (errOff == nil) != (errOn == nil) {
+					t.Fatalf("trial %d step %d: admit %s: cache off %v, cache on %v", trial, step, app.Name, errOff, errOn)
+				}
+				if errOff != nil {
+					refused++
+					break
+				}
+				admitted++
+				live = append(live, pair{sOff, sOn})
+				all = append(all, pair{sOff, sOn})
+			case op == 2:
+				p := live[rng.Intn(len(live))]
+				p.off.Start()
+				p.on.Start()
+			default:
+				i := rng.Intn(len(live))
+				live[i].off.Stop()
+				live[i].on.Stop()
+				live = slices.Delete(live, i, i+1)
+			}
+			for _, p := range all {
+				if a, b := p.off.Schedules(), p.on.Schedules(); !historiesEqual([][]core.Schedule{a}, [][]core.Schedule{b}) {
+					t.Fatalf("trial %d step %d: %s's schedules diverge:\ncache off: %v\ncache on:  %v", trial, step, p.off.Name(), a, b)
+				}
+			}
+		}
+		rtOff.Close()
+		rtOn.Close()
+		st := on.Cache.Stats()
+		hits += int(st.Hits)
+		evictions += int(st.Evictions)
+	}
+	if hits == 0 || evictions == 0 || admitted == 0 || refused == 0 {
+		t.Fatalf("%d hits, %d evictions, %d admissions, %d refusals; want each at least once", hits, evictions, admitted, refused)
 	}
 }
 
@@ -136,7 +198,7 @@ func TestCacheDisabledMatchesEnabledAtZeroEnv(t *testing.T) {
 // schedule for every environment, a pinned session is never re-planned
 // and its admission never consults the cache.
 func TestPinnedScheduleNeverReplannedWithCache(t *testing.T) {
-	cache := schedcache.New(64, schedcache.DefaultBucket)
+	cache := schedcache.New(64)
 	// Pre-warm: run the exact churn sequence once so every (app, env) key
 	// the scenario can produce is resident in the cache.
 	admitPair(t, cache)
@@ -221,7 +283,7 @@ func TestReplanDeltaSkipsSolves(t *testing.T) {
 // every round; the orders that depart slot 0 first have none in any.
 func TestCacheChurnStress(t *testing.T) {
 	before := goruntime.NumGoroutine()
-	cache := schedcache.New(8, schedcache.DefaultBucket) // small: force evictions
+	cache := schedcache.New(8) // small: force evictions
 	rounds := 6
 	if testing.Short() {
 		rounds = 2

@@ -160,7 +160,7 @@ func TestPlanDemandAllocFree(t *testing.T) {
 func TestFloorRefusalSkipsPlanning(t *testing.T) {
 	dev := mustDevice(t, "jetson")
 	stream := obs.NewStream(1 << 10)
-	cache := schedcache.New(16, 0)
+	cache := schedcache.New(16)
 	rt := mustRuntime(t, Config{Device: dev, BWHeadroom: 100, CoreHeadroom: 1, Events: stream, Cache: cache})
 	defer rt.Close()
 

@@ -50,7 +50,7 @@ func TestPoolDemandMatchesPlanDemand(t *testing.T) {
 // once and stored nothing, and no planning pass reached Autotune.
 func TestPoolRefusalSkipsAutotune(t *testing.T) {
 	stream := obs.NewStream(1 << 10)
-	cache := schedcache.New(16, 0)
+	cache := schedcache.New(16)
 	rt := mustRuntime(t, Config{Device: mustDevice(t, "pixel7a"), BWHeadroom: 100, CoreHeadroom: 0.5, Events: stream, Cache: cache})
 	defer rt.Close()
 
@@ -108,13 +108,13 @@ func (o outcome) String() string {
 // refuse exactly when that path refuses, and admit its winner. The
 // refusal must come at the earliest point that decides it: the floor
 // when the floor does not fit, else the pool when no candidate's plan
-// fits, else the winner's check. With cached set, both plan against the
-// cache's quantized environment.
+// fits, else the winner's check. With cached set, Admit plans through a
+// schedule cache.
 func checkPoolAgainstUnpruned(t *testing.T, rng *rand.Rand, dev *soc.Device, app *core.Application, residents int, h float64, cached bool) outcome {
 	t.Helper()
 	cfg := Config{Device: dev, BWHeadroom: h, CoreHeadroom: h * (0.5 + rng.Float64()), Seed: rng.Int63n(1000)}
 	if cached {
-		cfg.Cache = schedcache.New(16, schedcache.DefaultBucket)
+		cfg.Cache = schedcache.New(16)
 	}
 	rt := mustRuntime(t, cfg)
 	defer rt.Close()
@@ -132,9 +132,6 @@ func checkPoolAgainstUnpruned(t *testing.T, rng *rand.Rand, dev *soc.Device, app
 	rt.mu.Lock()
 	ds, env := rt.residentDemandsLocked(), rt.envLocked(nil)
 	rt.mu.Unlock()
-	if cached {
-		env = schedcache.QuantizeEnv(env, cfg.Cache.Bucket())
-	}
 	seed := rng.Int63n(1000)
 	opt := sched.New(app, dev, profiler.ProfileBoth(app, dev, profiler.Config{
 		Reps: DefaultProfileReps, Seed: cfg.Seed + seed, BaseEnv: env,

@@ -452,12 +452,9 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 // it, and profiler.Heavy draws the heavy table exactly as ProfileBoth
 // would.
 //
-// With a schedule cache configured, the solve runs against the
-// bucket-quantized environment (the bucket's canonical representative),
-// so a later lookup under any environment in the same bucket returns a
-// schedule byte-identical to this cold solve. On a miss, the chosen
-// schedule is stored. fp is app's schedcache.Fingerprint, taken once at
-// Admit.
+// With a schedule cache configured, a lookup keyed on the exact
+// environment answers before profiling; on a miss, the chosen schedule
+// is stored. fp is app's schedcache.Fingerprint, taken once at Admit.
 //
 // pool, when non-nil, sees the ranked candidates of a cold solve before
 // autotuning; a refusal it returns ends planning with that error, and
@@ -469,8 +466,7 @@ func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opt
 	adjust, digest := rt.planAdjust()
 	var key string
 	if c := rt.cfg.Cache; c != nil {
-		env = schedcache.QuantizeEnv(env, c.Bucket())
-		key = schedcache.Key(fp, rt.dev.Name, env, c.Bucket(), schedcache.Knobs{
+		key = schedcache.Key(fp, rt.dev.Name, env, schedcache.Knobs{
 			K:      rt.cfg.K,
 			Seed:   rt.cfg.Seed + opts.Seed,
 			Adjust: digest,

@@ -64,7 +64,7 @@ func identityAdjust(_ string, _ core.PUClass, sec float64) float64 { return sec 
 // default, and zero or nil values select the defaults.
 func TestOptionValidation(t *testing.T) {
 	dev := mustDevice(t, "pixel7a")
-	cache := schedcache.New(16, 0)
+	cache := schedcache.New(16)
 	cases := []struct {
 		name string
 		cfg  Config

@@ -1,17 +1,15 @@
 // Package schedcache memoizes planning results so re-planning leaves
 // the runtime's admission hot path. The cache is keyed on a
-// canonicalized (application fingerprint, device, quantized
-// interference Env, planning knobs) tuple:
+// canonicalized (application fingerprint, device, interference Env,
+// planning knobs) tuple:
 //
 //   - the application fingerprint hashes the stage sequence and every
 //     cost-model field, so two structurally identical graphs share
 //     entries while any cost perturbation separates them;
-//   - the interference environment is quantized into configurable
-//     buckets before both keying *and* planning, so near-identical
-//     environments resolve to the same key — and, because the solve
-//     itself runs against the bucket's canonical representative, a
-//     cache hit returns a schedule byte-identical to the cold solve it
-//     replaces (pinned by the equivalence suite in internal/runtime);
+//   - the interference environment is keyed exactly, bit for bit, so a
+//     hit only ever answers the environment the cold solve planned
+//     against, and a runtime with a cache picks the same schedules as
+//     one without (pinned by the property test in internal/runtime);
 //   - the knobs fold in every optimizer parameter that can change the
 //     chosen schedule (K, seed, any latency adjustment).
 //
@@ -34,72 +32,9 @@ import (
 	"bettertogether/internal/soc"
 )
 
-// DefaultBucket is the Env quantization granularity: MemIntensity is
-// rounded to the nearest multiple of this value. 0.05 keeps 20 buckets
-// across the [0,1] intensity range — fine enough that planning against
-// the bucket representative is indistinguishable from the raw
-// environment at the noise level of the profiler, coarse enough that
-// churn-adjacent environments actually collide.
-const DefaultBucket = 0.05
-
 // DefaultCapacity bounds the cache when the caller passes a
 // non-positive capacity.
 const DefaultCapacity = 512
-
-// minBucket is the finest usable bucket width. Below it every
-// environment already gets its own key, and near 1e-19 the bucket
-// index of an intensity overflows an int, so distinct environments
-// would share one. fleet.New and cli.PlannerFlags.Validate refuse a
-// bucket below it.
-const minBucket = 1e-9
-
-// bucketIndex maps one intensity to its quantization bucket:
-// round-to-nearest with ties away from zero, clamped into [0,1] first.
-// NaN and negative values quantize to bucket 0 (a PR-2 regression guard:
-// interference ratios once went NaN and must never reach a cache key),
-// +Inf clamps to 1.
-func bucketIndex(v, bucket float64) int {
-	if math.IsNaN(v) || v <= 0 {
-		return 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return int(math.Floor(v/bucket + 0.5))
-}
-
-// normBucket resolves the bucket width: a width that is NaN, infinite
-// or below minBucket selects DefaultBucket.
-func normBucket(bucket float64) float64 {
-	if !(bucket >= minBucket) || math.IsInf(bucket, 0) {
-		return DefaultBucket
-	}
-	return bucket
-}
-
-// QuantizeEnv returns the canonical representative of env's quantization
-// bucket: every class's MemIntensity rounded to the nearest multiple of
-// bucket (clamped to [0,1], NaN-free), classes that quantize to zero
-// dropped — so a nil Env, an empty Env, and an all-zero Env share one
-// representative. The result is independent of map iteration order and
-// never aliases the input. A bucket that is NaN, infinite or below 1e-9
-// selects DefaultBucket.
-func QuantizeEnv(env soc.Env, bucket float64) soc.Env {
-	bucket = normBucket(bucket)
-	out := soc.Env{}
-	for _, c := range env.BusyClasses() {
-		idx := bucketIndex(env[c].MemIntensity, bucket)
-		if idx == 0 {
-			continue
-		}
-		q := float64(idx) * bucket
-		if q > 1 {
-			q = 1
-		}
-		out[c] = soc.Load{MemIntensity: q}
-	}
-	return out
-}
 
 // Fingerprint canonically hashes an application's planning-relevant
 // identity: its name, stage names, and every cost-model field, bit-exact
@@ -150,31 +85,23 @@ type Knobs struct {
 }
 
 // Key canonicalizes one planning instance. The environment component
-// renders the *bucket indices* (integers), not the quantized floats, so
-// the key is immune to float-formatting drift; classes render in sorted
-// order, so the key is independent of Env map iteration order. Key
-// accepts raw or pre-quantized environments interchangeably: quantizing
-// is idempotent at the index level.
-func Key(fingerprint, device string, env soc.Env, bucket float64, knobs Knobs) string {
-	bucket = normBucket(bucket)
+// renders every class present in env, in sorted order, with its
+// MemIntensity's IEEE-754 bits, so the key is independent of Env map
+// iteration order and two environments share a key exactly when they
+// are the same environment. A class present at zero load stays in the
+// key: the DVFS governor counts it as busy, so it plans differently from
+// an absent class.
+func Key(fingerprint, device string, env soc.Env, knobs Knobs) string {
 	var b strings.Builder
 	b.WriteString(fingerprint)
 	b.WriteByte('|')
 	b.WriteString(device)
-	b.WriteString("|b=")
-	b.WriteString(strconv.FormatFloat(bucket, 'g', -1, 64))
 	b.WriteString("|env:")
-	first := true
-	for _, c := range env.BusyClasses() {
-		idx := bucketIndex(env[c].MemIntensity, bucket)
-		if idx == 0 {
-			continue
-		}
-		if !first {
+	for i, c := range env.BusyClasses() {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		first = false
-		fmt.Fprintf(&b, "%s=%d", c, idx)
+		fmt.Fprintf(&b, "%s=%x", c, math.Float64bits(env[c].MemIntensity))
 	}
 	fmt.Fprintf(&b, "|k=%d|s=%d", knobs.K, knobs.Seed)
 	if knobs.Adjust != "" {
@@ -205,7 +132,6 @@ type entry struct {
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
-	bucket    float64
 	ll        *list.List               // front = most recently used
 	items     map[string]*list.Element // key -> *entry element
 	hits      uint64
@@ -215,23 +141,17 @@ type Cache struct {
 }
 
 // New builds an empty cache. A non-positive capacity selects
-// DefaultCapacity; a bucket that is NaN, infinite or below 1e-9 selects
-// DefaultBucket.
-func New(capacity int, bucket float64) *Cache {
+// DefaultCapacity.
+func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Cache{
 		capacity: capacity,
-		bucket:   normBucket(bucket),
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 	}
 }
-
-// Bucket returns the Env quantization granularity planning must use so
-// cached schedules stay byte-identical to cold solves.
-func (c *Cache) Bucket() float64 { return c.bucket }
 
 // Get returns the schedule cached under key. The returned schedule is an
 // independent copy; mutating it cannot corrupt the cache.
@@ -268,13 +188,6 @@ func (c *Cache) Put(key string, s core.Schedule) {
 		delete(c.items, back.Value.(*entry).key)
 		c.evictions++
 	}
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats snapshots the counters.

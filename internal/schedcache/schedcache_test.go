@@ -23,101 +23,6 @@ func costApp(name string, costs ...core.CostSpec) *core.Application {
 	return app
 }
 
-func TestQuantizeEnvTable(t *testing.T) {
-	const b = 0.05
-	cases := []struct {
-		name string
-		in   soc.Env
-		want soc.Env
-	}{
-		{"nil", nil, soc.Env{}},
-		{"empty", soc.Env{}, soc.Env{}},
-		{"all-zero", soc.Env{core.ClassGPU: {MemIntensity: 0}}, soc.Env{}},
-		{"negative-drops", soc.Env{core.ClassGPU: {MemIntensity: -0.3}}, soc.Env{}},
-		{"nan-drops", soc.Env{core.ClassGPU: {MemIntensity: math.NaN()}}, soc.Env{}},
-		{"below-half-bucket-drops", soc.Env{core.ClassGPU: {MemIntensity: 0.024}}, soc.Env{}},
-		{"at-half-bucket-rounds-up", soc.Env{core.ClassGPU: {MemIntensity: 0.025}},
-			soc.Env{core.ClassGPU: {MemIntensity: 0.05}}},
-		{"rounds-nearest-down", soc.Env{core.ClassGPU: {MemIntensity: 0.07}},
-			soc.Env{core.ClassGPU: {MemIntensity: 0.05}}},
-		{"rounds-nearest-up", soc.Env{core.ClassGPU: {MemIntensity: 0.08}},
-			soc.Env{core.ClassGPU: {MemIntensity: 0.10}}},
-		{"exact-multiple-fixed", soc.Env{core.ClassGPU: {MemIntensity: 0.85}},
-			soc.Env{core.ClassGPU: {MemIntensity: 0.85}}},
-		{"above-one-clamps", soc.Env{core.ClassGPU: {MemIntensity: 1.7}},
-			soc.Env{core.ClassGPU: {MemIntensity: 1.0}}},
-		{"inf-clamps", soc.Env{core.ClassGPU: {MemIntensity: math.Inf(1)}},
-			soc.Env{core.ClassGPU: {MemIntensity: 1.0}}},
-		{"mixed-classes", soc.Env{
-			core.ClassGPU:    {MemIntensity: 0.61},
-			core.ClassBig:    {MemIntensity: 0.01},
-			core.ClassLittle: {MemIntensity: math.NaN()},
-		}, soc.Env{core.ClassGPU: {MemIntensity: 0.60}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := QuantizeEnv(tc.in, b)
-			if len(got) != len(tc.want) {
-				t.Fatalf("QuantizeEnv(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-			for c, l := range tc.want {
-				g := got[c].MemIntensity
-				if math.IsNaN(g) {
-					t.Fatalf("class %s quantized to NaN", c)
-				}
-				if math.Abs(g-l.MemIntensity) > 1e-12 {
-					t.Errorf("class %s: got %v, want %v", c, g, l.MemIntensity)
-				}
-			}
-		})
-	}
-}
-
-// TestQuantizeEnvNaNFree is the PR-2 regression guard: whatever garbage
-// the interference model once produced (NaN ratios), no NaN may survive
-// quantization into a cache key or a planning environment.
-func TestQuantizeEnvNaNFree(t *testing.T) {
-	classes := []core.PUClass{core.ClassBig, core.ClassLittle, core.ClassGPU}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		env := soc.Env{}
-		for _, c := range classes {
-			switch rng.Intn(5) {
-			case 0:
-				env[c] = soc.Load{MemIntensity: math.NaN()}
-			case 1:
-				env[c] = soc.Load{MemIntensity: math.Inf(1)}
-			case 2:
-				env[c] = soc.Load{MemIntensity: -rng.Float64()}
-			default:
-				env[c] = soc.Load{MemIntensity: rng.Float64() * 2}
-			}
-		}
-		q := QuantizeEnv(env, DefaultBucket)
-		for c, l := range q {
-			if math.IsNaN(l.MemIntensity) || math.IsInf(l.MemIntensity, 0) ||
-				l.MemIntensity <= 0 || l.MemIntensity > 1 {
-				t.Fatalf("iteration %d: class %s quantized to %v from %v",
-					i, c, l.MemIntensity, env[c].MemIntensity)
-			}
-		}
-	}
-}
-
-// TestQuantizeEnvDoesNotAliasInput pins that quantization never mutates
-// or aliases the caller's map.
-func TestQuantizeEnvDoesNotAliasInput(t *testing.T) {
-	env := soc.Env{core.ClassGPU: {MemIntensity: 0.5}}
-	q := QuantizeEnv(env, DefaultBucket)
-	q[core.ClassBig] = soc.Load{MemIntensity: 1}
-	if _, ok := env[core.ClassBig]; ok {
-		t.Fatal("QuantizeEnv aliased the input map")
-	}
-	if env[core.ClassGPU].MemIntensity != 0.5 {
-		t.Fatal("QuantizeEnv mutated the input")
-	}
-}
-
 // TestKeyMapOrderIndependent is the PR-2 ULP/iteration-order guard:
 // building the same environment through different insertion and overlay
 // orders must yield the same key.
@@ -139,68 +44,63 @@ func TestKeyMapOrderIndependent(t *testing.T) {
 		{core.ClassGPU, core.ClassBig, core.ClassLittle},
 		{core.ClassLittle, core.ClassGPU, core.ClassBig},
 	}
-	ref := Key("fp", "dev", mk(orders[0], vals), DefaultBucket, Knobs{})
+	ref := Key("fp", "dev", mk(orders[0], vals), Knobs{})
 	for _, o := range orders[1:] {
-		if k := Key("fp", "dev", mk(o, vals), DefaultBucket, Knobs{}); k != ref {
+		if k := Key("fp", "dev", mk(o, vals), Knobs{}); k != ref {
 			t.Fatalf("insertion order changed the key:\n%s\n%s", ref, k)
 		}
 	}
 	// Split additions per class (0.2+0.11 vs 0.31) must agree too: Add
-	// sums before quantization sees the value.
+	// sums before Key sees the value.
 	split := soc.Env{}
 	split.Add(core.ClassBig, soc.Load{MemIntensity: 0.2})
 	split.Add(core.ClassBig, soc.Load{MemIntensity: 0.11})
 	split.Add(core.ClassLittle, soc.Load{MemIntensity: 0.12})
 	split.Add(core.ClassGPU, soc.Load{MemIntensity: 0.77})
-	if k := Key("fp", "dev", split, DefaultBucket, Knobs{}); k != ref {
+	if k := Key("fp", "dev", split, Knobs{}); k != ref {
 		t.Fatalf("split addition changed the key:\n%s\n%s", ref, k)
 	}
 }
 
-// TestKeyQuantizationCollapse pins both directions of the bucket
-// contract: environments within the same bucket share a key;
-// environments more than a bucket apart never do.
-func TestKeyQuantizationCollapse(t *testing.T) {
-	const b = 0.05
-	key := func(v float64) string {
-		return Key("fp", "dev", soc.Env{core.ClassGPU: {MemIntensity: v}}, b, Knobs{})
-	}
-	if key(0.50) != key(0.51) || key(0.50) != key(0.49) {
-		t.Error("within-bucket perturbation changed the key")
-	}
-	if key(0.50) == key(0.56) {
-		t.Error("perturbation beyond a bucket kept the key")
-	}
-	// Raw and pre-quantized environments key identically (Key quantizes
-	// at the index level, QuantizeEnv at the value level).
-	env := soc.Env{core.ClassGPU: {MemIntensity: 0.63}}
-	if Key("fp", "dev", env, b, Knobs{}) != Key("fp", "dev", QuantizeEnv(env, b), b, Knobs{}) {
-		t.Error("raw and pre-quantized env keys differ")
-	}
-}
-
 // TestKeyQuickCheckEnvEquality quick-checks the canonicalization
-// property over random environments: equal bucket indices per class if
-// and only if equal keys.
+// property over random environments: two keys are equal if and only if
+// the environments hold the same classes with bit-equal intensities. A
+// class present at zero load is not an absent class: the DVFS governor
+// counts it as busy.
 func TestKeyQuickCheckEnvEquality(t *testing.T) {
 	classes := []core.PUClass{core.ClassBig, core.ClassLittle, core.ClassGPU}
-	f := func(raw [3]float64, perturb [3]int8) bool {
+	key := func(env soc.Env) string { return Key("fp", "dev", env, Knobs{}) }
+	if key(soc.Env{}) == key(soc.Env{core.ClassGPU: {}}) {
+		t.Fatal("a class present at zero load keys like an absent class")
+	}
+	if key(soc.Env{core.ClassGPU: {MemIntensity: 0.5}}) ==
+		key(soc.Env{core.ClassGPU: {MemIntensity: math.Nextafter(0.5, 1)}}) {
+		t.Fatal("intensities one ULP apart share a key")
+	}
+	f := func(raw [3]float64, inA, inB [3]bool, perturb [3]uint8) bool {
 		a, b := soc.Env{}, soc.Env{}
 		same := true
 		for i, c := range classes {
 			v := math.Abs(raw[i])
 			v -= math.Floor(v) // into [0,1)
-			a[c] = soc.Load{MemIntensity: v}
-			// Perturb by whole buckets; same key expected iff all zero.
-			shift := float64(int(perturb[i]%3)-1) * DefaultBucket
-			b[c] = soc.Load{MemIntensity: v + shift}
-			if bucketIndex(v, DefaultBucket) != bucketIndex(v+shift, DefaultBucket) {
+			w := v
+			switch perturb[i] % 4 {
+			case 1:
+				w = math.Nextafter(v, 1)
+			case 2:
+				w = 0
+			}
+			if inA[i] {
+				a[c] = soc.Load{MemIntensity: v}
+			}
+			if inB[i] {
+				b[c] = soc.Load{MemIntensity: w}
+			}
+			if inA[i] != inB[i] || (inA[i] && math.Float64bits(v) != math.Float64bits(w)) {
 				same = false
 			}
 		}
-		ka := Key("fp", "dev", a, DefaultBucket, Knobs{})
-		kb := Key("fp", "dev", b, DefaultBucket, Knobs{})
-		return (ka == kb) == same
+		return (key(a) == key(b)) == same
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -270,16 +170,16 @@ func TestFingerprintSensitiveToStructure(t *testing.T) {
 
 func TestKeyKnobsSeparate(t *testing.T) {
 	env := soc.Env{core.ClassGPU: {MemIntensity: 0.5}}
-	base := Key("fp", "dev", env, DefaultBucket, Knobs{K: 8, Seed: 1})
+	base := Key("fp", "dev", env, Knobs{K: 8, Seed: 1})
 	for name, k := range map[string]Knobs{
 		"k":    {K: 9, Seed: 1},
 		"seed": {K: 8, Seed: 2},
 	} {
-		if Key("fp", "dev", env, DefaultBucket, k) == base {
+		if Key("fp", "dev", env, k) == base {
 			t.Errorf("knob %s not folded into key", name)
 		}
 	}
-	if Key("fp", "other", env, DefaultBucket, Knobs{K: 8, Seed: 1}) == base {
+	if Key("fp", "other", env, Knobs{K: 8, Seed: 1}) == base {
 		t.Error("device not folded into key")
 	}
 	if !strings.HasPrefix(base, "fp|dev|") {
@@ -292,7 +192,7 @@ func sched(classes ...core.PUClass) core.Schedule {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := New(2, DefaultBucket)
+	c := New(2)
 	c.Put("a", sched(core.ClassBig))
 	c.Put("b", sched(core.ClassGPU))
 	if _, ok := c.Get("a"); !ok { // refresh a: b becomes LRU
@@ -315,7 +215,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheCopiesInAndOut(t *testing.T) {
-	c := New(4, DefaultBucket)
+	c := New(4)
 	in := sched(core.ClassBig, core.ClassGPU)
 	c.Put("k", in)
 	in.Assign[0] = core.ClassLittle // caller mutates after Put
@@ -334,11 +234,11 @@ func TestCacheCopiesInAndOut(t *testing.T) {
 }
 
 func TestCacheUpdateExistingKey(t *testing.T) {
-	c := New(2, DefaultBucket)
+	c := New(2)
 	c.Put("k", sched(core.ClassBig))
 	c.Put("k", sched(core.ClassGPU))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after double Put of one key", c.Len())
+	if st := c.Stats(); st.Size != 1 {
+		t.Fatalf("Size = %d after double Put of one key", st.Size)
 	}
 	s, _ := c.Get("k")
 	if s.Assign[0] != core.ClassGPU {
@@ -356,7 +256,7 @@ func TestCacheConcurrentInvariants(t *testing.T) {
 		iters   = 500
 		cap     = 16
 	)
-	c := New(cap, DefaultBucket)
+	c := New(cap)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -380,9 +280,6 @@ func TestCacheConcurrentInvariants(t *testing.T) {
 	if st.Size > cap {
 		t.Fatalf("size %d exceeds capacity %d", st.Size, cap)
 	}
-	if st.Size != c.Len() {
-		t.Fatalf("Stats.Size %d != Len %d", st.Size, c.Len())
-	}
 	gets := st.Hits + st.Misses
 	puts := st.Stores
 	if gets+puts != workers*iters {
@@ -391,51 +288,23 @@ func TestCacheConcurrentInvariants(t *testing.T) {
 	}
 }
 
-// TestTinyBucketSelectsDefault pins that a bucket too fine to index
-// falls back to DefaultBucket: at 1e-300 the bucket index of 0.2 and
-// of 0.7 once overflowed to the same negative int, so two environments
-// shared one key and quantized to a negative intensity.
-func TestTinyBucketSelectsDefault(t *testing.T) {
-	low := soc.Env{core.ClassGPU: {MemIntensity: 0.2}}
-	high := soc.Env{core.ClassGPU: {MemIntensity: 0.7}}
-	for _, b := range []float64{1e-300, 1e-19, 9.9e-10} {
-		if Key("fp", "dev", low, b, Knobs{}) == Key("fp", "dev", high, b, Knobs{}) {
-			t.Errorf("bucket %g: intensities 0.2 and 0.7 share a key", b)
-		}
-		if got, want := QuantizeEnv(high, b), QuantizeEnv(high, DefaultBucket); got[core.ClassGPU] != want[core.ClassGPU] {
-			t.Errorf("bucket %g: quantized %v, want the default bucket's %v", b, got, want)
-		}
-		if got := New(8, b).Bucket(); got != DefaultBucket {
-			t.Errorf("New(8, %g).Bucket() = %v, want DefaultBucket", b, got)
-		}
-	}
-	if got := New(8, 1e-9).Bucket(); got != 1e-9 {
-		t.Errorf("New(8, 1e-9).Bucket() = %v, want the finest usable width kept", got)
-	}
-}
-
 func TestNewDefaults(t *testing.T) {
-	c := New(0, 0)
-	if c.Stats().Capacity != DefaultCapacity {
-		t.Errorf("capacity = %d, want DefaultCapacity", c.Stats().Capacity)
-	}
-	if c.Bucket() != DefaultBucket {
-		t.Errorf("bucket = %v, want DefaultBucket", c.Bucket())
-	}
-	if got := New(3, math.NaN()).Bucket(); got != DefaultBucket {
-		t.Errorf("NaN bucket resolved to %v", got)
+	for _, capacity := range []int{0, -1} {
+		if got := New(capacity).Stats().Capacity; got != DefaultCapacity {
+			t.Errorf("New(%d) capacity = %d, want DefaultCapacity", capacity, got)
+		}
 	}
 }
 
 func TestKeyAdjustDigestSeparates(t *testing.T) {
 	env := soc.Env{core.ClassGPU: {MemIntensity: 0.5}}
 	knobs := Knobs{K: 8, Seed: 1}
-	base := Key("fp", "dev", env, DefaultBucket, knobs)
+	base := Key("fp", "dev", env, knobs)
 	if strings.Contains(base, "|adj=") {
 		t.Fatalf("empty Adjust leaked into key %q", base)
 	}
 	knobs.Adjust = "gpu/conv=2.03"
-	adj := Key("fp", "dev", env, DefaultBucket, knobs)
+	adj := Key("fp", "dev", env, knobs)
 	if adj == base {
 		t.Fatal("Adjust digest not folded into key")
 	}
@@ -444,7 +313,7 @@ func TestKeyAdjustDigestSeparates(t *testing.T) {
 	}
 	// Distinct digests must never collide onto one entry.
 	knobs.Adjust = "gpu/conv=1.97"
-	if Key("fp", "dev", env, DefaultBucket, knobs) == adj {
+	if Key("fp", "dev", env, knobs) == adj {
 		t.Fatal("distinct Adjust digests collide")
 	}
 }

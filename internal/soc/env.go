@@ -10,9 +10,8 @@ import (
 	"bettertogether/internal/core"
 )
 
-// clampIntensity sanitizes one MemIntensity the same way
-// schedcache.QuantizeEnv buckets them: NaN and negative values clamp to
-// zero, values past full bandwidth saturate at 1. Every Env combinator
+// clampIntensity sanitizes one MemIntensity: NaN and negative values
+// clamp to zero, values past full bandwidth saturate at 1. Every Env combinator
 // routes intensities through here so a poisoned load (a NaN interference
 // ratio, a miscalibrated profile) can never propagate — in particular it
 // can never reach Delta, where a NaN compares false against every
@@ -165,7 +164,7 @@ func (o *EnvOverlay) Seal() *DenseEnv {
 // estimate cells on this, so near-identical interference contexts pool
 // their samples instead of fragmenting into singleton cells. A
 // non-positive (or NaN/Inf) bucket falls back to 0.05, matching
-// schedcache.DefaultBucket.
+// onlineprof.DefaultBucket.
 func (e Env) Signature(bucket float64) string {
 	if bucket <= 0 || math.IsNaN(bucket) || math.IsInf(bucket, 0) {
 		bucket = 0.05
