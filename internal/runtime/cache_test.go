@@ -152,9 +152,10 @@ func TestCacheOnIdenticalToOff(t *testing.T) {
 				opts := AdmitOptions{Tasks: 4, WaveTasks: 4, Seed: rng.Int63n(3), Hold: rng.Intn(2) == 0}
 				sOff, errOff := rtOff.Admit(app, opts)
 				sOn, errOn := rtOn.Admit(app, opts)
-				var aOff, aOn *AdmissionError
-				if (errOff != nil && !errors.As(errOff, &aOff)) || (errOn != nil && !errors.As(errOn, &aOn)) {
-					t.Fatalf("trial %d step %d: admit %s: %v / %v", trial, step, app.Name, errOff, errOn)
+				for _, err := range []error{errOff, errOn} {
+					if err != nil && !errors.As(err, new(*AdmissionError)) {
+						t.Fatalf("trial %d step %d: admit %s: %v", trial, step, app.Name, err)
+					}
 				}
 				if (errOff == nil) != (errOn == nil) {
 					t.Fatalf("trial %d step %d: admit %s: cache off %v, cache on %v", trial, step, app.Name, errOff, errOn)
@@ -177,7 +178,7 @@ func TestCacheOnIdenticalToOff(t *testing.T) {
 				live = slices.Delete(live, i, i+1)
 			}
 			for _, p := range all {
-				if a, b := p.off.Schedules(), p.on.Schedules(); !historiesEqual([][]core.Schedule{a}, [][]core.Schedule{b}) {
+				if a, b := p.off.Schedules(), p.on.Schedules(); !slices.EqualFunc(a, b, core.Schedule.Equal) {
 					t.Fatalf("trial %d step %d: %s's schedules diverge:\ncache off: %v\ncache on:  %v", trial, step, p.off.Name(), a, b)
 				}
 			}

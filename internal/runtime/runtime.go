@@ -97,12 +97,11 @@ type Config struct {
 	Events obs.Sink
 	// Cache, when non-nil, memoizes planning results across admissions
 	// and re-plans, keyed on a canonicalized (app fingerprint, device,
-	// quantized Env, planning knobs) tuple. Planning then runs against
-	// the cache's bucket-quantized environment, so a hit returns a
-	// schedule byte-identical to the cold solve it replaces (pinned by
-	// the equivalence suite); a miss plans cold and stores the result.
-	// One cache may be shared across runtimes. Nil plans cold on every
-	// pass (the pre-cache behavior, bit-exact).
+	// exact Env, planning knobs) tuple, so a hit returns the schedule
+	// the cold solve it replaces would pick (pinned by the equivalence
+	// suite); a miss plans cold and stores the result. One cache may be
+	// shared across runtimes. Nil plans cold on every pass, with the
+	// same schedules.
 	Cache *schedcache.Cache
 	// ReplanDelta, when positive, skips re-planning a resident whose
 	// projected environment moved less than this (L∞ over per-class
