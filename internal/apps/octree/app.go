@@ -66,12 +66,12 @@ func stagePrefixSum(to *core.TaskObject, par core.ParallelFor) {
 func stageBuildOctree(to *core.TaskObject, par core.ParallelFor) {
 	t := to.Payload.(*Task)
 	if t.NumUnique < 2 {
-		t.Result = BuildSingleCodeOctree(t.Codes.Data[0], t.ensureNodes(t.TotalNodes))
+		t.Result = BuildSingleCodeOctree(t.Codes.Data[0], t.Nodes[:t.TotalNodes])
 		return
 	}
 	n := t.Tree.NumNodes()
 	t.Result = BuildOctree(t.Tree, t.Codes.Data[:t.NumUnique],
-		t.Counts.Data[:n], t.Offsets.Data[:n], t.ensureNodes(t.TotalNodes), par)
+		t.Counts.Data[:n], t.Offsets.Data[:n], t.Nodes[:t.TotalNodes], par)
 }
 
 // costs returns the per-stage cost specs for n-point frames. The

@@ -147,15 +147,14 @@ func BuildOctree(t *RadixTree, codes []uint32, counts, offsets []int32,
 	// Final pass: derive child masks (done separately because two
 	// subtrees may attach to one ancestor node concurrently; a read-only
 	// derivation avoids read-modify-write races on the mask byte).
+	// Bit d is set iff Children[d] >= 0, so the mask is the complement
+	// of the eight children's sign bits, with no data-dependent branch.
 	par(total, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			var m uint8
-			for d, ch := range nodes[i].Children {
-				if ch >= 0 {
-					m |= 1 << uint(d)
-				}
-			}
-			nodes[i].Mask = m
+			c := &nodes[i].Children
+			m := ^(uint32(c[0])>>31 | uint32(c[1])>>31<<1 | uint32(c[2])>>31<<2 | uint32(c[3])>>31<<3 |
+				uint32(c[4])>>31<<4 | uint32(c[5])>>31<<5 | uint32(c[6])>>31<<6 | uint32(c[7])>>31<<7)
+			nodes[i].Mask = uint8(m)
 		}
 	})
 	return Octree{Nodes: nodes, Root: offsets[0]}

@@ -658,3 +658,24 @@ func compact3(v uint32) uint32 {
 	v = (v | v>>16) & 0x000003ff
 	return v
 }
+
+// TestNodeBound checks the arena bound at the default frame size and
+// that codes spread over every depth-3 cell reach it exactly.
+func TestNodeBound(t *testing.T) {
+	if got := nodeBound(DefaultPoints); got != 365129 {
+		t.Fatalf("nodeBound(%d) = %d, want 365129", DefaultPoints, got)
+	}
+	const n = 512
+	codes := make([]uint32, n)
+	for i := range codes {
+		codes[i] = uint32(i) << (MortonBits - 9)
+	}
+	tree := NewRadixTree(n)
+	tree.Build(codes, core.SerialFor)
+	counts := make([]int32, tree.NumNodes())
+	offsets := make([]int32, tree.NumNodes())
+	CountEdges(tree, counts, core.SerialFor)
+	if total := ExclusiveScan(counts, offsets, core.SerialFor); int(total) != nodeBound(n) {
+		t.Fatalf("%d codes on distinct depth-3 cells build %d nodes, want the bound %d", n, total, nodeBound(n))
+	}
+}

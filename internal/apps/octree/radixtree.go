@@ -144,10 +144,3 @@ func (t *RadixTree) Build(codes []uint32, par core.ParallelFor) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

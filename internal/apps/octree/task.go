@@ -129,8 +129,8 @@ type Task struct {
 	Counts, Offsets *core.UsmBuffer[int32]
 	// TotalNodes is stage 6's scan total.
 	TotalNodes int32
-	// Nodes is the octree node arena; it grows on the first frames and
-	// then stabilizes, after which execution is allocation-free.
+	// Nodes is the octree node arena, allocated once by NewTask at
+	// nodeBound(N), which no frame of N points exceeds.
 	Nodes []OctNode
 	// Result is the finished octree of the current frame.
 	Result Octree
@@ -148,6 +148,7 @@ func NewTask(n int, gen Generator) *Task {
 		Tree:    NewRadixTree(n),
 		Counts:  core.NewUsmBuffer[int32](2*n - 1),
 		Offsets: core.NewUsmBuffer[int32](2*n - 1),
+		Nodes:   make([]OctNode, nodeBound(n)),
 	}
 	t.Regenerate(0)
 	return t
@@ -162,10 +163,14 @@ func (t *Task) Regenerate(seq int) {
 	t.Result = Octree{}
 }
 
-// ensureNodes returns the node arena with capacity for total nodes.
-func (t *Task) ensureNodes(total int32) []OctNode {
-	if cap(t.Nodes) < int(total) {
-		t.Nodes = make([]OctNode, total)
+// nodeBound is the most octree nodes n points can produce:
+// Σ_{d=0}^{MaxDepth} min(8^d, n). A depth-d cell is a distinct 3d-bit
+// prefix of the unique codes, so depth d holds at most min(8^d, n)
+// cells; for n = 65 536 the bound is 365 129 nodes.
+func nodeBound(n int) int {
+	total := 0
+	for d, cells := 0, 1; d <= MaxDepth; d, cells = d+1, cells*8 {
+		total += min(cells, n)
 	}
-	return t.Nodes[:total]
+	return total
 }

@@ -41,7 +41,10 @@ func stageDenoise(to *core.TaskObject, par core.ParallelFor) {
 
 func stageSobel(to *core.TaskObject, par core.ParallelFor) {
 	t := to.Payload.(*payload)
-	par(t.H, func(lo, hi int) { t.Sobel(lo, hi) })
+	// Two sweeps, so no band reads a halo row of Gray while another
+	// band is writing it.
+	par(t.H, func(lo, hi int) { t.Luminance(lo, hi) })
+	par(t.H, func(lo, hi int) { t.Gradient(lo, hi) })
 }
 
 func stageHistogram(to *core.TaskObject, par core.ParallelFor) {

@@ -98,11 +98,6 @@ func clampIdx(i, n int) int {
 	return i
 }
 
-// at reads plane p of a 3×W×H planar image with clamped coordinates.
-func at(img []float32, p, x, y, w, h int) float32 {
-	return img[p*w*h+clampIdx(y, h)*w+clampIdx(x, w)]
-}
-
 // Demosaic converts the RGGB mosaic to planar RGB rows [yLo, yHi) with
 // bilinear interpolation of the missing samples.
 func (t *Task) Demosaic(yLo, yHi int) {
@@ -139,76 +134,83 @@ func (t *Task) Demosaic(yLo, yHi int) {
 	}
 }
 
-// median9 returns the median of 9 values via a fixed sorting network.
-func median9(v [9]float32) float32 {
-	swap := func(a, b int) {
-		if v[a] > v[b] {
-			v[a], v[b] = v[b], v[a]
-		}
-	}
-	// Paeth's 19-exchange median-of-9 network.
-	swap(1, 2)
-	swap(4, 5)
-	swap(7, 8)
-	swap(0, 1)
-	swap(3, 4)
-	swap(6, 7)
-	swap(1, 2)
-	swap(4, 5)
-	swap(7, 8)
-	swap(0, 3)
-	swap(5, 8)
-	swap(4, 7)
-	swap(3, 6)
-	swap(1, 4)
-	swap(2, 5)
-	swap(4, 7)
-	swap(4, 2)
-	swap(6, 4)
-	swap(4, 2)
-	return v[4]
+// sort3 returns a, b, c in ascending order.
+func sort3(a, b, c float32) (lo, mid, hi float32) {
+	l, h := min(a, b), max(a, b)
+	return min(l, c), max(l, min(h, c)), max(h, c)
+}
+
+// med3 returns the median of a, b, c.
+func med3(a, b, c float32) float32 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // Denoise applies a 3×3 median filter to rows [yLo, yHi) of every
-// channel.
+// channel, with edge pixels replicated past the border.
+//
+// Each window column is sorted once and slid along the row, and the
+// median is med3 of the columns' largest low, median middle and
+// smallest high: the same order statistic a full sort of the nine
+// values selects. Only a window that holds both −0 and +0 may return
+// either sign of zero; a NaN input has no defined median.
 func (t *Task) Denoise(yLo, yHi int) {
 	w, h := t.W, t.H
-	in, out := t.RGB.Data, t.Denoised.Data
 	for p := 0; p < 3; p++ {
+		in := t.RGB.Data[p*w*h : (p+1)*w*h]
+		out := t.Denoised.Data[p*w*h : (p+1)*w*h]
 		for y := yLo; y < yHi; y++ {
-			for x := 0; x < w; x++ {
-				var win [9]float32
-				k := 0
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						win[k] = at(in, p, x+dx, y+dy, w, h)
-						k++
-					}
-				}
-				out[p*w*h+y*w+x] = median9(win)
-			}
+			denoiseRow(out[y*w:][:w],
+				in[clampIdx(y-1, h)*w:][:w], in[y*w:][:w], in[clampIdx(y+1, h)*w:][:w])
 		}
 	}
 }
 
-// Sobel computes luminance and Sobel gradient magnitude for rows
-// [yLo, yHi).
-func (t *Task) Sobel(yLo, yHi int) {
-	w, h := t.W, t.H
-	img := t.Denoised.Data
-	gray, grad := t.Gray.Data, t.Grad.Data
-	lum := func(x, y int) float32 {
-		return 0.299*at(img, 0, x, y, w, h) + 0.587*at(img, 1, x, y, w, h) + 0.114*at(img, 2, x, y, w, h)
+// denoiseRow writes the median filter of input row r1, between rows r0
+// and r2, into out; all four slices have the same length.
+func denoiseRow(out, r0, r1, r2 []float32) {
+	w := len(out)
+	r0, r1, r2 = r0[:w], r1[:w], r2[:w]
+	// Sorted columns x-1, x and x+1 (a, b, c); the first column
+	// replicates into the left border.
+	la, ma, ha := sort3(r0[0], r1[0], r2[0])
+	lb, mb, hb := la, ma, ha
+	for x := 0; x < w-1; x++ {
+		lc, mc, hc := sort3(r0[x+1], r1[x+1], r2[x+1])
+		out[x] = med3(max(la, lb, lc), med3(ma, mb, mc), min(ha, hb, hc))
+		la, ma, ha = lb, mb, hb
+		lb, mb, hb = lc, mc, hc
 	}
+	// The last column replicates into the right border: c is b.
+	out[w-1] = med3(max(la, lb), mb, min(ha, hb))
+}
+
+// Luminance fills rows [yLo, yHi) of Gray from the denoised image.
+func (t *Task) Luminance(yLo, yHi int) {
+	n := t.W * t.H
+	r, g, b := t.Denoised.Data[:n], t.Denoised.Data[n:2*n], t.Denoised.Data[2*n:3*n]
+	gray := t.Gray.Data
+	for i := yLo * t.W; i < yHi*t.W; i++ {
+		gray[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
+	}
+}
+
+// Gradient fills rows [yLo, yHi) of Grad with the squared Sobel
+// gradient magnitude of Gray, with edge pixels replicated past the
+// border. It reads Gray rows yLo-1 through yHi, so a banded caller
+// fills Gray for the whole frame first.
+func (t *Task) Gradient(yLo, yHi int) {
+	w, h := t.W, t.H
+	gray, grad := t.Gray.Data, t.Grad.Data
 	for y := yLo; y < yHi; y++ {
+		up := gray[clampIdx(y-1, h)*w:][:w]
+		mid := gray[y*w:][:w]
+		dn := gray[clampIdx(y+1, h)*w:][:w]
+		out := grad[y*w:][:w]
 		for x := 0; x < w; x++ {
-			gray[y*w+x] = lum(x, y)
-			gx := lum(x+1, y-1) + 2*lum(x+1, y) + lum(x+1, y+1) -
-				lum(x-1, y-1) - 2*lum(x-1, y) - lum(x-1, y+1)
-			gy := lum(x-1, y+1) + 2*lum(x, y+1) + lum(x+1, y+1) -
-				lum(x-1, y-1) - 2*lum(x, y-1) - lum(x+1, y-1)
-			m := gx*gx + gy*gy
-			grad[y*w+x] = m
+			l, r := clampIdx(x-1, w), clampIdx(x+1, w)
+			gx := up[r] + 2*mid[r] + dn[r] - up[l] - 2*mid[l] - dn[l]
+			gy := dn[l] + 2*dn[x] + dn[r] - up[l] - 2*up[x] - up[r]
+			out[x] = gx*gx + gy*gy
 		}
 	}
 }

@@ -31,6 +31,66 @@ func concPar(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
+// median9 returns the median of 9 values via Paeth's 19-exchange
+// sorting network; it is the oracle the column-sorted Denoise is
+// checked against.
+func median9(v [9]float32) float32 {
+	swap := func(a, b int) {
+		if v[a] > v[b] {
+			v[a], v[b] = v[b], v[a]
+		}
+	}
+	swap(1, 2)
+	swap(4, 5)
+	swap(7, 8)
+	swap(0, 1)
+	swap(3, 4)
+	swap(6, 7)
+	swap(1, 2)
+	swap(4, 5)
+	swap(7, 8)
+	swap(0, 3)
+	swap(5, 8)
+	swap(4, 7)
+	swap(3, 6)
+	swap(1, 4)
+	swap(2, 5)
+	swap(4, 7)
+	swap(4, 2)
+	swap(6, 4)
+	swap(4, 2)
+	return v[4]
+}
+
+// refDenoise is the tap-by-tap 3×3 median filter: each window read
+// through clamped coordinates and reduced by median9.
+func refDenoise(t *Task, yLo, yHi int) {
+	w, h := t.W, t.H
+	in, out := t.RGB.Data, t.Denoised.Data
+	for p := 0; p < 3; p++ {
+		for y := yLo; y < yHi; y++ {
+			for x := 0; x < w; x++ {
+				var win [9]float32
+				k := 0
+				for dy := -1; dy <= 1; dy++ {
+					for dx := -1; dx <= 1; dx++ {
+						win[k] = in[p*w*h+clampIdx(y+dy, h)*w+clampIdx(x+dx, w)]
+						k++
+					}
+				}
+				out[p*w*h+y*w+x] = median9(win)
+			}
+		}
+	}
+}
+
+// Sobel runs both passes of the sobel stage over rows [yLo, yHi);
+// Sobel(0, H) fills Gray and Grad for the whole frame.
+func (t *Task) Sobel(yLo, yHi int) {
+	t.Luminance(yLo, yHi)
+	t.Gradient(yLo, yHi)
+}
+
 func TestMedian9(t *testing.T) {
 	f := func(raw [9]float32) bool {
 		got := median9(raw)
@@ -258,4 +318,65 @@ func TestCostsValid(t *testing.T) {
 			t.Errorf("stage %d: %v", i, err)
 		}
 	}
+}
+
+// FuzzDenoise checks the column-sorted Denoise against refDenoise on
+// frames from 2×2 to 33×33, run as two bands split at row k. Samples
+// come from a 64-level palette over [-8, 8) with both signs of zero, so
+// windows hold many duplicates. Outputs must be equal by value and by
+// bits, except that a window holding both −0 and +0 may return either
+// zero. NaN is left out: a NaN input has no defined median.
+func FuzzDenoise(f *testing.F) {
+	f.Fuzz(func(t *testing.T, wB, hB, kB uint8, data []byte) {
+		w, h := 2+int(wB%32), 2+int(hB%32)
+		k := int(kB) % (h + 1)
+		got, want := NewTask(w, h), NewTask(w, h)
+		for i := range got.RGB.Data {
+			var v float32
+			if len(data) > 0 {
+				v = fuzzSample(data[i%len(data)])
+			}
+			got.RGB.Data[i], want.RGB.Data[i] = v, v
+		}
+		got.Denoise(0, k)
+		got.Denoise(k, h)
+		refDenoise(want, 0, h)
+		for i, g := range got.Denoised.Data {
+			r := want.Denoised.Data[i]
+			if g != r {
+				t.Fatalf("%dx%d split %d: pixel %d = %v, want %v", w, h, k, i, g, r)
+			}
+			if math.Float32bits(g) != math.Float32bits(r) && !mixedZeros(want, i) {
+				t.Fatalf("%dx%d split %d: pixel %d bits %08x, want %08x", w, h, k, i,
+					math.Float32bits(g), math.Float32bits(r))
+			}
+		}
+	})
+}
+
+// fuzzSample maps a fuzz byte to a sample: 0xff is −0, and every other
+// byte to one of 64 quarter steps in [-8, 8), 0 through 3 to +0.
+func fuzzSample(b byte) float32 {
+	if b == 0xff {
+		return float32(math.Copysign(0, -1))
+	}
+	return float32(int8(b)>>2) / 4
+}
+
+// mixedZeros reports whether the 3×3 window of planar pixel i in t.RGB
+// holds both −0 and +0.
+func mixedZeros(t *Task, i int) bool {
+	w, h := t.W, t.H
+	p, y, x := i/(w*h), i%(w*h)/w, i%w
+	var neg, pos bool
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			v := t.RGB.Data[p*w*h+clampIdx(y+dy, h)*w+clampIdx(x+dx, w)]
+			if v == 0 {
+				neg = neg || math.Signbit(float64(v))
+				pos = pos || !math.Signbit(float64(v))
+			}
+		}
+	}
+	return neg && pos
 }

@@ -47,13 +47,6 @@ const (
 	// DefaultHysteresis is the consecutive-strike count required to
 	// latch a drift.
 	DefaultHysteresis = 3
-	// DefaultBucket quantizes the environment signatures sessions
-	// register with (soc.Env.Signature). 0.05 splits the [0,1]
-	// intensity range into 20 cells: coarse enough that sessions whose
-	// environments differ only by small churn pool their samples and
-	// reach DefaultMinSamples, fine enough that a co-runner's
-	// materially different load gets cells of its own.
-	DefaultBucket = 0.05
 )
 
 // Config tunes the estimator. Zero values select the defaults above.
@@ -154,9 +147,9 @@ func cellID(stage string, pu core.PUClass) string {
 // SetSessionModel registers (or replaces) the model predictions behind
 // a session's current schedule: gen identifies the model generation —
 // bump it on every replan — and envSig is the quantized signature of
-// the interference environment the solve ran against (soc.Env.Signature
-// with DefaultBucket). Registration resets the session's
-// strikes and latch, so each generation can trigger at most one drift.
+// the interference environment the solve ran against (soc.Env.Signature).
+// Registration resets the session's strikes and latch, so each
+// generation can trigger at most one drift.
 func (e *Estimator) SetSessionModel(session string, gen int64, envSig string, cells []ModelCell) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

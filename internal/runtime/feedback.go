@@ -109,7 +109,7 @@ func (rt *Runtime) registerModel(s *Session) {
 	rt.estimator.SetSessionModel(
 		s.opts.Name,
 		s.bumpModelGen(),
-		env.Signature(onlineprof.DefaultBucket),
+		env.Signature(),
 		rt.modelCells(plan, env, adjust),
 	)
 }

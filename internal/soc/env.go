@@ -155,23 +155,27 @@ func (o *EnvOverlay) Seal() *DenseEnv {
 	return e
 }
 
+// signatureBucket is the intensity quantum of Env.Signature. 0.05
+// splits the [0,1] intensity range into 20 cells: coarse enough that
+// sessions whose environments differ only by small churn pool their
+// samples in one online-profiler cell and reach its sample floor, fine
+// enough that a co-runner's materially different load gets cells of its
+// own.
+const signatureBucket = 0.05
+
 // Signature renders the environment's quantization-bucket identity as a
 // stable string: each class's MemIntensity rounded to the nearest
-// multiple of bucket (clamped into [0,1], NaN-free), classes in sorted
-// order, zero buckets dropped. Two environments that quantize to the
-// same bucket share a signature; nil, empty, and all-zero environments
-// all render "". The online profiler keys its per-(stage, PU, Env)
-// estimate cells on this, so near-identical interference contexts pool
-// their samples instead of fragmenting into singleton cells. A
-// non-positive (or NaN/Inf) bucket falls back to 0.05, matching
-// onlineprof.DefaultBucket.
-func (e Env) Signature(bucket float64) string {
-	if bucket <= 0 || math.IsNaN(bucket) || math.IsInf(bucket, 0) {
-		bucket = 0.05
-	}
+// multiple of signatureBucket (clamped into [0,1], NaN-free), classes in
+// sorted order, zero buckets dropped. Two environments that quantize to
+// the same bucket share a signature; nil, empty, and all-zero
+// environments all render "". The online profiler keys its per-(stage,
+// PU, Env) estimate cells on this, so near-identical interference
+// contexts pool their samples instead of fragmenting into singleton
+// cells.
+func (e Env) Signature() string {
 	var b strings.Builder
 	for _, c := range e.BusyClasses() {
-		idx := int(math.Floor(clampIntensity(e[c].MemIntensity)/bucket + 0.5))
+		idx := int(math.Floor(clampIntensity(e[c].MemIntensity)/signatureBucket + 0.5))
 		if idx == 0 {
 			continue
 		}

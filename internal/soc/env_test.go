@@ -143,18 +143,18 @@ func TestEnvOverlayRefusesNaN(t *testing.T) {
 
 func TestEnvSignature(t *testing.T) {
 	a := Env{core.ClassGPU: {MemIntensity: 0.41}, core.ClassBig: {MemIntensity: 0.2}}
-	got := a.Signature(0.05)
+	got := a.Signature()
 	if got != "big=4,gpu=8" {
 		t.Fatalf("Signature = %q, want sorted-class bucket indices big=4,gpu=8", got)
 	}
 	// Near-identical environments pool into the same bucket signature.
 	b := Env{core.ClassGPU: {MemIntensity: 0.39}, core.ClassBig: {MemIntensity: 0.21}}
-	if b.Signature(0.05) != got {
-		t.Fatalf("bucket-adjacent env got distinct signature %q vs %q", b.Signature(0.05), got)
+	if b.Signature() != got {
+		t.Fatalf("bucket-adjacent env got distinct signature %q vs %q", b.Signature(), got)
 	}
 	// But a bucket-crossing change separates.
 	c := Env{core.ClassGPU: {MemIntensity: 0.48}, core.ClassBig: {MemIntensity: 0.2}}
-	if c.Signature(0.05) == got {
+	if c.Signature() == got {
 		t.Fatal("bucket-crossing env shares a signature")
 	}
 	// nil, empty, all-zero and all-NaN all render the empty signature.
@@ -164,20 +164,13 @@ func TestEnvSignature(t *testing.T) {
 		"zero":  {core.ClassGPU: {MemIntensity: 0}},
 		"nan":   {core.ClassGPU: {MemIntensity: math.NaN()}},
 	} {
-		if s := e.Signature(0.05); s != "" {
+		if s := e.Signature(); s != "" {
 			t.Errorf("%s env signature = %q, want empty", name, s)
-		}
-	}
-	// Degenerate buckets fall back to the default width rather than
-	// dividing by zero or producing NaN indices.
-	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if s := a.Signature(bad); s != a.Signature(0.05) {
-			t.Errorf("bucket %v signature %q differs from default-width %q", bad, s, a.Signature(0.05))
 		}
 	}
 	// Intensities past full bandwidth saturate at 1.
 	hot := Env{core.ClassGPU: {MemIntensity: 7}}
-	if s := hot.Signature(0.05); s != "gpu=20" {
+	if s := hot.Signature(); s != "gpu=20" {
 		t.Errorf("saturating signature = %q, want gpu=20", s)
 	}
 }
