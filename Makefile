@@ -1,14 +1,15 @@
 # Development targets. `make check` is the full gate run before any
-# change lands: vet, build, full test suite, then the race-enabled
-# stress/property suite over the concurrent machinery.
+# change lands: vet, build, full test suite, the race-enabled
+# stress/property suite over the concurrent machinery, then the
+# benchmark module's own vet and tests.
 
 GO ?= go
 
-.PHONY: all check vet build test race determinism bench bench-suite drift-smoke
+.PHONY: all check vet build test race bench-module determinism bench bench-suite drift-smoke
 
 all: check
 
-check: vet build test race
+check: vet build test race bench-module
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +30,11 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/pipeline/... ./internal/queue/... ./internal/metrics/... ./internal/runtime/... ./internal/obs/... ./internal/schedcache/... ./internal/fleet/... ./internal/onlineprof/... ./cmd/btrun/...
 	$(GO) test -race -count=1 -run 'Parallel|Concurrent|ForEach' ./internal/experiments/... ./internal/sched/...
+
+# bench-module vets and tests the separate perfbench module, the one
+# consumer of the engine's TaskObject outside this module.
+bench-module:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # determinism runs every test that claims a run-to-run identical result
 # 20 times, so a nondeterministic replay fails here rather than on a

@@ -31,7 +31,7 @@ func newTask() *bt.TaskObject {
 		smoothed: bt.NewUsmBuffer[float64](signalLen),
 		hist:     bt.NewUsmBuffer[int64](64),
 	}
-	task := bt.NewTaskObject(p, nil, func(t *bt.TaskObject) {
+	task := bt.NewTaskObject(p, func(t *bt.TaskObject) {
 		// Regenerate the input deterministically per stream sequence.
 		for i := range p.signal.Data {
 			p.signal.Data[i] = math.Sin(float64(t.Seq+1) * float64(i) * 1e-3)

@@ -115,10 +115,7 @@ func newApp(name string, m *Model, b int, sparse bool, costs []core.CostSpec) *c
 		Stages: stages,
 		NewTask: func() *core.TaskObject {
 			t := NewTaskPayload(m, b, sparse)
-			return core.NewTaskObject(t, t.buffers(), func(obj *core.TaskObject) {
-				t.Regenerate(obj.Seq)
-				t.resetCoherence()
-			})
+			return core.NewTaskObject(t, func(obj *core.TaskObject) { t.Regenerate(obj.Seq) })
 		},
 	}
 }

@@ -12,8 +12,8 @@ import (
 // Stages communicate through two ping-pong activation buffers: stage i
 // writes Acts[i%2] and stage i+1 reads it. Since chunks execute a task's
 // stages in pipeline order and the SPSC hand-off gives each task a single
-// owner at a time, the buffers need no further synchronization beyond the
-// UsmBuffer coherence fences.
+// owner at a time, the buffers need no synchronization beyond that
+// SPSC hand-off.
 type Task struct {
 	// B is the image batch per task (1 for dense, larger for sparse, as
 	// in the paper).
@@ -71,24 +71,4 @@ func (t *Task) in(idx int) []float32 {
 // out returns the output buffer of stage idx.
 func (t *Task) out(idx int) []float32 {
 	return t.Acts[idx%2].Data
-}
-
-// buffers lists the unified buffers for coherence tracking.
-func (t *Task) buffers() []core.Syncable {
-	bs := []core.Syncable{t.Input, t.Acts[0], t.Acts[1], t.Logits}
-	if t.Cols != nil {
-		bs = append(bs, t.Cols)
-	}
-	return bs
-}
-
-// resetCoherence returns every buffer to the shared state on recycle.
-func (t *Task) resetCoherence() {
-	t.Input.ResetCoherence()
-	t.Acts[0].ResetCoherence()
-	t.Acts[1].ResetCoherence()
-	t.Logits.ResetCoherence()
-	if t.Cols != nil {
-		t.Cols.ResetCoherence()
-	}
 }

@@ -140,16 +140,7 @@ func NewApplication(n int, gen Generator) *core.Application {
 		Stages: stages,
 		NewTask: func() *core.TaskObject {
 			t := NewTask(n, gen)
-			to := core.NewTaskObject(t,
-				[]core.Syncable{t.Points, t.Codes, t.Counts, t.Offsets},
-				func(obj *core.TaskObject) {
-					t.Regenerate(obj.Seq)
-					t.Points.ResetCoherence()
-					t.Codes.ResetCoherence()
-					t.Counts.ResetCoherence()
-					t.Offsets.ResetCoherence()
-				})
-			return to
+			return core.NewTaskObject(t, func(obj *core.TaskObject) { t.Regenerate(obj.Seq) })
 		},
 	}
 	return app

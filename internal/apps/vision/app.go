@@ -11,9 +11,9 @@ var StageNames = []string{
 	"demosaic", "denoise", "sobel", "histogram", "equalize", "downscale",
 }
 
-// histScratch carries the band-local histograms between the two phases
-// of the histogram stage; it lives beside the Task in the TaskObject to
-// stay allocation-free.
+// payload is the TaskObject payload: the Task plus the band-local
+// histograms that carry the histogram stage between its two phases,
+// kept beside the Task so the stage stays allocation-free.
 type payload struct {
 	*Task
 	locals [histBands][Bins]int32
@@ -113,17 +113,7 @@ func NewApplication(w, h int) (*core.Application, error) {
 		Stages: stages,
 		NewTask: func() *core.TaskObject {
 			p := &payload{Task: NewTask(w, h)}
-			bufs := []core.Syncable{
-				p.Bayer, p.RGB, p.Denoised, p.Gray, p.Grad, p.Hist, p.LUT, p.Eq, p.Out,
-			}
-			return core.NewTaskObject(p, bufs, func(obj *core.TaskObject) {
-				p.Regenerate(obj.Seq)
-				for _, b := range []interface{ ResetCoherence() }{
-					p.Bayer, p.RGB, p.Denoised, p.Gray, p.Grad, p.Hist, p.LUT, p.Eq, p.Out,
-				} {
-					b.ResetCoherence()
-				}
-			})
+			return core.NewTaskObject(p, func(obj *core.TaskObject) { p.Regenerate(obj.Seq) })
 		},
 	}, nil
 }

@@ -41,74 +41,17 @@ func TestCostSpecValidate(t *testing.T) {
 	}
 }
 
-func TestUsmBufferCoherence(t *testing.T) {
-	b := NewUsmBuffer[float32](8)
-	if b.Len() != 8 || CoherenceState(b.state.Load()) != Shared || b.syncs.Load() != 0 {
-		t.Fatalf("fresh buffer state wrong: %v %v %v", b.Len(), CoherenceState(b.state.Load()), b.syncs.Load())
-	}
-	// Same-side acquire after write: no fence.
-	b.Release(BackendCPU)
-	b.Acquire(BackendCPU)
-	if b.syncs.Load() != 0 {
-		t.Error("same-side acquire should not fence")
-	}
-	if CoherenceState(b.state.Load()) != HostDirty {
-		t.Errorf("state = %v, want host-dirty", CoherenceState(b.state.Load()))
-	}
-	// Cross-side acquire: one fence, back to shared.
-	b.Acquire(BackendGPU)
-	if b.syncs.Load() != 1 {
-		t.Errorf("syncs = %d, want 1", b.syncs.Load())
-	}
-	if CoherenceState(b.state.Load()) != Shared {
-		t.Errorf("state after fence = %v, want shared", CoherenceState(b.state.Load()))
-	}
-	// GPU writes, CPU reads: another fence.
-	b.Release(BackendGPU)
-	if CoherenceState(b.state.Load()) != DeviceDirty {
-		t.Errorf("state = %v, want device-dirty", CoherenceState(b.state.Load()))
-	}
-	b.Acquire(BackendCPU)
-	if b.syncs.Load() != 2 {
-		t.Errorf("syncs = %d, want 2", b.syncs.Load())
-	}
-	b.Release(BackendGPU)
-	b.ResetCoherence()
-	if CoherenceState(b.state.Load()) != Shared {
-		t.Error("ResetCoherence should return to shared")
-	}
-}
-
-func TestCoherenceStateString(t *testing.T) {
-	if Shared.String() != "shared" || HostDirty.String() != "host-dirty" || DeviceDirty.String() != "device-dirty" {
-		t.Error("coherence state strings wrong")
-	}
-	if !strings.Contains(CoherenceState(7).String(), "7") {
-		t.Error("unknown state should include code")
-	}
-}
-
 func TestTaskObjectLifecycle(t *testing.T) {
-	buf := NewUsmBuffer[int](4)
 	resets := 0
-	task := NewTaskObject("payload", []Syncable{buf}, func(to *TaskObject) { resets++ })
+	task := NewTaskObject("payload", func(to *TaskObject) { resets++ })
 	task.Reset(7)
 	if task.Seq != 7 || resets != 1 {
 		t.Errorf("Reset: seq=%d resets=%d", task.Seq, resets)
 	}
-	buf.Release(BackendCPU)
-	task.AcquireAll(BackendGPU)
-	if buf.syncs.Load() != 1 {
-		t.Error("AcquireAll should fence the dirty buffer")
-	}
-	task.ReleaseAll(BackendGPU)
-	if CoherenceState(buf.state.Load()) != DeviceDirty {
-		t.Error("ReleaseAll should mark device-dirty")
-	}
 }
 
 func TestTaskObjectNilReset(t *testing.T) {
-	task := NewTaskObject(nil, nil, nil)
+	task := NewTaskObject(nil, nil)
 	task.Reset(3) // must not panic
 	if task.Seq != 3 {
 		t.Error("Seq not set")
@@ -134,7 +77,7 @@ func testApp(n int) *Application {
 	return &Application{
 		Name:    "test",
 		Stages:  stages,
-		NewTask: func() *TaskObject { return NewTaskObject(nil, nil, nil) },
+		NewTask: func() *TaskObject { return NewTaskObject(nil, nil) },
 	}
 }
 

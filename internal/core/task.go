@@ -1,20 +1,5 @@
 package core
 
-// Syncable is implemented by buffers that participate in the dispatcher's
-// per-chunk coherence step. UsmBuffer[T] satisfies it for every T.
-type Syncable interface {
-	// AcquireFor makes the buffer coherent for the given backend.
-	AcquireFor(be Backend)
-	// ReleaseFor marks the buffer written by the given backend.
-	ReleaseFor(be Backend)
-}
-
-// AcquireFor implements Syncable.
-func (b *UsmBuffer[T]) AcquireFor(be Backend) { b.Acquire(be) }
-
-// ReleaseFor implements Syncable.
-func (b *UsmBuffer[T]) ReleaseFor(be Backend) { b.Release(be) }
-
 // TaskObject carries one streaming input (a frame, an image batch, a
 // point cloud) through the whole pipeline (paper Sec. 3.4). It owns every
 // buffer a task needs from first to last stage — persistent data,
@@ -32,17 +17,13 @@ type TaskObject struct {
 	// example *alexnet.Task or *octree.Task).
 	Payload any
 
-	// Buffers lists the payload's unified buffers for the dispatcher's
-	// coherence step. May be nil for host-only applications.
-	Buffers []Syncable
-
 	// resetFn restores the payload for reuse with a fresh Seq.
 	resetFn func(*TaskObject)
 }
 
-// NewTaskObject wraps a payload with its unified buffers and reset hook.
-func NewTaskObject(payload any, buffers []Syncable, reset func(*TaskObject)) *TaskObject {
-	return &TaskObject{Payload: payload, Buffers: buffers, resetFn: reset}
+// NewTaskObject wraps a payload with its reset hook.
+func NewTaskObject(payload any, reset func(*TaskObject)) *TaskObject {
+	return &TaskObject{Payload: payload, resetFn: reset}
 }
 
 // Reset recycles the object for sequence number seq.
@@ -50,22 +31,6 @@ func (t *TaskObject) Reset(seq int) {
 	t.Seq = seq
 	if t.resetFn != nil {
 		t.resetFn(t)
-	}
-}
-
-// AcquireAll fences every buffer for the given backend — the dispatcher's
-// step 2 ("synchronize all memory buffers required by this chunk").
-func (t *TaskObject) AcquireAll(be Backend) {
-	for _, b := range t.Buffers {
-		b.AcquireFor(be)
-	}
-}
-
-// ReleaseAll marks every buffer written by the given backend after the
-// chunk's kernels complete.
-func (t *TaskObject) ReleaseAll(be Backend) {
-	for _, b := range t.Buffers {
-		b.ReleaseFor(be)
 	}
 }
 

@@ -102,10 +102,10 @@ func TestExecuteEmitsLifecycleEvents(t *testing.T) {
 // require a queue-stall event naming the edge with a real duration.
 func TestPushTimedEmitsQueueStall(t *testing.T) {
 	q := queue.NewSPSC[*core.TaskObject](1)
-	task := core.NewTaskObject(nil, nil, nil)
+	task := core.NewTaskObject(nil, nil)
 	task.Reset(7)
 	for i := 0; i < q.Cap(); i++ { // capacity rounds up: fill it completely
-		if !q.TryPush(core.NewTaskObject(nil, nil, nil)) {
+		if !q.TryPush(core.NewTaskObject(nil, nil)) {
 			t.Fatal("priming push failed")
 		}
 	}
@@ -132,7 +132,7 @@ func TestPushTimedEmitsQueueStall(t *testing.T) {
 
 	// The unblocked path must stay silent.
 	q.Pop() // make room so the next push takes the fast path
-	pushTimed(q, core.NewTaskObject(nil, nil, nil), nil, stream, 3)
+	pushTimed(q, core.NewTaskObject(nil, nil), nil, stream, 3)
 	if n := len(eventsByKind(stream)[obs.KindQueueStall]); n != 1 {
 		t.Fatalf("fast-path push emitted a stall (total %d)", n)
 	}
@@ -153,7 +153,7 @@ func TestExecuteEmitsPanicRecovered(t *testing.T) {
 			{Name: "a", CPU: ok, GPU: ok, Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}},
 			{Name: "b", CPU: boom, GPU: boom, Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}},
 		},
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) },
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) },
 	}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})

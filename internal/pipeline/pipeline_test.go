@@ -37,7 +37,7 @@ func testApp(nStages int, flops float64) (*core.Application, *atomic.Int64) {
 		Name:   "synthetic",
 		Stages: stages,
 		NewTask: func() *core.TaskObject {
-			return core.NewTaskObject(nil, nil, nil)
+			return core.NewTaskObject(nil, nil)
 		},
 	}
 	return app, &runs
@@ -204,7 +204,7 @@ func TestSimulateExtremeImbalanceRunsBottleneckIsolated(t *testing.T) {
 	stages[0] = core.Stage{Name: "heavy", CPU: kern, GPU: kern, Cost: heavy}
 	stages[1] = core.Stage{Name: "tiny", CPU: kern, GPU: kern, Cost: tiny}
 	app := &core.Application{Name: "imbalanced", Stages: stages,
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) }}
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) }}
 	dev := soc.NewJetson()
 	dev.NoiseSigma = 0
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
@@ -297,7 +297,7 @@ func TestExecutePreservesTaskSequence(t *testing.T) {
 	}}
 	app := &core.Application{
 		Name: "seq", Stages: stages,
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) },
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) },
 	}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.NewUniformSchedule(1, core.ClassBig))
@@ -458,7 +458,7 @@ func TestExecuteSurvivesKernelPanic(t *testing.T) {
 			{Name: "a", CPU: ok, GPU: ok, Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}},
 			{Name: "b", CPU: boom, GPU: boom, Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}},
 		},
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) },
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) },
 	}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
@@ -523,7 +523,7 @@ func TestSimulatePeriodEnvelopeFuzz(t *testing.T) {
 			}
 		}
 		app := &core.Application{Name: "fuzz", Stages: stages,
-			NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) }}
+			NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) }}
 
 		// Random contiguous schedule.
 		var assign []core.PUClass

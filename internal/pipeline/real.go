@@ -149,10 +149,10 @@ func realRun(ctx context.Context, p *Plan, opts Options) runOutcome {
 					m.QueueDepth(inEdge, in.Len())
 				}
 				curTask = task.Seq
-				// Step 2: make the chunk's buffers coherent for this PU.
-				task.AcquireAll(backend)
-				// Step 3: dispatch the chunk's kernels in order; ParFor's
-				// barrier is step 4's yield-until-complete.
+				// Sec. 3.4's buffer-sync step has no code: memory is
+				// unified, and the queue hand-off orders the writes.
+				// Step 2: dispatch the chunk's kernels in order; ParFor's
+				// barrier is step 3's yield-until-complete.
 				for s := chunk.Start; s < chunk.End; s++ {
 					curStage = s
 					t0 := time.Now()
@@ -180,7 +180,6 @@ func realRun(ctx context.Context, p *Plan, opts Options) runOutcome {
 					}
 				}
 				curStage = -1
-				task.ReleaseAll(backend)
 				if last {
 					seq := task.Seq
 					now := time.Now()
@@ -204,13 +203,13 @@ func realRun(ctx context.Context, p *Plan, opts Options) runOutcome {
 						return
 					}
 					if reissue {
-						// Step 5 + recycling: reset for the next stream
+						// Step 4 + recycling: reset for the next stream
 						// input and push back to the first queue.
 						task.Reset(next)
 						pushTimed(out, task, m, ev, outEdge)
 					}
 				} else {
-					// Step 5: hand the task to the next chunk.
+					// Step 4: hand the task to the next chunk.
 					pushTimed(out, task, m, ev, outEdge)
 				}
 			}

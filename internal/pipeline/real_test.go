@@ -41,7 +41,7 @@ func TestExecuteContextCancelMidFlight(t *testing.T) {
 		}
 	}
 	app := &core.Application{Name: "slow", Stages: stages,
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) }}
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) }}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "big", "gpu"}})
 
@@ -91,7 +91,7 @@ func TestExecuteShutdownTimeout(t *testing.T) {
 		Name: "stuck",
 		Stages: []core.Stage{{Name: "block", CPU: stuck, GPU: stuck,
 			Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}}},
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) },
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) },
 	}
 	defer close(gate)
 	dev := soc.NewJetson()
@@ -132,7 +132,7 @@ func TestExecutePanicAttributionFromWorkerBand(t *testing.T) {
 			{Name: "explosive", CPU: boom, GPU: boom,
 				Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}},
 		},
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) },
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) },
 	}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})
@@ -283,7 +283,7 @@ func TestExecuteMetricsBackpressureVisible(t *testing.T) {
 			{Name: "slow", CPU: slow, GPU: slow,
 				Cost: core.CostSpec{FLOPs: 1, ParallelFraction: 0.5, WorkItems: 1}},
 		},
-		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil, nil) },
+		NewTask: func() *core.TaskObject { return core.NewTaskObject(nil, nil) },
 	}
 	dev := soc.NewJetson()
 	p := mustPlan(t, app, dev, core.Schedule{Assign: []core.PUClass{"big", "gpu"}})

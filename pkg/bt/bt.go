@@ -46,7 +46,8 @@ type (
 	Chunk = core.Chunk
 	// TaskObject carries one streaming input through the pipeline.
 	TaskObject = core.TaskObject
-	// UsmBuffer is a zero-copy unified memory buffer.
+	// UsmBuffer is a zero-copy unified memory buffer: its Data slice,
+	// read and written in place by both backends' kernels.
 	UsmBuffer[T any] = core.UsmBuffer[T]
 	// CostSpec describes a stage's work for the simulated SoC.
 	CostSpec = core.CostSpec
@@ -65,9 +66,6 @@ type (
 	ProfileTable = core.ProfileTable
 	// ProfileMode selects isolated or interference-heavy profiling.
 	ProfileMode = core.ProfileMode
-	// Syncable is implemented by buffers that participate in the
-	// dispatcher's per-chunk coherence fences; UsmBuffer satisfies it.
-	Syncable = core.Syncable
 )
 
 // Re-exported constants.
@@ -85,8 +83,8 @@ const (
 )
 
 // NewTaskObject wraps an application payload for pipeline execution.
-func NewTaskObject(payload any, buffers []Syncable, reset func(*TaskObject)) *TaskObject {
-	return core.NewTaskObject(payload, buffers, reset)
+func NewTaskObject(payload any, reset func(*TaskObject)) *TaskObject {
+	return core.NewTaskObject(payload, reset)
 }
 
 // NewUsmBuffer allocates a zero-copy unified buffer of n elements.

@@ -13,7 +13,7 @@ import (
 func tinyApp() *bt.Application {
 	kern := func(t *bt.TaskObject, par bt.ParallelFor) {
 		buf := t.Payload.(*bt.UsmBuffer[float64])
-		par(buf.Len(), func(lo, hi int) {
+		par(len(buf.Data), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				buf.Data[i] += 1
 			}
@@ -31,7 +31,7 @@ func tinyApp() *bt.Application {
 		Stages: []bt.Stage{stage("regular", 0.05, 0.05), stage("irregular", 0.8, 0.8)},
 		NewTask: func() *bt.TaskObject {
 			buf := bt.NewUsmBuffer[float64](4096)
-			return bt.NewTaskObject(buf, []bt.Syncable{buf}, nil)
+			return bt.NewTaskObject(buf, nil)
 		},
 	}
 }
