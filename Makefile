@@ -39,9 +39,10 @@ bench-module:
 # determinism runs every test that claims a run-to-run identical result
 # 20 times, so a nondeterministic replay fails here rather than on a
 # later, unlucky run. TestCacheChurnStress is here too: its per-round
-# cache hits must not depend on session timing.
+# cache hits must not depend on session timing; so is TestCachePlansOnce,
+# whose hit and solve counts must not either.
 determinism:
-	$(GO) test -count=20 -run 'Determin|Drift|Identical|CacheChurnStress' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/... ./internal/sched/... ./internal/profiler/...
+	$(GO) test -count=20 -run 'Determin|Drift|Identical|CacheChurnStress|CachePlansOnce' ./internal/experiments/... ./internal/runtime/... ./internal/onlineprof/... ./internal/fleet/... ./internal/sched/... ./internal/profiler/...
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -40,8 +40,12 @@ func NewUniformSchedule(n int, pu PUClass) Schedule {
 
 // Chunks splits the schedule into its maximal contiguous runs in pipeline
 // order.
-func (s Schedule) Chunks() []Chunk {
-	var chunks []Chunk
+func (s Schedule) Chunks() []Chunk { return s.AppendChunks(nil) }
+
+// AppendChunks appends the schedule's chunks, as Chunks returns them, to
+// chunks and returns the extended slice, so a caller pricing many
+// schedules can reuse one buffer.
+func (s Schedule) AppendChunks(chunks []Chunk) []Chunk {
 	for i := 0; i < len(s.Assign); {
 		j := i
 		for j < len(s.Assign) && s.Assign[j] == s.Assign[i] {

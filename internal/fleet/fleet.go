@@ -98,9 +98,8 @@ type Config struct {
 	exhaustive bool
 }
 
-// nodeSeedStride separates node noise streams; a large odd prime so
-// per-session seed offsets (multiples of small primes) never collide
-// across nodes.
+// nodeSeedStride separates node noise streams, and with them the plans
+// and cache keys of nodes that share a device; a large odd prime.
 const nodeSeedStride = 1_000_003
 
 // ParseNodeSpecs parses the CLI registry syntax: a comma-separated list

@@ -162,7 +162,9 @@ func (f *Fleet) tryAdmitLocked(c candidate, app *core.Application, opts runtime.
 		return nil, fmt.Errorf("fleet: placing %q on %s: %w", app.Name, c.node.ID, err)
 	}
 	c.node.rejected++
-	f.cfg.Trace.Attempt(opts.Name, c.node.ID, aerr.Error())
+	if f.cfg.Trace != nil { // the refusal text is formatted for the tracer alone
+		f.cfg.Trace.Attempt(opts.Name, c.node.ID, aerr.Error())
+	}
 	if perr != nil {
 		perr.Refusals = append(perr.Refusals, NodeRefusal{Node: c.node.ID, Err: aerr})
 	}
@@ -216,7 +218,9 @@ func (f *Fleet) Place(app *core.Application, opts runtime.AdmitOptions) (*Placem
 			e.Session = opts.Name
 			e.Detail = fmt.Sprintf("fleet: all %d nodes refused", len(perr.Refusals))
 		})
-		f.cfg.Trace.Rejected(opts.Name, perr.Error())
+		if f.cfg.Trace != nil {
+			f.cfg.Trace.Rejected(opts.Name, perr.Error())
+		}
 		return nil, perr
 	}
 	placed.Node.placed++

@@ -11,9 +11,9 @@ import (
 )
 
 // benchChurnRound is one admit-admit-drain cycle — the unit of work the
-// churn scenario repeats. Fixed per-slot seeds keep the cache keys
-// recurring across iterations, which is exactly the regime the cache is
-// built for. Applications are built once by the caller: app
+// churn scenario repeats. Session seeds do not enter planning, so the
+// cache keys recur across iterations, which is exactly the regime the
+// cache is built for. Applications are built once by the caller: app
 // construction (weight generation) is not part of the admission path.
 func benchChurnRound(b *testing.B, rt *Runtime, apps []*core.Application, round int) {
 	b.Helper()

@@ -113,6 +113,60 @@ func TestCacheHitSchedulesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCachePlansOnce pins "plan once per (app, node, environment)" in
+// counts. Two admissions of one app into the same environment with
+// different session seeds share one cache entry: the first misses and
+// plans, the second hits and runs no planning pass. A pool-refused
+// admission stores its ranked pool, so repeating it on an unchanged
+// runtime hits, profiles and ranks nothing, autotunes nothing, and ends
+// in the same refusal.
+func TestCachePlansOnce(t *testing.T) {
+	stats := func(rt *Runtime) (schedcache.Stats, int) {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		return rt.cfg.Cache.Stats(), rt.solves
+	}
+
+	rt := mustRuntime(t, Config{Device: mustDevice(t, "oneplus11"), Cache: schedcache.New(16), Seed: 5})
+	defer rt.Close()
+	app := mustApp(t, "octree")
+	var scheds []core.Schedule
+	for _, seed := range []int64{11, 9001} {
+		s, err := rt.Admit(app, AdmitOptions{Tasks: 4, WaveTasks: 4, Seed: seed, Hold: true})
+		if err != nil {
+			t.Fatalf("admit with seed %d: %v", seed, err)
+		}
+		scheds = append(scheds, s.Schedule())
+		s.Stop() // departs, so the next admission sees the same environment
+	}
+	st, solves := stats(rt)
+	if st.Misses != 1 || st.Hits != 1 || st.Stores != 1 || solves != 1 {
+		t.Fatalf("two seeds, one environment: %d misses, %d hits, %d stores, %d solves; want 1/1/1/1", st.Misses, st.Hits, st.Stores, solves)
+	}
+	if !scheds[0].Equal(scheds[1]) {
+		t.Fatalf("the session seed changed the plan: %v vs %v", scheds[0], scheds[1])
+	}
+
+	rt = mustRuntime(t, Config{Device: mustDevice(t, "pixel7a"), BWHeadroom: 100, CoreHeadroom: 0.5, Cache: schedcache.New(16)})
+	defer rt.Close()
+	var refusals []AdmissionError
+	for i, seed := range []int64{0, 77} {
+		_, err := rt.Admit(app, AdmitOptions{Tasks: 4, WaveTasks: 4, Seed: seed})
+		var adm *AdmissionError
+		if !errors.As(err, &adm) || adm.Pool == 0 {
+			t.Fatalf("admission %d: %v, want a pool refusal", i, err)
+		}
+		refusals = append(refusals, *adm)
+		st, solves := stats(rt)
+		if st.Misses != 1 || st.Hits != uint64(i) || st.Stores != 1 || solves != 0 {
+			t.Fatalf("after refusal %d: %d misses, %d hits, %d stores, %d solves; want 1/%d/1/0", i, st.Misses, st.Hits, st.Stores, solves, i)
+		}
+	}
+	if refusals[0] != refusals[1] {
+		t.Fatalf("the cached pool refused differently: %+v, then %+v", refusals[0], refusals[1])
+	}
+}
+
 // TestCacheOnIdenticalToOff is the cache's transparency property: two
 // runtimes on one Config, one planning through an 8-entry schedule cache
 // small enough to evict, replay one random sequence of admissions
@@ -275,16 +329,16 @@ func TestReplanDeltaSkipsSolves(t *testing.T) {
 // the cache concurrently.
 //
 // Whether a round hits depends on which slot departs first, not on
-// timing: a round stores 9 keys in the 8-entry cache, and only when slot
-// 2 departs before slot 0 do the survivors' departure re-plans look up
-// keys the round's admissions already stored (slot 0 planned beside slot
-// 1 alone, and slot 1 beside slot 0 alone). Slots 1 and 2 therefore run
-// concurrently, and slot 0 starts once slot 2 has departed, concurrently
-// with slot 1 if it still runs. Every departure order left has a hit in
-// every round; the orders that depart slot 0 first have none in any.
+// timing: a round's admissions look up 6 keys in the 4-entry cache, so
+// only the 4 looked up last survive them, and whether a departure
+// re-plan looks one of those up depends on the order. Slots 1 and 2
+// therefore run concurrently, and slot 0 starts once slot 2 has
+// departed, concurrently with slot 1 if it still runs. Every departure
+// order left has a hit in every round; the orders that depart slot 0
+// first have none in any.
 func TestCacheChurnStress(t *testing.T) {
 	before := goruntime.NumGoroutine()
-	cache := schedcache.New(8) // small: force evictions
+	cache := schedcache.New(4) // small: force evictions
 	rounds := 6
 	if testing.Short() {
 		rounds = 2
@@ -302,7 +356,7 @@ func TestCacheChurnStress(t *testing.T) {
 			s, err := rt.Admit(mustApp(t, name), AdmitOptions{
 				Name:  fmt.Sprintf("r%d-%d", round, i),
 				Tasks: 6, WaveTasks: 3,
-				Seed: int64(i) * 101, // fixed per slot so keys recur across rounds
+				Seed: int64(i) * 101, // session seeds do not enter planning or its keys
 				Hold: true,
 			})
 			if err != nil {

@@ -86,7 +86,8 @@ type Config struct {
 	// DefaultReplanK; negative fails New). Every pass profiles with
 	// DefaultProfileReps and autotunes over DefaultAutotuneTasks.
 	K int
-	// Seed drives profiling and autotuning noise streams.
+	// Seed drives profiling and autotuning noise streams, and with them
+	// every plan; a session's AdmitOptions.Seed does not enter planning.
 	Seed int64
 	// Events, when non-nil, receives typed runtime observability events:
 	// Admit/Reject on every admission decision, Replan when churn changes
@@ -99,9 +100,9 @@ type Config struct {
 	// and re-plans, keyed on a canonicalized (app fingerprint, device,
 	// exact Env, planning knobs) tuple, so a hit returns the schedule
 	// the cold solve it replaces would pick (pinned by the equivalence
-	// suite); a miss plans cold and stores the result. One cache may be
-	// shared across runtimes. Nil plans cold on every pass, with the
-	// same schedules.
+	// suite); a miss plans cold and stores its ranked candidate pool,
+	// and then its autotuned winner. One cache may be shared across
+	// runtimes. Nil plans cold on every pass, with the same schedules.
 	Cache *schedcache.Cache
 	// ReplanDelta, when positive, skips re-planning a resident whose
 	// projected environment moved less than this (L∞ over per-class
@@ -248,11 +249,13 @@ func (rt *Runtime) ReplansSkipped() int {
 // Rejections return a *AdmissionError (resources) or ErrClosed. An
 // unpinned applicant is first checked with its demand floor, the
 // smallest claim over its whole schedule space: when even that does not
-// fit, Admit refuses without planning (AdmissionError.Floor). On a
-// schedule-cache miss, the candidate pool is checked next: when none of
-// the candidates fits, Admit refuses without autotuning and stores
-// nothing (AdmissionError.Pool). Either is exactly the refusal the
-// autotuned schedule's check would have ended in.
+// fit, Admit refuses without planning (AdmissionError.Floor). Unless a
+// schedule-cache hit already holds the autotuned winner, the ranked
+// candidate pool is checked next: when none of the candidates fits,
+// Admit refuses without autotuning (AdmissionError.Pool), and a
+// configured cache keeps the pool for the next Admit of the app into
+// the same environment. Either is exactly the refusal the autotuned
+// schedule's check would have ended in.
 func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -282,8 +285,8 @@ func (rt *Runtime) Admit(app *core.Application, opts AdmitOptions) (*Session, er
 	}
 
 	env := rt.envLocked(nil)
-	plan, err := rt.planLocked(app, fp, env, opts, func(cands []sched.Candidate) *AdmissionError {
-		return rt.poolRefusal(app, cands, residents)
+	plan, err := rt.planLocked(app, fp, env, opts, func(pool []core.Schedule) *AdmissionError {
+		return rt.poolRefusal(app, pool, residents)
 	})
 	var refused *AdmissionError
 	if errors.As(err, &refused) {
@@ -359,20 +362,22 @@ func (rt *Runtime) checkFit(app string, d demand, residents []demand) *Admission
 	return nil
 }
 
-// poolRefusal checks the planner's candidate pool for app against the
-// residents before autotuning: nil when some candidate fits, else the
-// top-ranked candidate's refusal, marked Pool. Each candidate is priced
-// with scheduleDemand on its schedule's chunks, the arithmetic
+// poolRefusal checks the planner's ranked candidate pool for app against
+// the residents before autotuning: nil when some candidate fits, else
+// the top-ranked candidate's refusal, marked Pool. Each candidate is
+// priced with scheduleDemand on its schedule's chunks, the arithmetic
 // planDemand applies to the plan pipeline.NewPlan compiles from it, and
 // checkFit folds the residents in the post-plan check's order, so a
 // candidate fits here exactly when its plan would pass that check.
 // Autotune picks one of the candidates, so when none fits, its winner
-// would be refused too. cands must not be empty.
-func (rt *Runtime) poolRefusal(app *core.Application, cands []sched.Candidate, residents []demand) *AdmissionError {
+// would be refused too. pool must not be empty.
+func (rt *Runtime) poolRefusal(app *core.Application, pool []core.Schedule, residents []demand) *AdmissionError {
 	intensity := appIntensity(app, rt.dev)
 	var top *AdmissionError
-	for _, c := range cands {
-		aerr := rt.checkFit(app.Name, scheduleDemand(rt.dev, c.Schedule.Chunks(), intensity), residents)
+	var chunks []core.Chunk
+	for _, s := range pool {
+		chunks = s.AppendChunks(chunks[:0])
+		aerr := rt.checkFit(app.Name, scheduleDemand(rt.dev, chunks, intensity), residents)
 		if aerr == nil {
 			return nil
 		}
@@ -380,7 +385,7 @@ func (rt *Runtime) poolRefusal(app *core.Application, cands []sched.Candidate, r
 			top = aerr
 		}
 	}
-	top.Pool = len(cands)
+	top.Pool = len(pool)
 	return top
 }
 
@@ -449,63 +454,85 @@ func (rt *Runtime) envLocked(except *Session) soc.Env {
 // schedule. A pinned schedule skips optimization. The isolated table is
 // not profiled: neither Candidates(BetterTogether) nor Autotune reads
 // it, and profiler.Heavy draws the heavy table exactly as ProfileBoth
-// would.
+// would. Profiling and autotuning draw from the runtime's seed alone, so
+// the plan is a function of (app, device, environment, knobs), whatever
+// the session's seed.
 //
 // With a schedule cache configured, a lookup keyed on the exact
-// environment answers before profiling; on a miss, the chosen schedule
-// is stored. fp is app's schedcache.Fingerprint, taken once at Admit.
+// environment answers before profiling: an entry with a winner returns
+// it; one holding only the ranked pool (its admission was refused, or
+// it was evicted before the winner landed) skips profiling and ranking
+// and resumes at the pool check. A miss stores the pool before the pool
+// check, and the winner is added once autotuning has run. fp is app's
+// schedcache.Fingerprint, taken once at Admit.
 //
-// pool, when non-nil, sees the ranked candidates of a cold solve before
-// autotuning; a refusal it returns ends planning with that error, and
-// nothing is stored. Admit passes its pool check; re-plans pass nil.
-func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opts AdmitOptions, pool func([]sched.Candidate) *AdmissionError) (*pipeline.Plan, error) {
+// pool, when non-nil, sees the ranked candidates before autotuning; a
+// refusal it returns ends planning with that error. Admit passes its
+// pool check; re-plans pass nil.
+func (rt *Runtime) planLocked(app *core.Application, fp string, env soc.Env, opts AdmitOptions, pool func([]core.Schedule) *AdmissionError) (*pipeline.Plan, error) {
 	if opts.Schedule != nil {
 		return pipeline.NewPlan(app, rt.dev, *opts.Schedule)
 	}
 	adjust, digest := rt.planAdjust()
+	cache := rt.cfg.Cache
 	var key string
-	if c := rt.cfg.Cache; c != nil {
+	var e schedcache.Entry
+	hit := false
+	if cache != nil {
 		key = schedcache.Key(fp, rt.dev.Name, env, schedcache.Knobs{
 			K:      rt.cfg.K,
-			Seed:   rt.cfg.Seed + opts.Seed,
+			Seed:   rt.cfg.Seed,
 			Adjust: digest,
 		})
-		if sc, ok := c.Get(key); ok {
-			return pipeline.NewPlan(app, rt.dev, sc)
+		if e, hit = cache.Get(key); hit && e.Pool == nil {
+			return pipeline.NewPlan(app, rt.dev, e.Winner)
 		}
 	}
-	heavy := profiler.Heavy(app, rt.dev, profiler.Config{
-		Reps:    DefaultProfileReps,
-		Seed:    rt.cfg.Seed + opts.Seed,
-		BaseEnv: env,
-		Adjust:  adjust,
-	})
-	opt := sched.New(app, rt.dev, profiler.Tables{Heavy: heavy})
-	opt.K = rt.cfg.K
-	cands := opt.Candidates(sched.BetterTogether)
-	if len(cands) == 0 {
-		return nil, sched.ErrNoSchedule
+	if !hit {
+		heavy := profiler.Heavy(app, rt.dev, profiler.Config{
+			Reps:    DefaultProfileReps,
+			Seed:    rt.cfg.Seed,
+			BaseEnv: env,
+			Adjust:  adjust,
+		})
+		opt := sched.New(app, rt.dev, profiler.Tables{Heavy: heavy})
+		opt.K = rt.cfg.K
+		cands := opt.Candidates(sched.BetterTogether)
+		if len(cands) == 0 {
+			return nil, sched.ErrNoSchedule
+		}
+		e.Pool = make([]core.Schedule, len(cands))
+		for i, c := range cands {
+			e.Pool[i] = c.Schedule
+		}
+		if cache != nil {
+			cache.Put(key, e.Pool)
+		}
 	}
 	if pool != nil {
-		if aerr := pool(cands); aerr != nil {
+		if aerr := pool(e.Pool); aerr != nil {
 			return nil, aerr
 		}
 	}
 	rt.solves++
-	tune, err := opt.Autotune(cands, pipeline.Options{
+	cands := make([]sched.Candidate, len(e.Pool))
+	for i, s := range e.Pool {
+		cands[i].Schedule = s
+	}
+	// Autotune reads only the app and the device, never the tables.
+	tune, err := sched.New(app, rt.dev, profiler.Tables{}).Autotune(cands, pipeline.Options{
 		Tasks:   DefaultAutotuneTasks,
 		Warmup:  2,
-		Seed:    rt.cfg.Seed + opts.Seed,
+		Seed:    rt.cfg.Seed,
 		BaseEnv: env,
 	})
 	if err != nil {
 		return nil, err
 	}
-	best := cands[tune.BestIndex]
-	if rt.cfg.Cache != nil {
-		rt.cfg.Cache.Put(key, best.Schedule)
+	if cache != nil {
+		cache.SetBest(key, tune.BestIndex)
 	}
-	return pipeline.NewPlan(app, rt.dev, best.Schedule)
+	return pipeline.NewPlan(app, rt.dev, e.Pool[tune.BestIndex])
 }
 
 // replanLocked re-plans every resident session other than except against

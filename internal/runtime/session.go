@@ -41,7 +41,9 @@ type AdmitOptions struct {
 	// DefaultWaveTasks). Smaller waves react to re-plans faster; larger
 	// waves amortize pipeline fill better.
 	WaveTasks int
-	// Seed drives the session's simulation-noise stream.
+	// Seed drives the session's own simulation-noise stream and nothing
+	// else: planning draws from the runtime's Config.Seed, so one app
+	// admitted into one environment gets one plan whatever its seed.
 	Seed int64
 	// Schedule pins the session to a fixed schedule: admission skips the
 	// profiling/optimization pipeline and the session is never re-planned

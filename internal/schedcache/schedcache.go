@@ -1,7 +1,10 @@
 // Package schedcache memoizes planning results so re-planning leaves
-// the runtime's admission hot path. The cache is keyed on a
-// canonicalized (application fingerprint, device, interference Env,
-// planning knobs) tuple:
+// the runtime's admission hot path. An entry holds what a cold solve
+// computes before it branches: the ranked candidate pool, plus the
+// autotuned winner once autotuning has run on it, so a refused
+// admission's pool is reused too. The cache is keyed on a canonicalized
+// (application fingerprint, device, interference Env, planning knobs)
+// tuple:
 //
 //   - the application fingerprint hashes the stage sequence and every
 //     cost-model field, so two structurally identical graphs share
@@ -73,7 +76,8 @@ func Fingerprint(app *core.Application) string {
 type Knobs struct {
 	// K is the candidate pool size.
 	K int
-	// Seed is the full planning seed (runtime seed + session seed).
+	// Seed is the planning seed: the runtime's seed, which drives its
+	// profiling and autotuning noise.
 	Seed int64
 	// Adjust is a digest of any latency-table adjustment active during
 	// the solve (learned online-profiling overlays, injected modeling
@@ -113,17 +117,31 @@ func Key(fingerprint, device string, env soc.Env, knobs Knobs) string {
 
 // Stats is a point-in-time view of the cache's counters.
 type Stats struct {
-	// Hits and Misses count Get outcomes; Stores counts Put calls;
-	// Evictions counts entries displaced by the LRU capacity bound.
+	// Hits and Misses count Get outcomes; Stores counts Put calls (not
+	// SetBest); Evictions counts entries displaced by the LRU capacity
+	// bound.
 	Hits, Misses, Stores, Evictions uint64
 	// Size is the current entry count; Capacity the configured bound.
 	Size, Capacity int
 }
 
-// entry is one cached schedule keyed by its canonical planning tuple.
+// Entry is a copy of one cached planning result: the autotuned winner
+// once one has been recorded, else the ranked pool awaiting autotuning.
+type Entry struct {
+	// Winner is the schedule autotuning picked from the pool; its Assign
+	// is nil while the pool has not been autotuned.
+	Winner core.Schedule
+	// Pool holds the candidate schedules in the planner's rank order. It
+	// is nil once Winner is set, which is all a hit then needs.
+	Pool []core.Schedule
+}
+
+// entry is one cached result keyed by its canonical planning tuple:
+// the pool, and the index of its winner or -1.
 type entry struct {
-	key   string
-	sched core.Schedule
+	key  string
+	pool []core.Schedule
+	best int
 }
 
 // Cache is a concurrency-safe LRU of planning results. Construct with
@@ -153,40 +171,57 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Get returns the schedule cached under key. The returned schedule is an
-// independent copy; mutating it cannot corrupt the cache.
-func (c *Cache) Get(key string) (core.Schedule, bool) {
+// Get returns the entry cached under key. The returned schedules are
+// independent copies; mutating them cannot corrupt the cache.
+func (c *Cache) Get(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return core.Schedule{}, false
+		return Entry{}, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
 	e := el.Value.(*entry)
-	return copySchedule(e.sched), true
+	if e.best >= 0 {
+		return Entry{Winner: copySchedule(e.pool[e.best])}, true
+	}
+	return Entry{Pool: copyPool(e.pool)}, true
 }
 
-// Put stores a schedule under key, evicting the least-recently-used
-// entries past capacity. The schedule is copied in, so later caller
-// mutation cannot corrupt the cache.
-func (c *Cache) Put(key string, s core.Schedule) {
+// Put stores a ranked candidate pool under key with no winner, replacing
+// any entry there and evicting the least-recently-used entries past
+// capacity. The pool is copied in, so later caller mutation cannot
+// corrupt the cache.
+func (c *Cache) Put(key string, pool []core.Schedule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stores++
 	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).sched = copySchedule(s)
+		e := el.Value.(*entry)
+		e.pool, e.best = copyPool(pool), -1
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, sched: copySchedule(s)})
+	c.items[key] = c.ll.PushFront(&entry{key: key, pool: copyPool(pool), best: -1})
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.items, back.Value.(*entry).key)
 		c.evictions++
+	}
+}
+
+// SetBest records that the candidate at index best of the pool cached
+// under key won autotuning. It updates the entry in place: it is not a
+// store and leaves the entry's recency alone. When the entry has been
+// evicted since, the winner is dropped.
+func (c *Cache) SetBest(key string, best int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*entry).best = best
 	}
 }
 
@@ -204,4 +239,22 @@ func (c *Cache) Stats() Stats {
 // copySchedule deep-copies the assignment vector.
 func copySchedule(s core.Schedule) core.Schedule {
 	return core.Schedule{Assign: append([]core.PUClass(nil), s.Assign...)}
+}
+
+// copyPool deep-copies a pool into one backing array; each copied
+// assignment is capped at its length, so appending to one cannot
+// overwrite the next.
+func copyPool(pool []core.Schedule) []core.Schedule {
+	n := 0
+	for _, s := range pool {
+		n += len(s.Assign)
+	}
+	buf := make([]core.PUClass, 0, n)
+	out := make([]core.Schedule, len(pool))
+	for i, s := range pool {
+		start := len(buf)
+		buf = append(buf, s.Assign...)
+		out[i].Assign = buf[start:len(buf):len(buf)]
+	}
+	return out
 }

@@ -187,18 +187,19 @@ func TestKeyKnobsSeparate(t *testing.T) {
 	}
 }
 
-func sched(classes ...core.PUClass) core.Schedule {
-	return core.Schedule{Assign: classes}
+// pool builds a one-candidate pool.
+func pool(classes ...core.PUClass) []core.Schedule {
+	return []core.Schedule{{Assign: classes}}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put("a", sched(core.ClassBig))
-	c.Put("b", sched(core.ClassGPU))
+	c.Put("a", pool(core.ClassBig))
+	c.Put("b", pool(core.ClassGPU))
 	if _, ok := c.Get("a"); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", sched(core.ClassLittle)) // evicts b
+	c.Put("c", pool(core.ClassLittle)) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction despite being LRU")
 	}
@@ -214,35 +215,80 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheCopiesInAndOut: neither the caller's pool after Put nor a
+// returned pool aliases the entry, and appending to one returned
+// candidate's assignment cannot overwrite the next candidate's.
 func TestCacheCopiesInAndOut(t *testing.T) {
 	c := New(4)
-	in := sched(core.ClassBig, core.ClassGPU)
+	in := []core.Schedule{
+		{Assign: []core.PUClass{core.ClassBig, core.ClassGPU}},
+		{Assign: []core.PUClass{core.ClassGPU, core.ClassLittle}},
+	}
 	c.Put("k", in)
-	in.Assign[0] = core.ClassLittle // caller mutates after Put
+	in[0].Assign[0] = core.ClassLittle // caller mutates after Put
+	in[1] = core.Schedule{}
 	out, ok := c.Get("k")
 	if !ok {
 		t.Fatal("miss")
 	}
-	if out.Assign[0] != core.ClassBig {
-		t.Fatal("Put aliased the caller's schedule")
+	if len(out.Pool) != 2 || out.Pool[0].Assign[0] != core.ClassBig || out.Pool[1].Assign[1] != core.ClassLittle {
+		t.Fatalf("Put aliased the caller's pool: %v", out.Pool)
 	}
-	out.Assign[1] = core.ClassLittle // caller mutates the returned copy
+	out.Pool[0].Assign[1] = core.ClassLittle // caller mutates a returned candidate
+	out.Pool[0].Assign = append(out.Pool[0].Assign, core.ClassBig)
+	out.Pool[1].Assign[0] = core.ClassBig
+	if out.Pool[1].Assign[1] != core.ClassLittle {
+		t.Fatal("appending to one returned candidate overwrote the next")
+	}
 	again, _ := c.Get("k")
-	if again.Assign[1] != core.ClassGPU {
-		t.Fatal("Get returned an aliasing copy")
+	if again.Pool[0].Assign[1] != core.ClassGPU || len(again.Pool[0].Assign) != 2 || again.Pool[1].Assign[0] != core.ClassGPU {
+		t.Fatalf("Get returned an aliasing copy: cached pool now %v", again.Pool)
 	}
 }
 
 func TestCacheUpdateExistingKey(t *testing.T) {
 	c := New(2)
-	c.Put("k", sched(core.ClassBig))
-	c.Put("k", sched(core.ClassGPU))
+	c.Put("k", pool(core.ClassBig))
+	c.SetBest("k", 0)
+	c.Put("k", pool(core.ClassGPU))
 	if st := c.Stats(); st.Size != 1 {
 		t.Fatalf("Size = %d after double Put of one key", st.Size)
 	}
-	s, _ := c.Get("k")
-	if s.Assign[0] != core.ClassGPU {
-		t.Fatal("second Put did not replace the entry")
+	e, _ := c.Get("k")
+	if len(e.Pool) != 1 || e.Pool[0].Assign[0] != core.ClassGPU || e.Winner.Assign != nil {
+		t.Fatalf("second Put did not replace the entry: %+v", e)
+	}
+}
+
+// TestCacheSetBest: a stored pool has no winner until SetBest adds one,
+// in place: not a store, and no change of recency. From then on a hit
+// returns the winner alone, as a copy. A winner for an entry evicted in
+// between is dropped, not stored.
+func TestCacheSetBest(t *testing.T) {
+	c := New(2)
+	c.Put("a", []core.Schedule{{Assign: []core.PUClass{core.ClassBig}}, {Assign: []core.PUClass{core.ClassGPU}}})
+	c.Put("b", pool(core.ClassLittle))
+	if e, _ := c.Get("a"); len(e.Pool) != 2 || e.Winner.Assign != nil {
+		t.Fatalf("fresh entry %+v, want the pool and no winner", e)
+	}
+	c.SetBest("b", 0) // b stays least recently used
+	c.SetBest("a", 1)
+	won, _ := c.Get("a")
+	if won.Pool != nil || !won.Winner.Equal(core.Schedule{Assign: []core.PUClass{core.ClassGPU}}) {
+		t.Fatalf("entry %+v, want winner [gpu] and no pool", won)
+	}
+	won.Winner.Assign[0] = core.ClassLittle // caller mutates the returned winner
+	if again, _ := c.Get("a"); again.Winner.Assign[0] != core.ClassGPU {
+		t.Fatal("Get returned an aliasing winner")
+	}
+	c.Put("c", pool(core.ClassGPU)) // evicts b
+	c.SetBest("b", 0)
+	st := c.Stats()
+	if st.Stores != 3 || st.Size != 2 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 3 stores, size 2, 1 eviction: SetBest is no store", st)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("SetBest re-inserted an evicted entry")
 	}
 }
 
@@ -266,10 +312,10 @@ func TestCacheConcurrentInvariants(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("k%d", rng.Intn(3*cap))
 				if rng.Intn(2) == 0 {
-					c.Put(key, sched(core.ClassBig, core.ClassGPU))
+					c.Put(key, pool(core.ClassBig, core.ClassGPU))
 				} else {
-					if s, ok := c.Get(key); ok && len(s.Assign) != 2 {
-						t.Errorf("corrupt schedule for %s: %v", key, s)
+					if e, ok := c.Get(key); ok && (len(e.Pool) != 1 || len(e.Pool[0].Assign) != 2) {
+						t.Errorf("corrupt pool for %s: %v", key, e.Pool)
 					}
 				}
 			}
